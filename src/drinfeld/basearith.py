@@ -10,6 +10,7 @@ ring handle.  Everything is exact; there is no floating point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 MAX_FIELD_SIZE = 1 << 16
 
@@ -41,6 +42,9 @@ class FFElement:
 
     def is_zero(self) -> bool:
         return self.log < 0
+
+    def is_unit(self) -> bool:
+        return self.log >= 0
 
     def __bool__(self) -> bool:
         return self.log >= 0
@@ -221,13 +225,6 @@ class FiniteField:
     def from_int(self, c: int) -> FFElement:
         return self._int_cache[c % self.p]
 
-    def from_coeffs(self, vec) -> FFElement:
-        vec = tuple(c % self.p for c in vec)
-        vec = vec + (0,) * (self.n - len(vec))
-        if all(c == 0 for c in vec):
-            return self.zero
-        return FFElement(self, self.dlog[vec])
-
     def gen(self) -> FFElement:
         if self.q == 2:
             return self.one
@@ -352,6 +349,15 @@ class APoly:
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == self.field.one
+
+    def is_unit(self) -> bool:
+        """The units of A are the nonzero constants."""
+        return self.degree == 0
+
+    def inverse(self) -> "APoly":
+        if not self.is_unit():
+            raise ZeroDivisionError(f"{self} is not a unit of A")
+        return APoly._raw(self.field, [self.coeffs[0].inverse()])
 
     def lc(self) -> FFElement:
         if not self.coeffs:
@@ -502,19 +508,8 @@ def poly_T(field: FiniteField) -> APoly:
 def all_monic(field: FiniteField, degree: int):
     """All monic polynomials of the given degree, in a fixed enumeration
     order (coefficients run through the field's canonical element order)."""
-    if degree == 0:
-        yield APoly(field, [field.one])
-        return
-    pools = [list(field.elements()) for _ in range(degree)]
-
-    def rec(i, acc):
-        if i == degree:
-            yield APoly(field, acc + [field.one])
-            return
-        for c in pools[i]:
-            yield from rec(i + 1, acc + [c])
-
-    yield from rec(0, [])
+    for low in product(field.elements(), repeat=degree):
+        yield APoly(field, low + (field.one,))
 
 
 def smallest_factor(f: APoly) -> APoly | None:
@@ -695,13 +690,6 @@ class LocalElement:
                 return val
             v, val = quot, val + 1
 
-    def divide_by_varpi(self) -> "LocalElement":
-        """Exact division by varpi, dropping one level of precision."""
-        quot, rem = self.value.divmod(self.ring.place.varpi)
-        if not rem.is_zero():
-            raise ValueError(f"{self} is not divisible by varpi")
-        return LocalElement(local_ring(self.ring.place, self.ring.n - 1), quot)
-
     def __eq__(self, other):
         return (isinstance(other, LocalElement) and other.ring is self.ring
                 and other.value == self.value)
@@ -741,17 +729,8 @@ class LocalRing:
 
     def elements(self):
         field = self.place.field
-        nd = self.n * self.place.d
-        pools = list(field.elements())
-
-        def rec(i, acc):
-            if i == nd:
-                yield LocalElement(self, APoly(field, acc))
-                return
-            for c in pools:
-                yield from rec(i + 1, acc + [c])
-
-        yield from rec(0, [])
+        for coeffs in product(field.elements(), repeat=self.deg_bound):
+            yield LocalElement(self, APoly(field, coeffs))
 
     def units(self):
         for x in self.elements():
@@ -853,13 +832,12 @@ class FieldExt:
     def elements(self):
         return self.field.elements()
 
+    def from_int(self, c: int) -> FFElement:
+        return self.embed_fq(self.place.field.from_int(c))
+
     def gamma_eval(self, a: APoly) -> FFElement:
         """gamma(a): the structure map A -> F_{q^{dm}} applied to a."""
         return a.eval_in(self.gamma_T, self.embed_fq)
-
-    def residue_subfield(self, x: FFElement) -> bool:
-        """Whether x lies in the copy of the residue field k(varpi)."""
-        return (x ** (self.q ** self.place.d)) == x
 
     def to_residue(self, x: FFElement) -> LocalElement:
         """Inverse of gamma on the residue subfield, valued in A/(varpi)."""
@@ -921,7 +899,7 @@ class ArtinElement:
                 raise ValueError("different Artinian rings")
             return other
         if isinstance(other, int):
-            return self.ring.from_fq(self.ring.residue.field.from_int(other))
+            return self.ring.from_int(other)
         if isinstance(other, FFElement):
             return self.ring.from_fq(other)
         return None
@@ -1041,8 +1019,8 @@ class ArtinRing:
         """F_q -> R through the residue field."""
         return self.from_fq(self.residue.embed_fq(c))
 
-    def embed_residue(self, c: FFElement) -> ArtinElement:
-        return self.from_fq(c)
+    def from_int(self, c: int) -> ArtinElement:
+        return self.embed_fq(self.place.field.from_int(c))
 
     def _hensel_gamma(self) -> ArtinElement:
         varpi = self.place.varpi
@@ -1065,16 +1043,8 @@ class ArtinRing:
         return x ** (self.q ** e)
 
     def elements(self):
-        pools = list(self.residue.elements())
-
-        def rec(i, acc):
-            if i == self.nilpotency:
-                yield ArtinElement(self, acc)
-                return
-            for c in pools:
-                yield from rec(i + 1, acc + [c])
-
-        yield from rec(0, [])
+        for coeffs in product(self.residue.elements(), repeat=self.nilpotency):
+            yield ArtinElement(self, coeffs)
 
     def maximal_ideal(self):
         for x in self.elements():

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .basearith import (APoly, artin_ring, ext_field, finite_field,
                         local_ring, make_place, poly_T, PrimePlace)
-from .carlitz import (TruncSeriesRing, all_places, carlitz_coefficient_profile,
+from .carlitz import (TruncSeriesRing, carlitz_coefficient_profile,
                       trace_of_carlitz_pullback)
 from .hecke import (admissible_weight_values, apply_u_by_table, atkin_lehner,
                     build_correspondence, operator_matrix, support_valuations)
@@ -64,20 +64,6 @@ def check_carlitz_profile(place: PrimePlace) -> CheckResult:
         return f"deg {place.d}, {len(prof.middle)} middle coefficients"
     return _run("carlitz-linear-coefficient",
                 f"action polynomial profile at {place}", body)
-
-
-def check_carlitz_profile_sweep() -> CheckResult:
-    def body():
-        count = 0
-        for q, e in ((2, 1), (3, 1), (2, 2)):
-            f = finite_field(q ** e) if e == 1 else finite_field(q, e)
-            for pl in all_places(f, 3):
-                assert carlitz_coefficient_profile(pl).ok
-                count += 1
-        return f"{count} places, q in {{2,3,4}}, deg <= 3"
-    return _run("carlitz-profile-sweep",
-                "profile at every place of degree <= 3 over q in {2,3,4}",
-                body)
 
 
 def check_fv_factorization(place: PrimePlace, exhaustive_m: int = 1) -> CheckResult:
@@ -387,7 +373,6 @@ def check_projector_control(place: PrimePlace, m: int = 2,
         lv = iwasawa_level(place, m)
         rng = random.Random(seed)
         cases = 0
-        T = poly_T(place.field) if place.field.n == 1 else None
         for trial in range(6):
             n = 2 + trial % 2
             M = [[lv.random_element(rng, support=2) for _ in range(n)]
@@ -398,7 +383,7 @@ def check_projector_control(place: PrimePlace, m: int = 2,
                 assert cr.ok
                 cases += 1
         # the worked rank-one case: unit on the diagonal against varpi
-        u = sorted(lv.wild_group, key=lambda x: 0)[min(1, len(lv.wild_group) - 1)]
+        u = lv.wild_group[min(1, len(lv.wild_group) - 1)]
         M = [[lv.one, lv.one], [lv.zero, lv.dirac(u) * lv.ring.varpi]]
         for k in (0, 2, 5):
             cr = control_check(M, lv, lambda x, kk=k: specialize(x, kk), lv.ring)

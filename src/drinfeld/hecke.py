@@ -12,7 +12,7 @@ is a support statement, not scalar arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .basearith import FFElement, FieldExt, PrimePlace, ext_field
 from .modules import DrinfeldModule, SubgroupKind, stable_order_qd_subgroups
@@ -73,12 +73,6 @@ class Correspondence:
     def points(self) -> list:
         return self.ordinary + self.supersingular
 
-    def point_by_j(self, j: FFElement) -> ModuliPoint:
-        return self._index[j]
-
-    def __post_init__(self):
-        self._index = {p.j: p for p in self.points}
-
     def edges_from(self, p: ModuliPoint, kind: str | None = None) -> list:
         return [e for e in self.edges
                 if e.src == p and (kind is None or e.kind == kind)]
@@ -89,10 +83,6 @@ def canonical_representative(ext: FieldExt, j: FFElement) -> DrinfeldModule:
     if j.is_zero():
         return DrinfeldModule(ext, ext.zero, ext.one)
     return DrinfeldModule(ext, ext.one, j.inverse())
-
-
-def normalize(E: DrinfeldModule) -> DrinfeldModule:
-    return canonical_representative(E.base, E.j_invariant())
 
 
 def enumerate_moduli(place: PrimePlace, m: int):
@@ -261,24 +251,20 @@ def orbit_scale(rep: DrinfeldModule, target: DrinfeldModule, ext: FieldExt):
     """The canonical scalar c (smallest in element order) with
     sigma_c(rep) = target, or None when no such c is rational over ext."""
     q = rep.place.q
+    g0, d0 = _embed_module(rep, ext)
+    g1, d1 = _embed_module(target, ext)
     for c in ext.field.units():
-        if (c ** (q - 1) * _embed_module_g(rep, ext) == _embed_module_g(target, ext)
-                and c ** (q * q - 1) * _embed_module_delta(rep, ext)
-                == _embed_module_delta(target, ext)):
+        if c ** (q - 1) * g0 == g1 and c ** (q * q - 1) * d0 == d1:
             return c
     return None
 
 
-def _embed_module_g(E: DrinfeldModule, ext: FieldExt):
+def _embed_module(E: DrinfeldModule, ext: FieldExt):
+    """The coefficients (g, delta) of E carried into ext."""
     if E.base is ext:
-        return E.g
-    return ext.field.embedding_from(E.base.field)(E.g)
-
-
-def _embed_module_delta(E: DrinfeldModule, ext: FieldExt):
-    if E.base is ext:
-        return E.delta
-    return ext.field.embedding_from(E.base.field)(E.delta)
+        return E.g, E.delta
+    emb = ext.field.embedding_from(E.base.field)
+    return emb(E.g), emb(E.delta)
 
 
 def _working_extension(corr: Correspondence, k: int, max_steps: int = 8):
@@ -351,7 +337,7 @@ def homogeneous_table(corr: Correspondence, k: int, values: dict,
     table = {}
     for p in corr.points:
         v = values[p.j]
-        g0, d0 = _embed_module_g(p.rep, ext), _embed_module_delta(p.rep, ext)
+        g0, d0 = _embed_module(p.rep, ext)
         for c in ext.field.units():
             key = (c ** (q - 1) * g0, c ** (q * q - 1) * d0)
             val = (c ** k) * v
@@ -371,7 +357,7 @@ def admissible_weight_values(corr: Correspondence, k: int, ext: FieldExt,
     units = list(ext.field.units())
     values = {}
     for p in corr.points:
-        g0, d0 = _embed_module_g(p.rep, ext), _embed_module_delta(p.rep, ext)
+        g0, d0 = _embed_module(p.rep, ext)
         forced_zero = any(
             c ** (q - 1) * g0 == g0 and c ** (q * q - 1) * d0 == d0
             and c ** k != ext.one
@@ -389,9 +375,7 @@ def apply_u_by_table(corr: Correspondence, k: int, values: dict,
     out = {}
     for p in corr.ordinary:
         e = corr.edges_from(p, "V")[0]
-        key = (_embed_module_g(e.target_module, ext),
-               _embed_module_delta(e.target_module, ext))
-        out[p.j] = table[key]
+        out[p.j] = table[_embed_module(e.target_module, ext)]
     return out
 
 

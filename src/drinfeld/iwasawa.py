@@ -83,17 +83,6 @@ class IwasawaLevel:
             comps.append(((wild, self.chi_value(chi, a)),))
         return IwasawaElement(self, tuple(comps))
 
-    def wild_dirac_component(self, u: LocalElement) -> "IwasawaElement":
-        """A single-component element: dirac mass at a principal unit in
-        the trivial tame component only (tame-pure of index 0)."""
-        return self.pure(0, {u: self.ring.one})
-
-    def pure(self, chi: int, wild_map: dict) -> "IwasawaElement":
-        """Element supported in a single tame component."""
-        comps = [() for _ in range(self.tame_order)]
-        comps[chi] = _canonical_component(wild_map)
-        return IwasawaElement(self, tuple(comps))
-
     def from_components(self, comps) -> "IwasawaElement":
         return IwasawaElement(self, tuple(_canonical_component(dict(c))
                                           for c in comps))
@@ -205,11 +194,6 @@ class IwasawaElement:
         for _ in range(e):
             result = result * self
         return result
-
-    def is_unit(self) -> bool:
-        """Unit test by trying to invert in each finite component; used
-        only at desk scale (searches the finite group algebra)."""
-        raise NotImplementedError("unit test is not needed; use specialize")
 
     def reduce_to(self, m: int) -> "IwasawaElement":
         """The ring map to a lower level: coefficients and group keys both

@@ -20,7 +20,7 @@ class DrinfeldModule:
     __slots__ = ("base", "g", "delta")
 
     def __init__(self, base, g, delta):
-        if _is_zero_like(delta) or (hasattr(delta, "is_unit") and not delta.is_unit()):
+        if not delta.is_unit():
             raise ValueError("delta must be a unit (rank exactly 2)")
         self.base = base
         self.g = g
@@ -47,7 +47,7 @@ class DrinfeldModule:
 
     def is_char_p(self) -> bool:
         """Whether the base has characteristic the place: gamma(varpi) = 0."""
-        return _is_zero_like(self.base.gamma_eval(self.place.varpi))
+        return self.base.gamma_eval(self.place.varpi).is_zero()
 
     def frob_twist(self, e: int = 1) -> "DrinfeldModule":
         """The module with coefficients raised to the q^e power."""
@@ -72,11 +72,7 @@ class DrinfeldModule:
 
     def j_invariant(self):
         """Coarse moduli coordinate g^(q+1)/delta."""
-        q = self.place.q
-        num = self.g ** (q + 1)
-        if hasattr(self.delta, "inverse"):
-            return num * self.delta.inverse()
-        return num / self.delta
+        return self.g ** (self.place.q + 1) * self.delta.inverse()
 
     def base_change(self, ext: FieldExt) -> "DrinfeldModule":
         """Transport to a larger extension of the same place."""
@@ -125,7 +121,7 @@ class DrinfeldModule:
         d = self.place.d
         pv = self.phi_eval(self.place.varpi)
         for i in range(d):
-            if not _is_zero_like(pv.coefficient(i)):
+            if not pv.coefficient(i).is_zero():
                 raise AssertionError(
                     f"phi(varpi) has nonzero twist coefficient at degree {i}: "
                     f"{pv.coefficient(i)}")
@@ -143,7 +139,7 @@ class DrinfeldModule:
         return V.poly.coefficient(0)
 
     def is_ordinary(self) -> bool:
-        return not _is_zero_like(self.hasse_invariant())
+        return not self.hasse_invariant().is_zero()
 
     def torsion_points(self, n: int, ext: FieldExt) -> "TorsionModule":
         """The group of varpi^n torsion points rational over `ext`, with its
@@ -156,7 +152,7 @@ class DrinfeldModule:
         for x in points:
             s = 0
             y = x
-            while not _is_zero_like(y):
+            while not y.is_zero():
                 y = E.phi_eval(self.place.varpi).eval(y)
                 s += 1
             orders[x] = s
@@ -306,10 +302,6 @@ class TorsionModule:
         return len(inv) <= 1
 
 
-def _is_zero_like(x) -> bool:
-    return x.is_zero() if hasattr(x, "is_zero") else not x
-
-
 def _gamma_compatible_embedding(small: FieldExt, big: FieldExt):
     """An embedding of fields matching gamma_T on both sides (the canonical
     one composed with a power of Frobenius over the base)."""
@@ -337,7 +329,7 @@ def splitting_degree(u: SkewPoly, ext: FieldExt, cap: int = 64) -> int:
     """Least r with every root of the separable additive polynomial u
     rational over the degree-r extension of `ext`: certified by
     x^(Q^r) = x mod u(x) as ordinary polynomials, Q = |ext|."""
-    if _is_zero_like(u.constant()):
+    if u.constant().is_zero():
         raise ValueError("u must be separable (nonzero constant coefficient)")
     # represent u as an ordinary polynomial over the big field
     coeffs = [ext.zero] * (ext.q ** u.degree + 1)

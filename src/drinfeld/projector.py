@@ -21,10 +21,6 @@ def mat_identity(ring, n: int):
             for i in range(n)]
 
 
-def mat_zero(ring, n: int):
-    return [[ring.zero] * n for _ in range(n)]
-
-
 def mat_mul(a, b, ring):
     n, mid, m = len(a), len(b), len(b[0]) if b else 0
     out = []
@@ -39,10 +35,6 @@ def mat_mul(a, b, ring):
     return out
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -52,7 +44,7 @@ def mat_eq(a, b) -> bool:
 
 
 def mat_is_zero(a) -> bool:
-    return all(_zero_like(x) for row in a for x in row)
+    return all(x.is_zero() for row in a for x in row)
 
 
 def mat_pow(a, e: int, ring):
@@ -68,10 +60,6 @@ def mat_pow(a, e: int, ring):
 
 def mat_map(a, fn):
     return [[fn(x) for x in row] for row in a]
-
-
-def _zero_like(x) -> bool:
-    return x.is_zero() if hasattr(x, "is_zero") else not x
 
 
 # -- towers ------------------------------------------------------------------

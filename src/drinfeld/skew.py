@@ -1,14 +1,24 @@
 """The twisted polynomial ring R{t} with t*c = c^q*t.
 
 A twisted polynomial sum(c_i t^i) acts on points as the additive map
-x -> sum(c_i x^(q^i)); multiplication is composition of these maps.  The
-coefficient ring is any handle exposing zero/one/q/qpow (FieldExt,
-ArtinRing, or the symbolic PolyRing over A itself).
+x -> sum(c_i x^(q^i)); multiplication is composition of these maps.
+
+Every ring handle in the library follows one protocol, which this module
+and its callers assume without probing:
+
+* coefficient rings (FieldExt, ArtinRing, PolyRing) expose `zero`, `one`,
+  `q`, `qpow(x, e)`, `from_int(c)`, `embed_fq(c)` (F_q -> R), `gamma_T`
+  and `gamma_eval(a)` (the structure map A -> R);
+* matrix rings (LocalRing, IwasawaLevel) expose `zero` and `one`;
+* every element answers `is_zero()`, and coefficient elements also answer
+  `is_unit()` and `inverse()`.
 """
 
 from __future__ import annotations
 
-from .basearith import APoly, FFElement, FiniteField, FieldExt
+from itertools import product
+
+from .basearith import APoly, FiniteField, FieldExt
 
 
 class PolyRing:
@@ -31,6 +41,9 @@ class PolyRing:
     def embed_fq(self, c):
         return APoly(self.field, [c])
 
+    def from_int(self, c: int) -> APoly:
+        return APoly(self.field, [c])
+
     def __repr__(self):
         return f"PolyRing(F_{self.q}[T])"
 
@@ -42,7 +55,7 @@ class SkewPoly:
 
     def __init__(self, ring, coeffs):
         elems = list(coeffs)
-        while elems and _is_zero(elems[-1]):
+        while elems and elems[-1].is_zero():
             elems.pop()
         self.ring = ring
         self.coeffs = tuple(elems)
@@ -69,7 +82,7 @@ class SkewPoly:
     def tau_valuation(self) -> int:
         """Index of the lowest nonzero coefficient (-1 for the zero map)."""
         for i, c in enumerate(self.coeffs):
-            if not _is_zero(c):
+            if not c.is_zero():
                 return i
         return -1
 
@@ -79,7 +92,7 @@ class SkewPoly:
                 raise ValueError("twisted polynomials over different rings")
             return other
         if isinstance(other, int):
-            return SkewPoly(self.ring, [_from_int(self.ring, other)])
+            return SkewPoly(self.ring, [self.ring.from_int(other)])
         return SkewPoly(self.ring, [other])
 
     def __add__(self, other):
@@ -103,10 +116,10 @@ class SkewPoly:
         ring = self.ring
         out = [ring.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if _is_zero(a):
+            if a.is_zero():
                 continue
             for j, b in enumerate(other.coeffs):
-                if _is_zero(b):
+                if b.is_zero():
                     continue
                 out[i + j] = out[i + j] + a * ring.qpow(b, i)
         return SkewPoly(ring, out)
@@ -127,7 +140,7 @@ class SkewPoly:
         ring = self.ring
         acc = None
         for i, c in enumerate(self.coeffs):
-            if _is_zero(c):
+            if c.is_zero():
                 continue
             term = c * ring.qpow(x, i)
             acc = term if acc is None else acc + term
@@ -151,7 +164,7 @@ class SkewPoly:
             return "0"
         terms = []
         for i, c in enumerate(self.coeffs):
-            if _is_zero(c):
+            if c.is_zero():
                 continue
             cs = str(c)
             wrapped = f"({cs})" if any(op in cs for op in "+*^") else cs
@@ -164,26 +177,6 @@ class SkewPoly:
 
     def __repr__(self):
         return f"Skew({self})"
-
-
-def _is_zero(c) -> bool:
-    return c.is_zero() if hasattr(c, "is_zero") else not c
-
-
-def _from_int(ring, c: int):
-    if hasattr(ring, "embed_fq"):
-        if hasattr(ring, "field"):
-            return ring.embed_fq(ring_base_field(ring).from_int(c))
-        return ring.embed_fq(ring.place.field.from_int(c))
-    raise TypeError("ring does not support integer coercion")
-
-
-def ring_base_field(ring):
-    if isinstance(ring, PolyRing):
-        return ring.field
-    if isinstance(ring, FieldExt):
-        return ring.place.field
-    return ring.place.field
 
 
 def tau(ring, e: int = 1) -> SkewPoly:
@@ -204,17 +197,9 @@ def right_divide(u: SkewPoly, v: SkewPoly) -> tuple[SkewPoly, SkewPoly]:
     if v.ring is not ring:
         raise ValueError("twisted polynomials over different rings")
     lc = v.coeffs[-1]
-    if hasattr(lc, "is_unit"):
-        if not lc.is_unit():
-            raise ValueError("leading coefficient is not a unit")
-        lc_inv = lc.inverse()
-    elif isinstance(lc, FFElement):
-        lc_inv = lc.inverse()
-    else:
-        # symbolic ring A: only monic divisors are invertible
-        if not (hasattr(lc, "is_monic") and lc.degree == 0 and lc.coeffs[0] == lc.field.one):
-            raise ValueError("leading coefficient is not a unit in A")
-        lc_inv = lc
+    if not lc.is_unit():
+        raise ValueError("leading coefficient is not a unit")
+    lc_inv = lc.inverse()
     rem = list(u.coeffs)
     dv = v.degree
     dq = len(rem) - 1 - dv
@@ -224,7 +209,7 @@ def right_divide(u: SkewPoly, v: SkewPoly) -> tuple[SkewPoly, SkewPoly]:
     for k in range(dq, -1, -1):
         c = rem[k + dv] * ring.qpow(lc_inv, k)
         quot[k] = c
-        if _is_zero(c):
+        if c.is_zero():
             continue
         for j, b in enumerate(v.coeffs):
             rem[k + j] = rem[k + j] - c * ring.qpow(b, k)
@@ -270,17 +255,6 @@ def stable_right_divisors(phi_T: SkewPoly, phi_varpi: SkewPoly, deg: int):
         return [SkewPoly(ring, [ring.one])]
     if not isinstance(ring, FieldExt):
         raise ValueError("divisor enumeration requires a field base")
-    out = []
-    pools = [list(ring.elements()) for _ in range(deg)]
-
-    def rec(i, acc):
-        if i == deg:
-            u = SkewPoly(ring, acc + [ring.one])
-            if is_stable_divisor(u, phi_T, phi_varpi):
-                out.append(u)
-            return
-        for c in pools[i]:
-            rec(i + 1, acc + [c])
-
-    rec(0, [])
-    return out
+    candidates = (SkewPoly(ring, low + (ring.one,))
+                  for low in product(ring.elements(), repeat=deg))
+    return [u for u in candidates if is_stable_divisor(u, phi_T, phi_varpi)]

@@ -146,16 +146,11 @@ def parse_ext_element(ext, s: str) -> FFElement:
 
 
 def parse_artin(ring: ArtinRing, s: str):
-    res = ring.residue.field
     symbols = {
         "eps": ring.eps,
-        "a": ring.from_fq(res.gen()),
+        "a": ring.from_fq(ring.residue.field.gen()),
     }
-
-    def from_int(c):
-        return ring.from_fq(res.from_int(c))
-
-    return _Parser(_tokenize(s), symbols, from_int).parse()
+    return _Parser(_tokenize(s), symbols, ring.from_int).parse()
 
 
 def parse_skew(ring, s: str):
@@ -163,19 +158,14 @@ def parse_skew(ring, s: str):
     "t" is the twist generator."""
     from .skew import SkewPoly
 
-    tau = SkewPoly(ring, [ring.zero, ring.one])
-    symbols = {"t": tau}
-    base_field = ring.field if hasattr(ring, "field") else ring.residue.field
-    if hasattr(ring, "eps"):
+    symbols = {"t": SkewPoly(ring, [ring.zero, ring.one])}
+    if isinstance(ring, ArtinRing):
         symbols["eps"] = SkewPoly(ring, [ring.eps])
         symbols["a"] = SkewPoly(ring, [ring.from_fq(ring.residue.field.gen())])
-
-        def from_int(c):
-            return SkewPoly(ring, [ring.from_fq(ring.residue.field.from_int(c))])
     else:
-        symbols["a"] = SkewPoly(ring, [base_field.gen()])
+        symbols["a"] = SkewPoly(ring, [ring.field.gen()])
 
-        def from_int(c):
-            return SkewPoly(ring, [base_field.from_int(c)])
+    def from_int(c):
+        return SkewPoly(ring, [ring.from_int(c)])
 
     return _Parser(_tokenize(s), symbols, from_int).parse()

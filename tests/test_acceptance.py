@@ -5,8 +5,11 @@ is exact); the stated wall-clock budgets are asserted.
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+import hashlib
+import json
 import random
 import time
+from pathlib import Path
 
 from drinfeld.basearith import (APoly, artin_ring, ext_field, finite_field,
                                 local_ring, make_place, poly_T)
@@ -27,6 +30,8 @@ from drinfeld.projector import (constant_tower, control_check,
                                 mat_identity, ordinary_projector,
                                 reduction_tower)
 from drinfeld.serretate import constant_lift, lift_independence_check
+
+GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json"
 
 
 def _report(name, t0, budget, detail=""):
@@ -136,7 +141,7 @@ def test_criterion_05_deformation_values():
     assert rep.ok and rep.exhaustive
     assert rep.torsion_count == 3 and rep.perturbations_checked == 27
     i = next(x for x in ext.elements() if x * x == -ext.one and x)
-    assert rep.values[i] == R.eps * R.embed_residue(i)
+    assert rep.values[i] == R.eps * R.from_fq(i)
     for v in rep.values.values():
         assert v.in_maximal_ideal()
     _report("criterion-5 deformation lift independence", t0, 5.0,
@@ -286,6 +291,9 @@ def test_criterion_11_end_to_end(capsys):
     out2 = capsys.readouterr().out
     # the suite output carries no timings, so a rerun is byte-identical
     assert code2 == 0 and out1 == out2
+    # and it is the recorded golden output
+    digests = json.loads(GOLDENS.read_text())["digests"]
+    assert hashlib.sha256(out1.encode()).hexdigest() == digests["suite"]
     with capsys.disabled():
         _report("criterion-11 end-to-end suite", t0, 120.0,
                 "both standard places, deterministic, exit 0")

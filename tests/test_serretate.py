@@ -25,7 +25,7 @@ def test_lift_has_eps_structure_map(datum9, artin9):
 def test_value_at_imaginary_unit(datum9, artin9, ext9):
     i = _imag_unit(ext9)
     # phi(T)(i) = eps*i + i^3 + i^9 and the additive tail cancels
-    assert phi_deformation_value(datum9, i) == artin9.eps * artin9.embed_residue(i)
+    assert phi_deformation_value(datum9, i) == artin9.eps * artin9.from_fq(i)
 
 
 def test_value_at_zero(datum9, ext9):
@@ -36,7 +36,7 @@ def test_every_lift_gives_the_same_value(datum9, artin9, ext9):
     i = _imag_unit(ext9)
     base = phi_deformation_value(datum9, i)
     for c in ext9.elements():
-        pert = artin9.eps * artin9.embed_residue(c)
+        pert = artin9.eps * artin9.from_fq(c)
         assert phi_deformation_value(datum9, i, pert) == base
 
 
@@ -81,7 +81,7 @@ def test_supersingular_base_rejected(ext9, artin9):
 def test_nonreducing_lift_rejected(place_T, ext9, artin9):
     E0 = DrinfeldModule(ext9, ext9.one, ext9.one)
     wrong = DrinfeldModule(artin9,
-                           artin9.embed_residue(ext9.field.gen()),
+                           artin9.from_fq(ext9.field.gen()),
                            artin9.one)
     with pytest.raises(ValueError, match="reduce"):
         DeformationDatum(E0, artin9, wrong, 1)

@@ -159,6 +159,31 @@ def test_symbolic_ring_square(F3):
     assert sq.coefficient(2) == ring.one
 
 
+@pytest.mark.parametrize("ring_name", ["ext9", "artin9", "poly3"])
+def test_int_coercion_over_every_coefficient_ring(request, ring_name):
+    ring = (PolyRing(finite_field(3)) if ring_name == "poly3"
+            else request.getfixturevalue(ring_name))
+    one = SkewPoly(ring, [ring.one])
+    u = SkewPoly(ring, [ring.gamma_T, ring.one])
+    assert u + 2 == 2 + u == u + one + one
+    assert u * 2 == 2 * u == u + u
+    assert u - 1 == u - one
+    assert (3 * u).is_zero()  # characteristic 3
+
+
+def test_division_over_A_needs_constant_lead(F3):
+    ring = PolyRing(F3)
+    T = ring.gamma_T
+    two = ring.from_int(2)
+    u = SkewPoly(ring, [T, T + 1, T * T, ring.one])
+    v = SkewPoly(ring, [T, two])  # non-monic, but a unit of A
+    q, r = right_divide(u, v)
+    assert q * v + r == u and r.degree < v.degree
+    assert right_divide(u * v, v) == (u, SkewPoly(ring, []))
+    with pytest.raises(ValueError, match="unit"):
+        right_divide(u, SkewPoly(ring, [ring.one, T]))
+
+
 def test_division_over_artin_needs_unit_lead(artin9):
     u = SkewPoly(artin9, [artin9.one, artin9.one, artin9.one])
     v = SkewPoly(artin9, [artin9.one, artin9.eps])  # nilpotent leading
