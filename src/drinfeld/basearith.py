@@ -9,6 +9,7 @@ ring handle.  Everything is exact; there is no floating point anywhere.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -24,6 +25,39 @@ def _is_prime(n: int) -> bool:
             return False
         i += 1
     return True
+
+
+def power(x, e: int, one, mul=operator.mul):
+    """x^e for e >= 0 by left-to-right square-and-multiply: `one` when
+    e == 0, otherwise exactly (bit length - 1) squarings and (bit count - 1)
+    products by x under `mul`."""
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
+    if e == 0:
+        return one
+    result = x
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, x)
+    return result
+
+
+def join_terms(pairs, var: str) -> str:
+    """The sum of the terms c*var^i from (i, str(c)) pairs in display order:
+    zero coefficients are skipped, unit ones leave the bare monomial, and
+    composite ones are parenthesized.  "0" when no term is left."""
+    terms = []
+    for i, cs in pairs:
+        if cs == "0":
+            continue
+        wrapped = f"({cs})" if any(op in cs for op in "+*^") else cs
+        if i == 0:
+            terms.append(wrapped)
+        else:
+            mono = var if i == 1 else f"{var}^{i}"
+            terms.append(mono if cs == "1" else f"{wrapped}*{mono}")
+    return "+".join(terms) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -118,22 +152,8 @@ class FFElement:
         return hash((id(self.field), self.log))
 
     def __str__(self):
-        f = self.field
-        if f.n == 1:
-            return str(self.coeffs()[0])
         vec = self.coeffs()
-        terms = []
-        for i in range(f.n - 1, -1, -1):
-            c = vec[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append("a" if c == 1 else f"{c}*a")
-            else:
-                terms.append(f"a^{i}" if c == 1 else f"{c}*a^{i}")
-        return "+".join(terms) if terms else "0"
+        return join_terms(((i, str(vec[i])) for i in reversed(range(len(vec)))), "a")
 
     def __repr__(self):
         return f"FF({self.field.p}^{self.field.n}|{self})"
@@ -399,16 +419,7 @@ class APoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        result = APoly(self.field, [self.field.one])
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, APoly._raw(self.field, [self.field.one]))
 
     def qpow(self, qe: int) -> "APoly":
         """Fast q-power map: (sum c_i T^i)^qe = sum c_i^qe T^(i*qe) when qe
@@ -476,21 +487,8 @@ class APoly:
         return hash((id(self.field), self.coeffs))
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c.is_zero():
-                continue
-            cs = str(c)
-            wrapped = f"({cs})" if any(op in cs for op in "+*^") else cs
-            if i == 0:
-                terms.append(wrapped)
-            else:
-                var = "T" if i == 1 else f"T^{i}"
-                terms.append(var if cs == "1" else f"{wrapped}*{var}")
-        return "+".join(terms)
+        return join_terms(((i, str(self.coeffs[i]))
+                           for i in range(self.degree, -1, -1)), "T")
 
     def __repr__(self):
         return f"APoly({self})"
@@ -665,14 +663,7 @@ class LocalElement:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.ring.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, self.ring.one)
 
     def reduce_to(self, n: int) -> "LocalElement":
         if n > self.ring.n:
@@ -956,14 +947,7 @@ class ArtinElement:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.ring.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, self.ring.one)
 
     def in_maximal_ideal(self) -> bool:
         return self.coeffs[0].is_zero()
@@ -976,18 +960,7 @@ class ArtinElement:
         return hash((id(self.ring), self.coeffs))
 
     def __str__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            cs = str(c)
-            wrapped = f"({cs})" if any(op in cs for op in "+*^") else cs
-            if i == 0:
-                terms.append(wrapped)
-            else:
-                var = "eps" if i == 1 else f"eps^{i}"
-                terms.append(var if cs == "1" else f"{wrapped}*{var}")
-        return "+".join(terms) if terms else "0"
+        return join_terms(((i, str(c)) for i, c in enumerate(self.coeffs)), "eps")
 
     def __repr__(self):
         return f"Artin({self})"

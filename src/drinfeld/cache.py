@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 
 FORMAT_VERSION = 1
 
@@ -34,17 +35,28 @@ def save_record(path: str, config: dict, body) -> dict:
         },
         "body": body,
     }
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(record, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    # write beside the target and rename over it, so that a reader never
+    # sees a half-written record
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(record, fh, sort_keys=True, indent=1)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return record
 
 
 def load_record(path: str, config: dict | None = None):
     with open(path) as fh:
         record = json.load(fh)
-    header = record.get("header", {})
+    header = record.get("header") if isinstance(record, dict) else None
+    if not isinstance(header, dict):
+        raise CacheError("cache record has no header")
     if header.get("format") != FORMAT_VERSION:
         raise CacheError(f"stale cache format {header.get('format')!r} "
                          f"(want {FORMAT_VERSION})")

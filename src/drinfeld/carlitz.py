@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .basearith import APoly, ArtinElement, ArtinRing, PrimePlace, all_monic
+from .basearith import (APoly, ArtinElement, ArtinRing, PrimePlace, all_monic,
+                        join_terms, power)
 from .skew import PolyRing, SkewPoly
 
 
@@ -141,10 +142,7 @@ class TruncSeries:
         return TruncSeries(self.ring, out)
 
     def __pow__(self, e: int):
-        result = self.ring.one
-        for _ in range(e):
-            result = result * self
-        return result
+        return power(self, e, self.ring.one)
 
     def eps_divisible(self) -> bool:
         """Whether every coefficient lies in the maximal ideal (eps)."""
@@ -172,36 +170,10 @@ class TruncSeries:
         return hash((id(self.ring), self.coeffs))
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            cs = str(c)
-            wrapped = f"({cs})" if any(op in cs for op in "+*^") else cs
-            var = "" if i == 0 else ("X" if i == 1 else f"X^{i}")
-            terms.append(wrapped if not var else (var if cs == "1" else f"{wrapped}*{var}"))
-        return "+".join(terms)
+        return join_terms(((i, str(c)) for i, c in enumerate(self.coeffs)), "X")
 
     def __repr__(self):
         return f"Series({self})"
-
-
-class _FreeModuleElement:
-    """Element of the rank-q^d free module over R[y] with basis
-    1, X, ..., X^(q^d - 1): a tuple of y-polynomials (coefficient lists
-    over the Artinian ring), used for the exact pullback decomposition."""
-
-    def __init__(self, rank: int, comps):
-        self.rank = rank
-        self.comps = [list(c) for c in comps]
-
-    @classmethod
-    def basis_vector(cls, rank: int, i: int, ring: ArtinRing):
-        comps = [[] for _ in range(rank)]
-        comps[i] = [ring.one]
-        return cls(rank, comps)
 
 
 @dataclass(frozen=True)
@@ -242,11 +214,13 @@ def trace_of_carlitz_pullback(place: PrimePlace, ring: TruncSeriesRing) -> Trace
     if c[place.d] != R.one:
         raise AssertionError("pullback polynomial is not monic")
 
-    def mult_by_X(vec: _FreeModuleElement) -> _FreeModuleElement:
+    # an element of the free module is the list of its q^d components,
+    # each a y-polynomial (coefficient list over R)
+    def mult_by_X(vec: list) -> list:
         comps = [[] for _ in range(qd)]
         for i in range(qd - 1):
-            comps[i + 1] = list(vec.comps[i])
-        top = vec.comps[qd - 1]
+            comps[i + 1] = list(vec[i])
+        top = vec[qd - 1]
         if top:
             # X^(q^d) = y - sum_{j<d} c_j X^(q^j)
             shifted = [R.zero] + list(top)           # times y
@@ -256,19 +230,20 @@ def trace_of_carlitz_pullback(place: PrimePlace, ring: TruncSeriesRing) -> Trace
                     continue
                 comps[place.q ** j] = _poly_add(
                     comps[place.q ** j], [-(c[j]) * t for t in top], R)
-        return _FreeModuleElement(qd, comps)
+        return comps
 
     # multiplication matrix of X^s: columns are X^s * X^i in the basis
     traces = []
     quotients = []
-    basis_images = [_FreeModuleElement.basis_vector(qd, i, R) for i in range(qd)]
+    basis_images = [[[R.one] if j == i else [] for j in range(qd)]
+                    for i in range(qd)]
     pull_series = _substitution_powers(ring, pull, qd)
     for s in range(qd):
         if s > 0:
             basis_images = [mult_by_X(v) for v in basis_images]
         diag = []
         for i in range(qd):
-            diag.append(basis_images[i].comps[i])
+            diag.append(basis_images[i][i])
         tr_poly = []
         for dp in diag:
             tr_poly = _poly_add(tr_poly, dp, R)

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import cache as cachemod
 from .basearith import (artin_ring, ext_field, field_of_order, local_ring,
@@ -33,42 +32,18 @@ from .textenc import ParseError, parse_apoly, parse_ext_element
 CACHE_ENV = "DRINFELD_CACHE_DIR"
 
 
-@dataclass
-class Config:
-    """Validated run configuration; varpi is parsed and checked before any
-    dispatch."""
-
-    q: int
-    varpi_text: str
-    m: int = 1
-    precision: int = 2
-    truncation: int | None = None
-    fmt: str = "json"
-    cache_dir: str | None = None
-
-    def place(self):
-        field = field_of_order(self.q)
-        varpi = parse_apoly(field, self.varpi_text)
-        return make_place(varpi)
-
-
 class UsageError(ValueError):
     pass
 
 
-def _config_from_args(args) -> Config:
-    cache_dir = getattr(args, "cache", None) or os.environ.get(CACHE_ENV)
-    cfg = Config(q=args.q, varpi_text=args.varpi,
-                 m=getattr(args, "m", 1),
-                 precision=getattr(args, "precision", 2),
-                 truncation=getattr(args, "truncation", None),
-                 fmt="dot" if getattr(args, "dot", False) else "json",
-                 cache_dir=cache_dir)
-    if cfg.q < 2:
+def _place(args):
+    """The place of --q/--varpi, validated together with --m before any
+    work starts."""
+    if args.q < 2:
         raise UsageError("q must be a prime power >= 2")
-    if cfg.m < 1:
+    if args.m < 1:
         raise UsageError("extension degree m must be >= 1")
-    return cfg
+    return make_place(parse_apoly(field_of_order(args.q), args.varpi))
 
 
 def _emit(payload) -> None:
@@ -78,13 +53,12 @@ def _emit(payload) -> None:
 # -- subcommands --------------------------------------------------------------
 
 def cmd_carlitz_profile(args) -> int:
-    cfg = _config_from_args(args)
-    place = cfg.place()
+    place = _place(args)
     prof = carlitz_coefficient_profile(place)
     _emit({
         "format": 1,
         "check": "carlitz-linear-coefficient",
-        "q": cfg.q,
+        "q": args.q,
         "varpi": str(place.varpi),
         "polynomial": str(prof.poly),
         "linear": str(prof.linear),
@@ -97,22 +71,21 @@ def cmd_carlitz_profile(args) -> int:
 
 
 def cmd_serre_tate(args) -> int:
-    cfg = _config_from_args(args)
-    place = cfg.place()
-    ext = ext_field(place, cfg.m)
+    place = _place(args)
+    ext = ext_field(place, args.m)
     g = parse_ext_element(ext, args.g)
     delta = parse_ext_element(ext, args.delta)
     E0 = DrinfeldModule(ext, g, delta)
     if not E0.is_ordinary():
         print("error: base module is supersingular", file=sys.stderr)
         return 2
-    R = artin_ring(place, cfg.m, args.nilpotency)
+    R = artin_ring(place, args.m, args.nilpotency)
     datum = constant_lift(E0, R, args.nilpotency - 1)
     rep = lift_independence_check(datum)
     _emit({
         "format": 1,
         "check": "deformation-lift-independence",
-        "q": cfg.q, "varpi": str(place.varpi), "m": cfg.m,
+        "q": args.q, "varpi": str(place.varpi), "m": args.m,
         "nilpotency": args.nilpotency,
         "torsion_points": rep.torsion_count,
         "perturbations": rep.perturbations_checked,
@@ -127,32 +100,34 @@ def cmd_serre_tate(args) -> int:
     return 0 if rep.ok else 1
 
 
-def _graph_payload(cfg: Config, place) -> dict:
-    corr = build_correspondence(place, cfg.m)
+def _graph_payload(args, place) -> dict:
+    corr = build_correspondence(place, args.m)
     atkin_lehner(corr)
     return {
         "format": 1,
-        "q": cfg.q, "varpi": str(place.varpi), "m": cfg.m,
+        "q": args.q, "varpi": str(place.varpi), "m": args.m,
         "nodes": [p.as_record() for p in corr.points],
         "edges": [e.as_record() for e in corr.edges],
     }
 
 
 def cmd_hecke_graph(args) -> int:
-    cfg = _config_from_args(args)
-    place = cfg.place()
-    config_key = {"q": cfg.q, "varpi": str(place.varpi), "m": cfg.m}
+    place = _place(args)
+    config_key = {"q": args.q, "varpi": str(place.varpi), "m": args.m}
+    cache_dir = args.cache or os.environ.get(CACHE_ENV)
+    path = cache_dir and cachemod.cache_path(cache_dir, "hecke-graph", config_key)
     payload = None
-    if cfg.cache_dir:
-        path = cachemod.cache_path(cfg.cache_dir, "hecke-graph", config_key)
-        if os.path.exists(path):
+    if path and os.path.exists(path):
+        try:
             payload = cachemod.load_record(path, config_key)
+        except (cachemod.CacheError, ValueError) as exc:
+            # a rejected record is a miss: recompute and replace it
+            print(f"note: ignoring cache record {path}: {exc}", file=sys.stderr)
     if payload is None:
-        payload = _graph_payload(cfg, place)
-        if cfg.cache_dir:
-            path = cachemod.cache_path(cfg.cache_dir, "hecke-graph", config_key)
+        payload = _graph_payload(args, place)
+        if path:
             cachemod.save_record(path, config_key, payload)
-    if cfg.fmt == "dot":
+    if args.dot:
         print(_as_dot(payload))
     else:
         _emit(payload)
@@ -173,22 +148,20 @@ def _as_dot(payload: dict) -> str:
 
 
 def cmd_hecke_matrix(args) -> int:
-    cfg = _config_from_args(args)
-    place = cfg.place()
-    corr = build_correspondence(place, cfg.m)
+    place = _place(args)
+    corr = build_correspondence(place, args.m)
     M = operator_matrix(corr, args.k, args.op)
-    _emit({"format": 1, "q": cfg.q, "varpi": str(place.varpi), "m": cfg.m,
+    _emit({"format": 1, "q": args.q, "varpi": str(place.varpi), "m": args.m,
            **M.as_record()})
     return 0
 
 
 def cmd_iwasawa_specialize(args) -> int:
-    cfg = _config_from_args(args)
-    place = cfg.place()
-    lv = iwasawa_level(place, cfg.m)
+    place = _place(args)
+    lv = iwasawa_level(place, args.m)
     u_val = lv.ring.from_apoly(parse_apoly(place.field, args.u))
     if not u_val.is_unit():
-        print(f"error: {args.u} is not a unit at level {cfg.m}",
+        print(f"error: {args.u} is not a unit at level {args.m}",
               file=sys.stderr)
         return 2
     x = lv.dirac(u_val)
@@ -196,7 +169,7 @@ def cmd_iwasawa_specialize(args) -> int:
     other = iota_eval(x, args.k)
     _emit({
         "format": 1,
-        "q": cfg.q, "varpi": str(place.varpi), "level": cfg.m,
+        "q": args.q, "varpi": str(place.varpi), "level": args.m,
         "u": str(u_val.value), "k": args.k,
         "element": x.as_record(),
         "specialize": str(spec.value),
@@ -226,20 +199,32 @@ def cmd_iwasawa_filtration(args) -> int:
     return 0 if killed else 1
 
 
+def _tower_key(obj, key: str, where: str = "tower"):
+    """obj[key] from a tower file; a missing key is a usage error."""
+    if not isinstance(obj, dict):
+        raise UsageError(f"{where} must be a JSON object")
+    if key not in obj:
+        raise UsageError(f"{where} has no {key!r} key")
+    return obj[key]
+
+
 def cmd_projector_run(args) -> int:
     with open(args.tower) as fh:
         spec_data = json.load(fh)
-    if spec_data.get("format") != 1:
+    if _tower_key(spec_data, "format") != 1:
         raise UsageError("unsupported tower format")
-    field = field_of_order(spec_data["q"])
-    place = make_place(parse_apoly(field, spec_data["varpi"]))
+    field = field_of_order(_tower_key(spec_data, "q"))
+    place = make_place(parse_apoly(field, _tower_key(spec_data, "varpi")))
     if "levels" in spec_data:
         # explicit per-level matrices; transitions are the canonical
         # reductions and level compatibility is validated
-        levels = sorted(spec_data["levels"], key=lambda l: l["precision"])
+        levels = sorted(spec_data["levels"],
+                        key=lambda l: _tower_key(l, "precision", "tower level"))
+        if not levels:
+            raise UsageError("tower has no levels")
         rings = [local_ring(place, l["precision"]) for l in levels]
         mats = [[[ring.from_apoly(parse_apoly(field, e)) for e in row]
-                 for row in l["matrix"]]
+                 for row in _tower_key(l, "matrix", "tower level")]
                 for ring, l in zip(rings, levels)]
         transitions = [(lambda x, n=rings[i].n: x.reduce_to(n))
                        for i in range(len(rings) - 1)]
@@ -247,10 +232,10 @@ def cmd_projector_run(args) -> int:
         op = TowerOperator(tower, mats)
         precisions = [r.n for r in rings]
     else:
-        depth = spec_data["depth"]
+        depth = _tower_key(spec_data, "depth")
         ring = local_ring(place, depth)
         rows = [[ring.from_apoly(parse_apoly(field, entry)) for entry in row]
-                for row in spec_data["matrix"]]
+                for row in _tower_key(spec_data, "matrix")]
         op = reduction_tower(place, rows, depth)
         precisions = list(range(1, depth + 1))
     rep = ordinary_projector(op)
@@ -274,8 +259,7 @@ def cmd_suite(args) -> int:
     else:
         if args.varpi is None:
             raise UsageError("--varpi is required when --q is given")
-        cfg = _config_from_args(args)
-        configs = [(cfg.place(), cfg.m)]
+        configs = [(_place(args), args.m)]
     all_ok = True
     lines = []
     for place, m in configs:
@@ -290,16 +274,15 @@ def cmd_suite(args) -> int:
 
 
 def cmd_carlitz_trace(args) -> int:
-    cfg = _config_from_args(args)
-    place = cfg.place()
+    place = _place(args)
     qd = place.q ** place.d
-    N = cfg.truncation or qd * qd + 1
+    N = args.truncation or qd * qd + 1
     R = artin_ring(place, 1, args.nilpotency)
     rep = trace_of_carlitz_pullback(place, TruncSeriesRing(R, N))
     _emit({
         "format": 1,
         "check": "pullback-trace-divisibility",
-        "q": cfg.q, "varpi": str(place.varpi),
+        "q": args.q, "varpi": str(place.varpi),
         "truncation": N, "nilpotency": args.nilpotency,
         "traces": [str(t) for t in rep.traces],
         "quotients_by_varpi": [str(t) for t in rep.quotients],
@@ -325,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="monic irreducible, e.g. 'T' or 'T^2+T+1'")
         p.add_argument("--m", type=int, default=m_default,
                        help="extension degree over the residue field")
-        p.add_argument("--cache", type=str, default=None,
-                       help=f"cache directory (or ${CACHE_ENV})")
 
     carlitz = sub.add_parser("carlitz", help="rank-1 action computations")
     csub = carlitz.add_subparsers(dest="subcommand", required=True)
@@ -356,6 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_place_args(graph)
     graph.add_argument("--json", action="store_true", default=True)
     graph.add_argument("--dot", action="store_true", default=False)
+    graph.add_argument("--cache", type=str, default=None,
+                       help=f"cache directory (or ${CACHE_ENV})")
     graph.set_defaults(fn=cmd_hecke_graph)
     matrix = hsub.add_parser("matrix")
     add_place_args(matrix)

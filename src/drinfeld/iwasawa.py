@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .basearith import LocalElement, PrimePlace, local_ring
+from .basearith import LocalElement, PrimePlace, local_ring, power
 
 
 class IwasawaLevel:
@@ -188,12 +188,7 @@ class IwasawaElement:
         return NotImplemented
 
     def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers are not defined here")
-        result = self.level.one
-        for _ in range(e):
-            result = result * self
-        return result
+        return power(self, e, self.level.one)
 
     def reduce_to(self, m: int) -> "IwasawaElement":
         """The ring map to a lower level: coefficients and group keys both

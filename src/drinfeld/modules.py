@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .basearith import APoly, FieldExt, PrimePlace
+from .basearith import APoly, FieldExt, PrimePlace, power
 from .skew import SkewPoly, kernel_points, right_divide, stable_right_divisors, tau
 
 
@@ -335,47 +335,12 @@ def splitting_degree(u: SkewPoly, ext: FieldExt, cap: int = 64) -> int:
     coeffs = [ext.zero] * (ext.q ** u.degree + 1)
     for i, c in enumerate(u.coeffs):
         coeffs[ext.q ** i] = c
-
-    def polymod(a, m):
-        # both lists low-first over ext.field
-        a = list(a)
-        dm = len(m) - 1
-        inv = m[-1].inverse()
-        for k in range(len(a) - 1, dm - 1, -1):
-            f = a[k] * inv
-            if f.is_zero():
-                continue
-            for j in range(dm + 1):
-                a[k - dm + j] = a[k - dm + j] - f * m[j]
-        while len(a) > dm:
-            a.pop()
-        while a and a[-1].is_zero():
-            a.pop()
-        return a
-
-    def polymul(a, b):
-        out = [ext.zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-        return out
-
-    x = [ext.zero, ext.one]
-    cur = list(x)
-    Q = ext.size
+    modulus = APoly(ext.field, coeffs)
+    one = APoly(ext.field, [ext.one])
+    x = APoly(ext.field, [ext.zero, ext.one])
+    cur = x
     for r in range(1, cap + 1):
-        # cur := cur^Q mod u by square-and-multiply
-        result = [ext.one]
-        base = list(cur)
-        e = Q
-        while e:
-            if e & 1:
-                result = polymod(polymul(result, base), coeffs)
-            base = polymod(polymul(base, base), coeffs)
-            e >>= 1
-        cur = result
+        cur = power(cur, ext.size, one, lambda a, b: (a * b) % modulus)
         if cur == x:
             return r
     raise RuntimeError("splitting degree exceeded the search cap")

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .basearith import LocalRing, local_ring, power
+
 FACTORIAL_STEP_CAP = 64
 
 
@@ -48,14 +50,8 @@ def mat_is_zero(a) -> bool:
 
 
 def mat_pow(a, e: int, ring):
-    result = mat_identity(ring, len(a))
-    base = a
-    while e:
-        if e & 1:
-            result = mat_mul(result, base, ring)
-        base = mat_mul(base, base, ring)
-        e >>= 1
-    return result
+    return power(a, e, mat_identity(ring, len(a)),
+                 lambda x, y: mat_mul(x, y, ring))
 
 
 def mat_map(a, fn):
@@ -126,7 +122,6 @@ def reduction_tower(place, matrix, depth: int) -> TowerOperator:
     """Levels A/(varpi^depth), ..., A/(varpi^1) with reduction transitions,
     all reductions of one integral matrix (level order: index 0 is the
     deepest precision so transitions lower it)."""
-    from .basearith import local_ring
     rings = [local_ring(place, depth - i) for i in range(depth)]
     mats = [mat_map(matrix, lambda x, r=rings[i]: x.reduce_to(r.n))
             for i in range(depth)]
@@ -265,7 +260,6 @@ def local_finiteness_report(op: TowerOperator) -> list:
     composite transitions, each T-stable because the operator commutes with
     the transitions (verified here on the kernel generators when the rings
     are truncation levels)."""
-    from .basearith import LocalRing
     out = []
     tower = op.tower
     for i, ring in enumerate(tower.rings):

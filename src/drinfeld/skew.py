@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .basearith import APoly, FiniteField, FieldExt
+from .basearith import APoly, FiniteField, FieldExt, join_terms, power
 
 
 class PolyRing:
@@ -128,12 +128,7 @@ class SkewPoly:
         return self._check(other) * self
 
     def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power of a twisted polynomial")
-        result = SkewPoly(self.ring, [self.ring.one])
-        for _ in range(e):
-            result = result * self
-        return result
+        return power(self, e, SkewPoly(self.ring, [self.ring.one]))
 
     def eval(self, x):
         """The additive-map value sum(c_i x^(q^i))."""
@@ -160,20 +155,7 @@ class SkewPoly:
         return hash((id(self.ring), self.coeffs))
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            cs = str(c)
-            wrapped = f"({cs})" if any(op in cs for op in "+*^") else cs
-            if i == 0:
-                terms.append(wrapped)
-            else:
-                var = "t" if i == 1 else f"t^{i}"
-                terms.append(var if cs == "1" else f"{wrapped}*{var}")
-        return "+".join(terms)
+        return join_terms(((i, str(c)) for i, c in enumerate(self.coeffs)), "t")
 
     def __repr__(self):
         return f"Skew({self})"

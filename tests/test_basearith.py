@@ -1,10 +1,18 @@
 import itertools
+import operator
+import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
 
 from drinfeld.basearith import (apoly, artin_ring, ext_field, finite_field,
-                                local_reduce, local_ring, make_place, poly_T)
+                                local_reduce, local_ring, make_place, poly_T,
+                                power)
+from drinfeld.carlitz import TruncSeries, TruncSeriesRing
+from drinfeld.iwasawa import iwasawa_level
+from drinfeld.projector import mat_identity, mat_mul, mat_pow
+from drinfeld.skew import SkewPoly
 
 
 # -- fields -------------------------------------------------------------------
@@ -240,3 +248,43 @@ def test_local_ring_axioms_exhaustive(place_T):
                     assert (a + b) + c == a + (b + c)
                     assert a * (b + c) == a * b + a * c
                     assert (a * b) * c == a * (b * c)
+
+
+# -- powers -------------------------------------------------------------------
+
+def _power_cases(place_T, ext9, artin9):
+    """(x, one, product, power) for every ring type with a power."""
+    F3 = place_T.field
+    L2, L3 = local_ring(place_T, 2), local_ring(place_T, 3)
+    series = TruncSeriesRing(artin9, 10)
+    lv = iwasawa_level(place_T, 2)
+    a9 = artin9.from_fq(ext9.field.gen())
+    mat = [[L2.from_apoly(apoly(F3, [i + j, 1, i * j])) for j in range(3)]
+           for i in range(3)]
+    elements = [
+        (apoly(F3, [1, 2, 1]), apoly(F3, [1])),
+        (L3.from_apoly(apoly(F3, [1, 1, 2])), L3.one),
+        (a9 + artin9.eps, artin9.one),
+        (SkewPoly(ext9, [ext9.field.gen(), ext9.one]), SkewPoly(ext9, [ext9.one])),
+        (lv.random_element(random.Random(0)) + lv.one, lv.one),
+        (TruncSeries(series, [artin9.one, artin9.eps, a9]), series.one),
+    ]
+    return [(x, one, operator.mul, operator.pow) for x, one in elements] + [
+        (mat, mat_identity(L2, 3), lambda x, y: mat_mul(x, y, L2),
+         lambda x, e: mat_pow(x, e, L2))]
+
+
+def test_power_matches_repeated_product(place_T, ext9, artin9):
+    for x, one, mul, pow_fn in _power_cases(place_T, ext9, artin9):
+        for e in range(10):
+            assert pow_fn(x, e) == reduce(mul, [x] * e, one), (type(x), e)
+
+
+def test_power_rejects_negative_exponents(place_T, artin9):
+    with pytest.raises(ValueError):
+        power(2, -1, 1)
+    with pytest.raises(ValueError):
+        TruncSeriesRing(artin9, 4).X ** -1
+    # rings with inverses invert first
+    x = local_ring(place_T, 2).from_apoly(apoly(place_T.field, [1, 1]))
+    assert x ** -3 == x.inverse() ** 3

@@ -198,3 +198,78 @@ def test_projector_run_rejects_incompatible_levels(tmp_path, capsys):
     path.write_text(json.dumps(tower))
     code, _, err = run_cli(["projector", "run", "--tower", str(path)], capsys)
     assert code == 2 and "commute" in err
+
+
+def _truncate(path):
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text[: len(text) // 2])
+
+
+def _edit_record(edit):
+    def apply(path):
+        with open(path) as fh:
+            record = json.load(fh)
+        edit(record)
+        with open(path, "w") as fh:
+            json.dump(record, fh)
+    return apply
+
+
+@pytest.mark.parametrize("damage", [
+    _edit_record(lambda r: r["body"]["nodes"].pop()),   # hash mismatch
+    _truncate,
+    _edit_record(lambda r: r["header"].update(format=0)),  # stale format
+], ids=["hash-mismatch", "truncated", "stale-format"])
+def test_rejected_cache_record_is_a_miss(damage, tmp_path, capsys):
+    place = ["hecke", "graph", "--q", "3", "--varpi", "T", "--m", "1"]
+    _, uncached, _ = run_cli(place, capsys)
+    cache_dir = tmp_path / "cache"
+    args = place + ["--cache", str(cache_dir)]
+    run_cli(args, capsys)
+    [name] = os.listdir(cache_dir)
+    damage(str(cache_dir / name))
+    code, out, err = run_cli(args, capsys)
+    assert code == 0 and out == uncached
+    assert "ignoring cache record" in err
+    assert os.listdir(cache_dir) == [name]
+    config = {"q": 3, "varpi": "T", "m": 1}
+    assert cache.load_record(str(cache_dir / name), config) == json.loads(uncached)
+
+
+def test_cache_option_only_on_graph(tmp_path, capsys):
+    code, _, _ = run_cli(["carlitz", "profile", "--q", "3", "--varpi", "T",
+                          "--cache", str(tmp_path)], capsys)
+    assert code == 2
+
+
+_TOWER = {"format": 1, "q": 3, "varpi": "T", "depth": 2,
+          "matrix": [["1", "1"], ["0", "T"]]}
+_LEVELS = {"format": 1, "q": 3, "varpi": "T",
+           "levels": [{"precision": 1, "matrix": [["1"]]},
+                      {"precision": 2, "matrix": [["T+1"]]}]}
+
+
+def _without(spec, key, level=None):
+    spec = json.loads(json.dumps(spec))
+    del (spec if level is None else spec["levels"][level])[key]
+    return spec
+
+
+@pytest.mark.parametrize("spec,named", [
+    ([_TOWER], "JSON object"),
+    (_without(_TOWER, "format"), "'format'"),
+    (_without(_TOWER, "q"), "'q'"),
+    (_without(_TOWER, "varpi"), "'varpi'"),
+    (_without(_TOWER, "depth"), "'depth'"),
+    (_without(_TOWER, "matrix"), "'matrix'"),
+    (_without(_LEVELS, "precision", level=1), "'precision'"),
+    (_without(_LEVELS, "matrix", level=0), "'matrix'"),
+    (dict(_LEVELS, levels=[]), "no levels"),
+])
+def test_malformed_tower_is_usage_error(spec, named, tmp_path, capsys):
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run_cli(["projector", "run", "--tower", str(path)], capsys)
+    assert code == 2 and named in err

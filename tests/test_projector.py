@@ -88,6 +88,22 @@ def test_projector_properties(worked):
     assert factorial_powers_vanish(worked, rep)
 
 
+@pytest.mark.parametrize("e", range(20))
+def test_mat_pow_product_count(e, L2, monkeypatch):
+    from drinfeld import projector
+    calls = []
+
+    def counting_mul(a, b, ring):
+        calls.append(1)
+        return mat_mul(a, b, ring)
+
+    monkeypatch.setattr(projector, "mat_mul", counting_mul)
+    M = [[L2.one, L2.one], [L2.zero, L2.varpi]]
+    mat_pow(M, e, L2)
+    expected = (e.bit_length() - 1) + (bin(e).count("1") - 1) if e else 0
+    assert len(calls) == expected
+
+
 def test_idempotent_equals_for_powers(worked, place_T, L2):
     rep = ordinary_projector(worked)
     e = rep.projector.matrices[-1]
