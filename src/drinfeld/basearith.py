@@ -43,6 +43,62 @@ def power(x, e: int, one, mul=operator.mul):
     return result
 
 
+class ElementCodes:
+    """Integer codes for the elements of one finite commutative ring: zero
+    is 0, one is 1, and every other element gets the next free int when
+    first encoded.  Sums, differences and products are memoized by code
+    pair (sums and products by unordered pair); a miss is filled by the
+    ring's own element arithmetic, so no table is built up front and any
+    ring size works.  Codes are canonical: two codes are equal exactly when
+    their elements are."""
+
+    def __init__(self, ring):
+        self.zero, self.one = 0, 1
+        self._elements = [ring.zero, ring.one]
+        self._index = {ring.zero: 0, ring.one: 1}
+        self._sums: dict = {}
+        self._diffs: dict = {}
+        self._prods: dict = {}
+
+    def encode(self, x) -> int:
+        code = self._index.get(x)
+        if code is None:
+            code = self._index[x] = len(self._elements)
+            self._elements.append(x)
+        return code
+
+    def decode(self, code: int):
+        return self._elements[code]
+
+    def add(self, a: int, b: int) -> int:
+        if a > b:
+            a, b = b, a
+        try:
+            return self._sums[a, b]
+        except KeyError:
+            c = self._sums[a, b] = self.encode(
+                self._elements[a] + self._elements[b])
+            return c
+
+    def sub(self, a: int, b: int) -> int:
+        try:
+            return self._diffs[a, b]
+        except KeyError:
+            c = self._diffs[a, b] = self.encode(
+                self._elements[a] - self._elements[b])
+            return c
+
+    def mul(self, a: int, b: int) -> int:
+        if a > b:
+            a, b = b, a
+        try:
+            return self._prods[a, b]
+        except KeyError:
+            c = self._prods[a, b] = self.encode(
+                self._elements[a] * self._elements[b])
+            return c
+
+
 def join_terms(pairs, var: str) -> str:
     """The sum of the terms c*var^i from (i, str(c)) pairs in display order:
     zero coefficients are skipped, unit ones leave the bare monomial, and
@@ -712,6 +768,9 @@ class LocalRing:
         self.one = LocalElement(self, APoly(place.field, [place.field.one]))
         self.varpi = LocalElement(self, place.varpi)
 
+    def codes(self) -> ElementCodes:
+        return ElementCodes(self)
+
     def from_apoly(self, a: APoly) -> LocalElement:
         return LocalElement(self, a)
 
@@ -819,6 +878,9 @@ class FieldExt:
 
     def qpow(self, x: FFElement, e: int = 1) -> FFElement:
         return x ** (self.q ** e)
+
+    def codes(self) -> ElementCodes:
+        return ElementCodes(self)
 
     def elements(self):
         return self.field.elements()

@@ -199,32 +199,49 @@ def cmd_iwasawa_filtration(args) -> int:
     return 0 if killed else 1
 
 
-def _tower_key(obj, key: str, where: str = "tower"):
-    """obj[key] from a tower file; a missing key is a usage error."""
+_JSON_TYPES = {int: "an integer", str: "a string", list: "a list"}
+
+
+def _tower_key(obj, key: str, kind: type, where: str = "tower"):
+    """obj[key] from a tower file, of JSON type `kind`; a missing key or a
+    value of another type is a usage error."""
     if not isinstance(obj, dict):
         raise UsageError(f"{where} must be a JSON object")
     if key not in obj:
         raise UsageError(f"{where} has no {key!r} key")
-    return obj[key]
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise UsageError(f"{where} {key!r} must be {_JSON_TYPES[kind]}")
+    return value
+
+
+def _tower_matrix(obj, where: str = "tower"):
+    """obj["matrix"] from a tower file: a list of rows of strings."""
+    rows = _tower_key(obj, "matrix", list, where)
+    if not all(isinstance(row, list) and all(isinstance(e, str) for e in row)
+               for row in rows):
+        raise UsageError(f"{where} 'matrix' must be a list of rows of strings")
+    return rows
 
 
 def cmd_projector_run(args) -> int:
     with open(args.tower) as fh:
         spec_data = json.load(fh)
-    if _tower_key(spec_data, "format") != 1:
+    if _tower_key(spec_data, "format", int) != 1:
         raise UsageError("unsupported tower format")
-    field = field_of_order(_tower_key(spec_data, "q"))
-    place = make_place(parse_apoly(field, _tower_key(spec_data, "varpi")))
+    field = field_of_order(_tower_key(spec_data, "q", int))
+    place = make_place(parse_apoly(field, _tower_key(spec_data, "varpi", str)))
     if "levels" in spec_data:
         # explicit per-level matrices; transitions are the canonical
         # reductions and level compatibility is validated
-        levels = sorted(spec_data["levels"],
-                        key=lambda l: _tower_key(l, "precision", "tower level"))
+        levels = sorted(_tower_key(spec_data, "levels", list),
+                        key=lambda l: _tower_key(l, "precision", int,
+                                                 "tower level"))
         if not levels:
             raise UsageError("tower has no levels")
         rings = [local_ring(place, l["precision"]) for l in levels]
         mats = [[[ring.from_apoly(parse_apoly(field, e)) for e in row]
-                 for row in _tower_key(l, "matrix", "tower level")]
+                 for row in _tower_matrix(l, "tower level")]
                 for ring, l in zip(rings, levels)]
         transitions = [(lambda x, n=rings[i].n: x.reduce_to(n))
                        for i in range(len(rings) - 1)]
@@ -232,10 +249,10 @@ def cmd_projector_run(args) -> int:
         op = TowerOperator(tower, mats)
         precisions = [r.n for r in rings]
     else:
-        depth = _tower_key(spec_data, "depth")
+        depth = _tower_key(spec_data, "depth", int)
         ring = local_ring(place, depth)
         rows = [[ring.from_apoly(parse_apoly(field, entry)) for entry in row]
-                for row in _tower_key(spec_data, "matrix")]
+                for row in _tower_matrix(spec_data)]
         op = reduction_tower(place, rows, depth)
         precisions = list(range(1, depth + 1))
     rep = ordinary_projector(op)

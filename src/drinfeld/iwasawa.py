@@ -87,6 +87,9 @@ class IwasawaLevel:
         return IwasawaElement(self, tuple(_canonical_component(dict(c))
                                           for c in comps))
 
+    def codes(self) -> "MeasureCodes":
+        return MeasureCodes(self)
+
     def random_element(self, rng, support: int = 3) -> "IwasawaElement":
         comps = []
         ring_elems = None
@@ -242,6 +245,64 @@ class IwasawaElement:
 
     def __repr__(self):
         return f"Iwasawa({self.as_record()})"
+
+
+class MeasureCodes:
+    """Dense codes for the elements of one level: a tuple with one scalar
+    code (from the coefficient ring's ElementCodes) per pair of tame
+    character and wild-group position, character-major.  Products are
+    per-character convolutions through the wild group's product index
+    table.  Codes are canonical, like the scalar codes they hold."""
+
+    def __init__(self, level: IwasawaLevel):
+        self.level = level
+        self.scalars = level.ring.codes()
+        wild = level.wild_group
+        self.width = len(wild)
+        self.wild_products = [[level.wild_index[u * v] for v in wild]
+                              for u in wild]
+        self.zero = (0,) * (level.tame_order * self.width)
+        self.one = self.encode(level.one)
+
+    def encode(self, x: IwasawaElement) -> tuple:
+        code = list(self.zero)
+        wild_index, encode = self.level.wild_index, self.scalars.encode
+        for chi, comp in enumerate(x.components):
+            base = chi * self.width
+            for u, c in comp:
+                code[base + wild_index[u]] = encode(c)
+        return tuple(code)
+
+    def decode(self, code: tuple) -> IwasawaElement:
+        # wild_group is sorted like a canonical component, and code 0 is
+        # the zero coefficient a canonical component leaves out
+        wild, decode, w = self.level.wild_group, self.scalars.decode, self.width
+        comps = tuple(
+            tuple((wild[i], decode(c))
+                  for i, c in enumerate(code[base:base + w]) if c)
+            for base in range(0, len(code), w))
+        return IwasawaElement(self.level, comps)
+
+    def add(self, x: tuple, y: tuple) -> tuple:
+        return tuple(map(self.scalars.add, x, y))
+
+    def sub(self, x: tuple, y: tuple) -> tuple:
+        return tuple(map(self.scalars.sub, x, y))
+
+    def mul(self, x: tuple, y: tuple) -> tuple:
+        add, mul, w = self.scalars.add, self.scalars.mul, self.width
+        out = [0] * len(x)
+        for base in range(0, len(x), w):
+            ys = y[base:base + w]
+            for i, c in enumerate(x[base:base + w]):
+                if not c:
+                    continue
+                row = self.wild_products[i]
+                for j, e in enumerate(ys):
+                    if e:
+                        k = base + row[j]
+                        out[k] = add(out[k], mul(c, e))
+        return tuple(out)
 
 
 def decompose(level: IwasawaLevel, measure: dict) -> IwasawaElement:

@@ -2,56 +2,61 @@
 projector e(T) = lim T^(n!), with the control-style compatibility checks
 (base change of the idempotent commutes with weight specialization).
 
-Matrices are plain row lists over any coefficient ring handle exposing
-zero/one; levels of a tower may live over different rings connected by
-entrywise transition maps.
+Towers hold plain row lists of ring elements; levels of a tower may live
+over different rings connected by entrywise transition maps.  The matrix
+arithmetic works on integer codes instead: every matrix ring's `codes()`
+returns a fresh codec (`zero`, `one`, `encode`, `decode`, `add`, `sub`,
+`mul`) whose codes are canonical, so `==` on codes is equality of
+elements.  `ordinary_projector`, `factorial_powers_vanish` and
+`control_check` each encode their input matrices once, compute on codes,
+and decode only the matrices they report.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .basearith import LocalRing, local_ring, power
 
 FACTORIAL_STEP_CAP = 64
 
 
-# -- generic exact matrix helpers -------------------------------------------
+# -- matrix helpers over a codec ------------------------------------------------
 
-def mat_identity(ring, n: int):
-    return [[ring.one if i == j else ring.zero for j in range(n)]
+def mat_identity(codec, n: int):
+    """The n x n identity over anything with `zero` and `one`: a codec, or
+    a ring when the identity is wanted as elements."""
+    return [[codec.one if i == j else codec.zero for j in range(n)]
             for i in range(n)]
 
 
-def mat_mul(a, b, ring):
-    n, mid, m = len(a), len(b), len(b[0]) if b else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = ring.zero
-            for k in range(mid):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+def mat_mul(a, b, codec):
+    """The product of two coded square matrices."""
+    add, mul = codec.add, codec.mul
+    cols = list(zip(*b))
+    return [[reduce(add, map(mul, row, col)) for col in cols] for row in a]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def mat_sub(a, b, codec):
+    return [list(map(codec.sub, ra, rb)) for ra, rb in zip(a, b)]
 
 
 def mat_eq(a, b) -> bool:
+    """Entrywise equality, of elements or of canonical codes."""
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def mat_is_zero(a) -> bool:
-    return all(x.is_zero() for row in a for x in row)
+def mat_is_zero(a, codec) -> bool:
+    """Every entry equals `codec.zero` (a codec's, or a ring's for a matrix
+    of elements)."""
+    return all(x == codec.zero for row in a for x in row)
 
 
-def mat_pow(a, e: int, ring):
-    return power(a, e, mat_identity(ring, len(a)),
-                 lambda x, y: mat_mul(x, y, ring))
+def mat_pow(a, e: int, codec):
+    return power(a, e, mat_identity(codec, len(a)),
+                 lambda x, y: mat_mul(x, y, codec))
 
 
 def mat_map(a, fn):
@@ -155,17 +160,17 @@ class ProjectorReport:
                 and self.vanishes_on_kernel and self.compatible)
 
 
-def _stabilized_factorial_power(mat, ring):
-    """The limit of T^(n!) in the finite matrix monoid: iterate
+def _stabilized_factorial_power(mat, codec):
+    """The limit of T^(n!) in the finite matrix monoid, on codes: iterate
     S <- S^(n+1) and stop at the first idempotent iterate, which is the
     unique idempotent of the cyclic subsemigroup generated by the matrix
     and therefore equals every later factorial power.  Returns
     (limit, stop step)."""
     cur = mat
     for step in range(1, FACTORIAL_STEP_CAP + 1):
-        if mat_eq(mat_mul(cur, cur, ring), cur):
+        if mat_eq(mat_mul(cur, cur, codec), cur):
             return cur, step
-        cur = mat_pow(cur, step + 1, ring)
+        cur = mat_pow(cur, step + 1, codec)
     raise RuntimeError(
         f"factorial iteration did not stabilize within {FACTORIAL_STEP_CAP} steps")
 
@@ -176,29 +181,25 @@ def ordinary_projector(op: TowerOperator) -> ProjectorReport:
     the stabilized factorial power vanishes on the kernel of e, and the
     levels are transition-compatible."""
     tower = op.tower
-    mats, steps = [], []
-    for ring, mat in zip(tower.rings, op.matrices):
-        e, st = _stabilized_factorial_power(mat, ring)
-        mats.append(e)
-        steps.append(st)
-    proj = TowerOperator(tower, mats)
+    codecs = [ring.codes() for ring in tower.rings]
+    coded = [mat_map(T, c.encode) for c, T in zip(codecs, op.matrices)]
+    limits = [_stabilized_factorial_power(T, c) for c, T in zip(codecs, coded)]
+    steps = [st for _, st in limits]
+    proj = TowerOperator(tower, [mat_map(e, c.decode)
+                                 for c, (e, _) in zip(codecs, limits)])
     report = ProjectorReport(op, proj, steps)
-    for ring, T, e in zip(tower.rings, op.matrices, proj.matrices):
-        n = len(T)
-        if not mat_eq(mat_mul(e, e, ring), e):
+    for c, T, (e, st) in zip(codecs, coded, limits):
+        if not mat_eq(mat_mul(e, e, c), e):
             report.idempotent = False
-        if not mat_eq(mat_mul(e, T, ring), mat_mul(T, e, ring)):
+        if not mat_eq(mat_mul(e, T, c), mat_mul(T, e, c)):
             report.commutes = False
         # invertibility on the image: some power of T acts as the identity
         # there (the restriction generates a finite group)
         # T restricted to im(e) is inverted by T^(f-1) e where T^f = e:
         # verify the witness identity (T e)(T^(f-1) e) = e
-        st = steps[len(report.invertibility_order)]
-        f = 1
-        for k in range(2, st + 2):
-            f *= k
-        witness = mat_mul(mat_pow(T, f - 1, ring), e, ring) if f > 1 else e
-        if not mat_eq(mat_mul(mat_mul(T, e, ring), witness, ring), e):
+        f = math.factorial(st + 1)
+        witness = mat_mul(mat_pow(T, f - 1, c), e, c)
+        if not mat_eq(mat_mul(mat_mul(T, e, c), witness, c), e):
             report.invertible_on_image = False
         report.invertibility_order.append(f)
     if not factorial_powers_vanish(op, report):
@@ -215,22 +216,19 @@ def factorial_powers_vanish(op: TowerOperator, report: ProjectorReport) -> bool:
     stabilized range: at stabilization it equals e(1 - e) = 0 exactly."""
     for ring, T, e, st in zip(op.tower.rings, op.matrices,
                               report.projector.matrices, report.steps):
-        n = len(T)
-        fact = 1
-        for k in range(1, st + 2):
-            fact *= k
-        power = mat_pow(T, fact, ring)
-        one_minus_e = mat_sub(mat_identity(ring, n), e)
-        if not mat_is_zero(mat_mul(power, one_minus_e, ring)):
+        c = ring.codes()
+        stable = mat_pow(mat_map(T, c.encode), math.factorial(st + 1), c)
+        one_minus_e = mat_sub(mat_identity(c, len(T)), mat_map(e, c.encode), c)
+        if not mat_is_zero(mat_mul(stable, one_minus_e, c), c):
             return False
     return True
 
 
-def image_membership_identities(e1, e2, ring) -> bool:
-    """Two idempotents have the same image iff each acts as the identity on
-    the other's image: e1 e2 = e2 and e2 e1 = e1."""
-    return (mat_eq(mat_mul(e1, e2, ring), e2)
-            and mat_eq(mat_mul(e2, e1, ring), e1))
+def image_membership_identities(e1, e2, codec) -> bool:
+    """Two coded idempotents have the same image iff each acts as the
+    identity on the other's image: e1 e2 = e2 and e2 e1 = e1."""
+    return (mat_eq(mat_mul(e1, e2, codec), e2)
+            and mat_eq(mat_mul(e2, e1, codec), e1))
 
 
 @dataclass
@@ -247,12 +245,15 @@ class ControlReport:
 def control_check(matrix, ring, specialize_entry, target_ring) -> ControlReport:
     """Base change of the idempotent commutes with specialization: comparing
     the image of f_k(e(T)) with the image of e(f_k(T)) over the target."""
-    e_first, _ = _stabilized_factorial_power(matrix, ring)
-    e_pushed = mat_map(e_first, specialize_entry)
-    specialized = mat_map(matrix, specialize_entry)
-    e_second, _ = _stabilized_factorial_power(specialized, target_ring)
-    agree = image_membership_identities(e_pushed, e_second, target_ring)
-    return ControlReport(e_pushed, e_second, agree)
+    source, target = ring.codes(), target_ring.codes()
+    e_first, _ = _stabilized_factorial_power(mat_map(matrix, source.encode),
+                                             source)
+    e_pushed = mat_map(mat_map(e_first, source.decode), specialize_entry)
+    specialized = mat_map(mat_map(matrix, specialize_entry), target.encode)
+    e_second, _ = _stabilized_factorial_power(specialized, target)
+    agree = image_membership_identities(mat_map(e_pushed, target.encode),
+                                        e_second, target)
+    return ControlReport(e_pushed, mat_map(e_second, target.decode), agree)
 
 
 def local_finiteness_report(op: TowerOperator) -> list:

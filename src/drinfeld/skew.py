@@ -9,7 +9,9 @@ and its callers assume without probing:
 * coefficient rings (FieldExt, ArtinRing, PolyRing) expose `zero`, `one`,
   `q`, `qpow(x, e)`, `from_int(c)`, `embed_fq(c)` (F_q -> R), `gamma_T`
   and `gamma_eval(a)` (the structure map A -> R);
-* matrix rings (LocalRing, IwasawaLevel) expose `zero` and `one`;
+* matrix rings (LocalRing, FieldExt, IwasawaLevel) expose `zero`, `one`
+  and `codes()`, a fresh integer codec for the projector's matrix
+  arithmetic (see `projector`);
 * every element answers `is_zero()`, and coefficient elements also answer
   `is_unit()` and `inverse()`.
 """

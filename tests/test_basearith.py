@@ -259,8 +259,9 @@ def _power_cases(place_T, ext9, artin9):
     series = TruncSeriesRing(artin9, 10)
     lv = iwasawa_level(place_T, 2)
     a9 = artin9.from_fq(ext9.field.gen())
-    mat = [[L2.from_apoly(apoly(F3, [i + j, 1, i * j])) for j in range(3)]
-           for i in range(3)]
+    codes = L2.codes()
+    mat = [[codes.encode(L2.from_apoly(apoly(F3, [i + j, 1, i * j])))
+            for j in range(3)] for i in range(3)]
     elements = [
         (apoly(F3, [1, 2, 1]), apoly(F3, [1])),
         (L3.from_apoly(apoly(F3, [1, 1, 2])), L3.one),
@@ -270,8 +271,8 @@ def _power_cases(place_T, ext9, artin9):
         (TruncSeries(series, [artin9.one, artin9.eps, a9]), series.one),
     ]
     return [(x, one, operator.mul, operator.pow) for x, one in elements] + [
-        (mat, mat_identity(L2, 3), lambda x, y: mat_mul(x, y, L2),
-         lambda x, e: mat_pow(x, e, L2))]
+        (mat, mat_identity(codes, 3), lambda x, y: mat_mul(x, y, codes),
+         lambda x, e: mat_pow(x, e, codes))]
 
 
 def test_power_matches_repeated_product(place_T, ext9, artin9):

@@ -267,6 +267,11 @@ def _without(spec, key, level=None):
     (_without(_LEVELS, "precision", level=1), "'precision'"),
     (_without(_LEVELS, "matrix", level=0), "'matrix'"),
     (dict(_LEVELS, levels=[]), "no levels"),
+    (dict(_TOWER, matrix=[[1, 0], [0, 1]]), "'matrix'"),
+    (dict(_LEVELS, levels=5), "'levels'"),
+    (dict(_TOWER, q="3"), "'q'"),
+    (dict(_LEVELS, levels=[{"precision": "1", "matrix": [["1"]]}]),
+     "'precision'"),
 ])
 def test_malformed_tower_is_usage_error(spec, named, tmp_path, capsys):
     path = tmp_path / "tower.json"

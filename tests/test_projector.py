@@ -1,8 +1,12 @@
+import math
 import random
+from itertools import product
 
 import pytest
 
-from drinfeld.basearith import APoly, local_ring
+from drinfeld.basearith import APoly, local_ring, power
+from drinfeld.checks import standard_places
+from drinfeld.hecke import build_correspondence, operator_matrix
 from drinfeld.iwasawa import iwasawa_level, specialize
 from drinfeld.projector import (TowerModule, TowerOperator, constant_tower,
                                 control_check, factorial_powers_vanish,
@@ -23,31 +27,87 @@ def worked(place_T, L2):
     return reduction_tower(place_T, M, 2)
 
 
+# -- the object-entry reference the coded kernel is checked against ------------
+
+def _ref_mat_mul(a, b, ring):
+    """The matrix product on one ring element per entry, each entry summed
+    from ring.zero."""
+    n, mid, m = len(a), len(b), len(b[0]) if b else 0
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = ring.zero
+            for k in range(mid):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _ref_mat_pow(a, e, ring):
+    return power(a, e, mat_identity(ring, len(a)),
+                 lambda x, y: _ref_mat_mul(x, y, ring))
+
+
+def _ref_limit(mat, ring):
+    """(limit, stop step) of S <- S^(n+1) on element matrices."""
+    cur = mat
+    for step in range(1, 65):
+        if mat_eq(_ref_mat_mul(cur, cur, ring), cur):
+            return cur, step
+        cur = _ref_mat_pow(cur, step + 1, ring)
+    raise AssertionError("reference iteration did not stabilize")
+
+
+def _ref_projector(op):
+    """Per level of the tower: the limit, its step, the order (st+1)! and
+    the four per-level properties ordinary_projector reports, all on
+    element matrices."""
+    out = []
+    for ring, T in zip(op.tower.rings, op.matrices):
+        def mul(a, b, ring=ring):
+            return _ref_mat_mul(a, b, ring)
+        e, st = _ref_limit(T, ring)
+        f = math.factorial(st + 1)
+        one_minus_e = [[x - y for x, y in zip(ri, re)]
+                       for ri, re in zip(mat_identity(ring, len(T)), e)]
+        witness = mul(_ref_mat_pow(T, f - 1, ring), e)
+        flags = (mat_eq(mul(e, e), e),
+                 mat_eq(mul(e, T), mul(T, e)),
+                 mat_eq(mul(mul(T, e), witness), e),
+                 all(x.is_zero() for row in mul(_ref_mat_pow(T, f, ring),
+                                                one_minus_e) for x in row))
+        out.append((e, st, f, flags))
+    return out
+
+
+def _ref_control(matrix, ring, specialize_entry, target_ring):
+    e_first, _ = _ref_limit(matrix, ring)
+    e_pushed = mat_map(e_first, specialize_entry)
+    e_second, _ = _ref_limit(mat_map(matrix, specialize_entry), target_ring)
+    agree = (mat_eq(_ref_mat_mul(e_pushed, e_second, target_ring), e_second)
+             and mat_eq(_ref_mat_mul(e_second, e_pushed, target_ring),
+                        e_pushed))
+    return e_pushed, e_second, agree
+
+
+def _coded(mat, codec):
+    return mat_map(mat, codec.encode)
+
+
 def _naive_factorial_limit(mat, ring, cap=8):
     """Independent oracle: compute T^(n!) from scratch by plain repeated
     multiplication (no squaring ladder, no early stop) until two
     consecutive factorial powers agree and the candidate is idempotent."""
-    def times(a, b):
-        n = len(a)
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = ring.zero
-                for k in range(n):
-                    acc = acc + a[i][k] * b[k][j]
-                row.append(acc)
-            out.append(row)
-        return out
-
     prev = mat  # T^(1!)
     fact = 1
     for n in range(2, cap):
         fact *= n
         nxt = mat
         for _ in range(fact - 1):
-            nxt = times(nxt, mat)
-        if mat_eq(nxt, prev) and mat_eq(times(nxt, nxt), nxt):
+            nxt = _ref_mat_mul(nxt, mat, ring)
+        if mat_eq(nxt, prev) and mat_eq(_ref_mat_mul(nxt, nxt, ring), nxt):
             return nxt
         prev = nxt
     raise AssertionError("oracle did not stabilize")
@@ -76,15 +136,17 @@ def test_nilpotent_projector(L2):
            [L2.zero, L2.zero, L2.one],
            [L2.zero, L2.zero, L2.zero]]
     rep = ordinary_projector(constant_tower(L2, nil))
-    assert rep.ok and mat_is_zero(rep.projector.matrices[0])
+    assert rep.ok and mat_is_zero(rep.projector.matrices[0], L2)
 
 
 def test_projector_properties(worked):
     rep = ordinary_projector(worked)
     for ring, T, e in zip(worked.tower.rings, worked.matrices,
                           rep.projector.matrices):
-        assert mat_eq(mat_mul(e, e, ring), e)
-        assert mat_eq(mat_mul(e, T, ring), mat_mul(T, e, ring))
+        c = ring.codes()
+        T, e = _coded(T, c), _coded(e, c)
+        assert mat_eq(mat_mul(e, e, c), e)
+        assert mat_eq(mat_mul(e, T, c), mat_mul(T, e, c))
     assert factorial_powers_vanish(worked, rep)
 
 
@@ -93,13 +155,14 @@ def test_mat_pow_product_count(e, L2, monkeypatch):
     from drinfeld import projector
     calls = []
 
-    def counting_mul(a, b, ring):
+    def counting_mul(a, b, codec):
         calls.append(1)
-        return mat_mul(a, b, ring)
+        return mat_mul(a, b, codec)
 
     monkeypatch.setattr(projector, "mat_mul", counting_mul)
-    M = [[L2.one, L2.one], [L2.zero, L2.varpi]]
-    mat_pow(M, e, L2)
+    c = L2.codes()
+    M = _coded([[L2.one, L2.one], [L2.zero, L2.varpi]], c)
+    mat_pow(M, e, c)
     expected = (e.bit_length() - 1) + (bin(e).count("1") - 1) if e else 0
     assert len(calls) == expected
 
@@ -108,8 +171,9 @@ def test_idempotent_equals_for_powers(worked, place_T, L2):
     rep = ordinary_projector(worked)
     e = rep.projector.matrices[-1]
     M = [[L2.one, L2.one], [L2.zero, L2.varpi]]
+    c = L2.codes()
     for r in (2, 3):
-        Mr = mat_pow(M, r, L2)
+        Mr = mat_map(mat_pow(_coded(M, c), r, c), c.decode)
         rep_r = ordinary_projector(reduction_tower(place_T, Mr, 2))
         assert mat_eq(rep_r.projector.matrices[-1], e)
 
@@ -186,8 +250,8 @@ def test_control_rank_one(place_T):
         cr = control_check(M, lv, lambda x, kk=k: specialize(x, kk), lv.ring)
         assert cr.ok
         e = cr.projector_of_specialized
-        assert not mat_is_zero(e)
-        assert mat_is_zero([e[1]])  # second row vanishes: rank one
+        assert not mat_is_zero(e, lv.ring)
+        assert mat_is_zero([e[1]], lv.ring)  # second row vanishes: rank one
 
 
 def test_control_zero(place_T):
@@ -195,7 +259,7 @@ def test_control_zero(place_T):
     M = [[lv.one * lv.ring.varpi, lv.zero], [lv.zero, lv.zero]]
     cr = control_check(M, lv, lambda x: specialize(x, 2), lv.ring)
     assert cr.ok
-    assert mat_is_zero(cr.projector_of_specialized)
+    assert mat_is_zero(cr.projector_of_specialized, lv.ring)
 
 
 def test_control_random(place_T):
@@ -211,9 +275,106 @@ def test_control_random(place_T):
 
 
 def test_image_identity_criterion(L2):
-    e1 = [[L2.one, L2.zero], [L2.zero, L2.zero]]
-    e2 = [[L2.one, L2.one], [L2.zero, L2.zero]]
+    c = L2.codes()
+    e1 = _coded([[L2.one, L2.zero], [L2.zero, L2.zero]], c)
+    e2 = _coded([[L2.one, L2.one], [L2.zero, L2.zero]], c)
     # same column space over the ring
-    assert image_membership_identities(e1, e2, L2)
-    e3 = [[L2.zero, L2.zero], [L2.zero, L2.one]]
-    assert not image_membership_identities(e1, e3, L2)
+    assert image_membership_identities(e1, e2, c)
+    e3 = _coded([[L2.zero, L2.zero], [L2.zero, L2.one]], c)
+    assert not image_membership_identities(e1, e3, c)
+
+
+# -- codecs against the object rings -------------------------------------------
+
+# (weight, operator) of every matrix the suite's hecke-tower check projects
+_HECKE_TOWERS = [(0, "F"), (0, "U"), (0, "T"), (-2, "U"), (2, "U"), (3, "U"),
+                 (5, "U")]
+
+
+def _small_rings(kind, place):
+    """(ring, all its elements) for one kind of matrix ring at a place."""
+    if kind in ("local1", "local2"):
+        ring = local_ring(place, int(kind[-1]))
+        return [(ring, list(ring.elements()))]
+    if kind == "work_ext":
+        corr = build_correspondence(place, 2)
+        exts = {operator_matrix(corr, k, which).work_ext
+                for k, which in _HECKE_TOWERS}
+        return [(ext, list(ext.elements())) for ext in exts]
+    lv = iwasawa_level(place, 1)
+    w = len(lv.wild_group)
+    elements = [
+        lv.from_components([{u: cs[chi * w + i]
+                             for i, u in enumerate(lv.wild_group)}
+                            for chi in range(lv.tame_order)])
+        for cs in product(list(lv.ring.elements()), repeat=lv.tame_order * w)]
+    return [(lv, elements)]
+
+
+@pytest.mark.parametrize("place_index", [0, 1])
+@pytest.mark.parametrize("kind", ["local1", "local2", "work_ext", "iwasawa1"])
+def test_codec_matches_ring_arithmetic(kind, place_index):
+    rings = _small_rings(kind, standard_places()[place_index])
+    assert rings
+    for ring, elements in rings:
+        assert 2 <= len(elements) <= 64
+        c = ring.codes()
+        assert c.decode(c.zero) == ring.zero and c.decode(c.one) == ring.one
+        codes = [c.encode(x) for x in elements]
+        assert len(set(codes)) == len(elements)
+        for x, cx in zip(elements, codes):
+            assert c.decode(cx) == x
+            for y, cy in zip(elements, codes):
+                assert c.decode(c.add(cx, cy)) == x + y
+                assert c.decode(c.sub(cx, cy)) == x - y
+                assert c.decode(c.mul(cx, cy)) == x * y
+
+
+def _assert_projector_matches_reference(op):
+    rep = ordinary_projector(op)
+    ref = _ref_projector(op)
+    assert rep.projector.matrices == [e for e, _, _, _ in ref]
+    assert rep.steps == [st for _, st, _, _ in ref]
+    assert rep.invertibility_order == [f for _, _, f, _ in ref]
+    flags = [all(level[3][i] for level in ref) for i in range(4)]
+    assert [rep.idempotent, rep.commutes, rep.invertible_on_image,
+            rep.vanishes_on_kernel] == flags
+
+
+def _assert_kernels_match_reference(a, b, ring, exponents):
+    c = ring.codes()
+    ca, cb = _coded(a, c), _coded(b, c)
+    assert mat_map(mat_mul(ca, cb, c), c.decode) == _ref_mat_mul(a, b, ring)
+    for e in exponents:
+        assert mat_map(mat_pow(ca, e, c), c.decode) == _ref_mat_pow(a, e, ring)
+
+
+@pytest.mark.parametrize("place_index", [0, 1])
+def test_coded_projector_matches_reference_depth2(place_index):
+    place = standard_places()[place_index]
+    L2 = local_ring(place, 2)
+    elems = list(L2.elements())
+    rng = random.Random(11)
+    for _ in range(6):
+        a, b = ([[rng.choice(elems) for _ in range(4)] for _ in range(4)]
+                for _ in range(2))
+        _assert_kernels_match_reference(a, b, L2, range(8))
+        _assert_projector_matches_reference(reduction_tower(place, a, 2))
+
+
+@pytest.mark.parametrize("place_index", [0, 1])
+def test_coded_projector_matches_reference_iwasawa(place_index):
+    place = standard_places()[place_index]
+    lv = iwasawa_level(place, 2)
+    rng = random.Random(5)
+    for _ in range(2):
+        a, b = ([[lv.random_element(rng, support=2) for _ in range(3)]
+                 for _ in range(3)] for _ in range(2))
+        _assert_kernels_match_reference(a, b, lv, range(5))
+        _assert_projector_matches_reference(constant_tower(lv, a))
+        for k in (0, 3):
+            def spec(x, k=k):
+                return specialize(x, k)
+            cr = control_check(a, lv, spec, lv.ring)
+            assert (cr.specialized_projector, cr.projector_of_specialized,
+                    cr.images_agree) == _ref_control(a, lv, spec, lv.ring)
