@@ -352,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     hsub = hecke.add_subparsers(dest="subcommand", required=True)
     graph = hsub.add_parser("graph")
     add_place_args(graph)
-    graph.add_argument("--json", action="store_true", default=True)
     graph.add_argument("--dot", action="store_true", default=False)
     graph.add_argument("--cache", type=str, default=None,
                        help=f"cache directory (or ${CACHE_ENV})")

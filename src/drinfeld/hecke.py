@@ -3,6 +3,11 @@ characteristic the place: enumeration of the ordinary and supersingular
 loci, the two edge families (connected-kernel and etale-kernel), the
 operators F, U, T in weight k, and the Atkin-Lehner involution.
 
+The kernels of the edges come in closed form from phi(varpi) = V * t^d
+(`DrinfeldModule.order_qd_kernels`), not from a divisor search; divisor
+enumeration survives as the torsion-dichotomy identity and as the tests'
+oracle.
+
 Points are geometric rescaling orbits of pairs (g, delta), indexed by the
 coarse coordinate j = g^(q+1)/delta; each point carries the canonical
 representative (1, 1/j) (or (0, 1) at j = 0).  The normalization exponent
@@ -12,10 +17,10 @@ is a support statement, not scalar arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .basearith import FFElement, FieldExt, PrimePlace, ext_field
-from .modules import DrinfeldModule, SubgroupKind, stable_order_qd_subgroups
+from .modules import DrinfeldModule, SubgroupKind
 from .skew import SkewPoly
 
 
@@ -68,14 +73,21 @@ class Correspondence:
     ordinary: list
     supersingular: list
     edges: list
+    # edges by (src, kind) and by (src, None), built once from `edges`
+    _out: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._out = {}
+        for e in self.edges:
+            for kind in (e.kind, None):
+                self._out.setdefault((e.src, kind), []).append(e)
 
     @property
     def points(self) -> list:
         return self.ordinary + self.supersingular
 
     def edges_from(self, p: ModuliPoint, kind: str | None = None) -> list:
-        return [e for e in self.edges
-                if e.src == p and (kind is None or e.kind == kind)]
+        return list(self._out.get((p, kind), ()))
 
 
 def canonical_representative(ext: FieldExt, j: FFElement) -> DrinfeldModule:
@@ -117,15 +129,17 @@ def enumerate_moduli(place: PrimePlace, m: int):
 def build_correspondence(place: PrimePlace, m: int) -> Correspondence:
     """Edges of the correspondence over the degree-m extension.  Each
     ordinary point gets exactly one connected (F) edge and one etale (V)
-    edge; each supersingular point exactly one edge, with kernel t^d.
-    Counts are asserted during the build."""
+    edge; each supersingular point exactly one edge, with kernel t^d.  The
+    kernels come in closed form from `order_qd_kernels`, which verifies
+    each one; counts, the Frobenius twist and the graph structure are
+    asserted during the build."""
     ordinary_pts, ss_pts = enumerate_moduli(place, m)
     ext = ext_field(place, m, char_p=True)
     index = {p.j: p for p in ordinary_pts + ss_pts}
     d = place.d
     edges = []
     for p in ordinary_pts + ss_pts:
-        subgroups = stable_order_qd_subgroups(p.rep)
+        subgroups = p.rep.order_qd_kernels()
         expected = 2 if p.ordinary else 1
         if len(subgroups) != expected:
             raise AssertionError(

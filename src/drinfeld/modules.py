@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .basearith import APoly, FieldExt, PrimePlace, power
-from .skew import SkewPoly, kernel_points, right_divide, stable_right_divisors, tau
+from .skew import (SkewPoly, is_stable_divisor, kernel_points, right_divide,
+                   stable_right_divisors, tau)
 
 
 class DrinfeldModule:
@@ -171,6 +172,30 @@ class DrinfeldModule:
             raise AssertionError("canonical subgroup is not connected")
         return H
 
+    def order_qd_kernels(self) -> list["SubgroupScheme"]:
+        """The A-stable order-q^d subgroup schemes of the varpi-torsion, in
+        closed form: the connected kernel t^d, and for an ordinary module
+        also the etale kernel V'/lc(V'), where phi(varpi) = V * t^d =
+        t^d * V' and V' is V with its coefficients raised to the q^-d
+        power.  Listed in the order divisor enumeration produces them.
+        Each kernel is verified to be an A-stable divisor of phi(varpi);
+        a kernel that is not violates the identity and raises
+        AssertionError naming j and u."""
+        d = self.place.d
+        _, V = self.frobenius_verschiebung()
+        kernels = [tau(self.base, d)]
+        if not V.hasse.is_zero():
+            # q^(dm) fixes the degree-m extension, so q^(d(m-1)) inverts q^d
+            Vp = V.poly.coeff_qpow(d * (self.base.m - 1))
+            kernels.append(SkewPoly(self.base, [Vp.coeffs[-1].inverse()]) * Vp)
+        phi_T, phi_varpi = self.phi_T(), self.phi_eval(self.place.varpi)
+        for u in kernels:
+            if not is_stable_divisor(u, phi_T, phi_varpi):
+                raise AssertionError(
+                    f"closed-form kernel u = {u} at j = {self.j_invariant()} "
+                    "is not an A-stable divisor of phi(varpi)")
+        return [SubgroupScheme(self, u) for u in kernels]
+
     def quotient_by_kernel(self, H: "SubgroupScheme") -> "Isogeny":
         """The isogeny E -> E/H given by the kernel polynomial u of H: the
         target action phi' solves phi'(T)*u = u*phi(T) by coefficient
@@ -318,8 +343,11 @@ def _gamma_compatible_embedding(small: FieldExt, big: FieldExt):
 
 def stable_order_qd_subgroups(E: DrinfeldModule) -> list[SubgroupScheme]:
     """All A-stable order-q^d subgroup schemes of the varpi-torsion of E,
-    via exhaustive divisor enumeration; the structural expectation (two for
-    ordinary modules, one for supersingular) is asserted by callers."""
+    via exhaustive divisor enumeration over |ext|^d candidates; the
+    structural expectation (two for ordinary modules, one for
+    supersingular) is asserted by callers.  Enumeration is itself the
+    identity in the torsion-dichotomy check and the test oracle for
+    `DrinfeldModule.order_qd_kernels`, which everything else uses."""
     d = E.place.d
     divisors = stable_right_divisors(E.phi_T(), E.phi_eval(E.place.varpi), d)
     return [SubgroupScheme(E, u) for u in divisors]

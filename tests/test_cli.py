@@ -6,7 +6,10 @@ import sys
 import pytest
 
 from drinfeld import cache
+from drinfeld.basearith import finite_field, make_place, poly_T
 from drinfeld.cli import main
+from drinfeld.hecke import enumerate_moduli
+from drinfeld.skew import SkewPoly
 
 
 def run_cli(argv, capsys):
@@ -50,6 +53,37 @@ def test_graph_dot(capsys):
                             "--m", "1", "--dot"], capsys)
     assert code == 0
     assert out.startswith("digraph") and '"0" -> "0"' in out
+    # JSON is the default; there is no --json switch
+    code, _, _ = run_cli(["hecke", "graph", "--q", "3", "--varpi", "T",
+                          "--m", "1", "--json"], capsys)
+    assert code == 2
+
+
+def test_graph_first_cubic_place(capsys):
+    # d = 3: |F_64|^3 candidate kernels per point if they were enumerated
+    code, out, _ = run_cli(["hecke", "graph", "--q", "2", "--varpi",
+                            "T^3+T+1", "--m", "2"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    kinds = {n["j"]: [] for n in payload["nodes"]}
+    for e in payload["edges"]:
+        kinds[e["src"]].append(e["kind"])
+    for n in payload["nodes"]:
+        assert sorted(kinds[n["j"]]) == (["F", "V"] if n["ordinary"] else ["F"])
+    assert sum(n["ordinary"] for n in payload["nodes"]) == 61
+
+
+def test_wrong_closed_form_kernel_is_identity_failure(capsys, monkeypatch):
+    # forgetting the q^-d twist gives V/lc(V): wrong exactly where j is not
+    # rational over F_3, so the first such ordinary point is named
+    place = make_place(poly_T(finite_field(3)))
+    ordinary, _ = enumerate_moduli(place, 2)
+    j = next(p.j for p in ordinary if p.j ** 3 != p.j)
+    monkeypatch.setattr(SkewPoly, "coeff_qpow", lambda self, e: self)
+    code, _, err = run_cli(["hecke", "graph", "--q", "3", "--varpi", "T",
+                            "--m", "2"], capsys)
+    assert code == 1
+    assert err.startswith("identity violated:") and f"j = {j} " in err
 
 
 def test_matrix_command(capsys):

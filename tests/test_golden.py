@@ -25,7 +25,8 @@ from workloads import CACHE_LOOKUP, all_invocations  # noqa: E402
 
 DIGESTS = json.loads((PERFBENCH / "goldens.json").read_text())["digests"]
 COMMANDS = ("carlitz profile", "carlitz trace", "serre-tate check",
-            "iwasawa specialize", "iwasawa filtration", "projector run")
+            "iwasawa specialize", "iwasawa filtration", "projector run",
+            "hecke graph", "hecke matrix")
 KEYS = [k for k in DIGESTS if " ".join(shlex.split(k)[:2]) in COMMANDS]
 FILES = {inv.key: inv.files for inv in all_invocations()}
 

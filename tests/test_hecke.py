@@ -38,6 +38,12 @@ def test_edge_counts_and_kinds(place_T):
     for p in corr.supersingular:
         out = corr.edges_from(p)
         assert len(out) == 1 and out[0].u == tau(corr.ext, place_T.d)
+    # the (src, kind) index agrees with a scan of every edge
+    for p in corr.points:
+        for kind in ("F", "V", None):
+            assert corr.edges_from(p, kind) == [
+                e for e in corr.edges
+                if e.src == p and kind in (None, e.kind)]
 
 
 def test_f_edges_are_frobenius_on_j(place_T):

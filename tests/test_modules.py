@@ -4,9 +4,11 @@ from hypothesis import given, settings, strategies as st
 from drinfeld.basearith import apoly, ext_field, finite_field, make_place, \
     poly_T
 from drinfeld.carlitz import all_places
+from drinfeld.hecke import enumerate_moduli
 from drinfeld.modules import (DrinfeldModule, SubgroupKind, SubgroupScheme,
                               splitting_degree, stable_order_qd_subgroups)
 from drinfeld.skew import SkewPoly, tau
+from drinfeld.textenc import parse_apoly
 
 
 def _E(ext, g_log, d_log):
@@ -144,6 +146,21 @@ def test_dichotomy_exhaustive(q):
                     # fully connected: the action of varpi is a pure twist
                     assert E.phi_eval(place.varpi).tau_valuation() == 2 * place.d
                     assert E.torsion_points(1, ext).count == 1
+
+
+@pytest.mark.parametrize("q, varpi, m", [
+    (3, "T", 1), (3, "T", 2), (2, "T^2+T+1", 1), (2, "T^2+T+1", 2),
+    (5, "T", 2), (2, "T^3+T+1", 1), (3, "T", 3), (2, "T", 3)])
+def test_closed_form_kernels_match_enumeration(q, varpi, m):
+    # the oracle: same kernel polynomials, kinds and order at every point;
+    # m = 3 is the first level where q^-d is not q^d on the point field
+    place = make_place(parse_apoly(finite_field(q), varpi))
+    ordinary, ss = enumerate_moduli(place, m)
+    for p in ordinary + ss:
+        closed = [(H.u, H.kind) for H in p.rep.order_qd_kernels()]
+        found = [(H.u, H.kind) for H in stable_order_qd_subgroups(p.rep)]
+        assert closed == found, p.j
+        assert len(closed) == (2 if p.ordinary else 1)
 
 
 def test_canonical_subgroup(ext9):
