@@ -353,9 +353,6 @@ class FiniteField:
         self._embed_cache[key] = emb
         return emb
 
-    def sort_key(self, x: FFElement) -> int:
-        return x.log
-
     def __repr__(self):
         return f"GF({self.p}^{self.n})"
 

@@ -149,9 +149,21 @@ def check_serre_tate(place: PrimePlace, m: int = 2, nilpotency: int = 2) -> Chec
                 f"deformation values independent of the lift at {place}", body)
 
 
+def assert_orbit_invariance(corr) -> None:
+    """Each pair (g, delta) is as ordinary as the point of its orbit."""
+    ordinary = {p.j: p.ordinary for p in corr.points}
+    for g in corr.ext.elements():
+        for delta in corr.ext.field.units():
+            E = DrinfeldModule(corr.ext, g, delta)
+            if E.is_ordinary() != ordinary[E.j_invariant()]:
+                raise AssertionError("ordinariness is not orbit-invariant "
+                                     f"at j = {E.j_invariant()}")
+
+
 def check_correspondence(place: PrimePlace, m: int) -> CheckResult:
     def body():
         corr = build_correspondence(place, m)  # asserts counts + structure
+        assert_orbit_invariance(corr)
         qd = place.q ** place.d
         f_map = {}
         for p in corr.ordinary:

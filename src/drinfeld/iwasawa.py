@@ -3,22 +3,32 @@ tame/wild decomposition, weight specializations, the embedding into
 weight-indexed evaluations, the duality twist, and the monomial ideal
 filtration certifying the profinite structure.
 
-A level-m element is stored in its semilocal decomposition: one wild
-group-algebra component per tame character of the residue field units.
-Weight specialization reads off a single component; the independent
-evaluation route expands the element over the full unit group first.
+A level-m element is stored in its semilocal decomposition, one wild
+group-algebra component per tame character of the residue field units,
+as a flat tuple of scalar codes: character-major, then by wild-group
+position.  The codes come from the one `ElementCodes` over A/(varpi^m)
+that the level owns, so coefficient arithmetic is a memo lookup, in the
+manner of Zech logarithms.  Tables built on first use map a unit code to
+its (tame exponent, wild position) and give u^k by code.  Weight
+specialization reads off a single component; the independent evaluation
+route expands the element over the full unit group first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property, partial
+from operator import attrgetter
+from types import SimpleNamespace
 
 from .basearith import LocalElement, PrimePlace, local_ring, power
 
 
 class IwasawaLevel:
     """The level-m truncation: coefficients in A/(varpi^m), group the units
-    of that ring, decomposed as (residue units) x (principal units)."""
+    of that ring, decomposed as (residue units) x (principal units).
+    `add`, `sub` and `mul` act on the elements' code tuples, and `codes()`
+    hands the same functions to the projector."""
 
     def __init__(self, place: PrimePlace, m: int):
         if m < 1:
@@ -26,84 +36,132 @@ class IwasawaLevel:
         self.place = place
         self.m = m
         self.ring = local_ring(place, m)
+        self.scalars = self.ring.codes()
         self.tame_order = place.q ** place.d - 1
         self.wild_group = tuple(sorted(self.ring.principal_units(),
                                        key=_local_key))
         self.wild_index = {u: i for i, u in enumerate(self.wild_group)}
+        self.width = len(self.wild_group)
         # tame structure: a generator of the Teichmuller lifts and the
         # character table chi_i(zeta^a) = omega(zeta)^(i*a)
         self.teich_gen = self._find_teich_generator()
         self.teich_powers = tuple(self.teich_gen ** a
                                   for a in range(self.tame_order))
-        self.teich_index = {t: a for a, t in enumerate(self.teich_powers)}
-        self.tame_inverse = self.ring.from_int(self.tame_order).inverse()
-        self.zero = IwasawaElement(self, ((),) * self.tame_order)
-        self.one = self.dirac(self.ring.one)
+        self._teich_codes = tuple(map(self.scalars.encode, self.teich_powers))
+        self._cycles: dict = {}  # unit code -> codes of u^0, u^1, ...
+        self.zero = IwasawaElement(self, (0,) * (self.tame_order * self.width))
+        self.one = IwasawaElement(
+            self, self._dirac_codes(0, self.wild_index[self.ring.one]))
 
     def _find_teich_generator(self) -> LocalElement:
-        qd = self.tame_order + 1
         for u in sorted(self.ring.units(), key=_local_key):
             t = self.ring.teichmuller(u)
-            order = 1
-            acc = t
-            while acc != self.ring.one:
-                acc = acc * t
-                order += 1
-                if order > self.tame_order:
-                    break
-            if order == self.tame_order:
+            if all(t ** k != self.ring.one for k in range(1, self.tame_order)):
                 return t
         raise RuntimeError("no Teichmuller generator found")
 
-    # -- decomposition helpers --------------------------------------------
+    # -- tables over codes, built on first use ------------------------------
 
-    def split_unit(self, u: LocalElement) -> tuple[int, LocalElement]:
-        """u = omega * wild with omega a Teichmuller power: returns the
-        tame exponent and the wild (principal) part."""
+    @cached_property
+    def _unit_tables(self) -> tuple:
+        """(the codes of omega^a * w_i at a * width + i; the map from a unit
+        code back to (a, i))."""
+        units = tuple(self.scalars.encode(t * v) for t in self.teich_powers
+                      for v in self.wild_group)
+        return units, {u: divmod(n, self.width) for n, u in enumerate(units)}
+
+    @cached_property
+    def _expand_weights(self) -> tuple:
+        """[a][chi]: chi^-1(zeta^a) / (tame order), the weight of component
+        chi at tame exponent a in `expand`."""
+        t, teich, mul = self.tame_order, self._teich_codes, self.scalars.mul
+        inv = self.scalars.encode(self.ring.from_int(t).inverse())
+        return tuple(tuple(mul(teich[-chi * a % t], inv) for chi in range(t))
+                     for a in range(t))
+
+    @cached_property
+    def _wild_products(self) -> tuple:
+        """[i][j]: the wild position of w_i * w_j."""
+        return tuple(tuple(self.wild_index[u * v] for v in self.wild_group)
+                     for u in self.wild_group)
+
+    def unit_power(self, u: int, k: int) -> int:
+        """The code of u^k for a unit code u and any integer k, read off the
+        cycle u^0, u^1, ... of u (kept once computed)."""
+        cycle = self._cycles.get(u)
+        if cycle is None:
+            mul, acc, cycle = self.scalars.mul, u, [1]
+            while acc != 1:
+                if not acc:
+                    raise ValueError(f"{self.scalars.decode(u)} is not a unit")
+                cycle.append(acc)
+                acc = mul(acc, u)
+            cycle = self._cycles[u] = tuple(cycle)
+        return cycle[k % len(cycle)]
+
+    # -- elements ------------------------------------------------------------
+
+    def _unit_code(self, u: LocalElement) -> int:
         if u.ring is not self.ring:
             u = self.ring.from_apoly(u.value)
-        if not u.is_unit():
+        code = self.scalars.encode(u)
+        if code not in self._unit_tables[1]:
             raise ValueError(f"{u} is not a unit")
-        om = self.ring.teichmuller(u)
-        a = self.teich_index[om]
-        wild = om.inverse() * u
-        return a, wild
+        return code
 
-    def chi_value(self, chi: int, tame_exp: int) -> LocalElement:
-        """chi_i evaluated on the residue class with Teichmuller exponent
-        a, as a level-m scalar."""
-        return self.teich_powers[(chi * tame_exp) % self.tame_order]
+    def _dirac_codes(self, a: int, i: int) -> tuple:
+        """[omega^a * w_i]: component chi is chi(zeta^a) at wild position i."""
+        t, w = self.tame_order, self.width
+        out = [0] * (t * w)
+        for chi in range(t):
+            out[chi * w + i] = self._teich_codes[chi * a % t]
+        return tuple(out)
 
     def dirac(self, u: LocalElement) -> "IwasawaElement":
-        """The group-like element [u] in decomposed form: component chi is
-        chi(tame part) times the dirac mass at the wild part."""
-        a, wild = self.split_unit(u)
-        comps = []
-        for chi in range(self.tame_order):
-            comps.append(((wild, self.chi_value(chi, a)),))
-        return IwasawaElement(self, tuple(comps))
-
-    def from_components(self, comps) -> "IwasawaElement":
-        return IwasawaElement(self, tuple(_canonical_component(dict(c))
-                                          for c in comps))
-
-    def codes(self) -> "MeasureCodes":
-        return MeasureCodes(self)
+        """The group-like element [u]."""
+        a, i = self._unit_tables[1][self._unit_code(u)]
+        return IwasawaElement(self, self._dirac_codes(a, i))
 
     def random_element(self, rng, support: int = 3) -> "IwasawaElement":
-        comps = []
-        ring_elems = None
-        for _ in range(self.tame_order):
-            mp = {}
+        """Per tame character, up to `support` draws of a wild position and
+        a ring element (in `ring.elements()` order), summed."""
+        out, w = list(self.zero.codes), self.width
+        ring = list(map(self.scalars.encode, self.ring.elements()))
+        for chi in range(self.tame_order):
             for _ in range(rng.randrange(support + 1)):
-                u = self.wild_group[rng.randrange(len(self.wild_group))]
-                if ring_elems is None:
-                    ring_elems = [self.ring.from_apoly(a.value)
-                                  for a in self.ring.elements()]
-                mp[u] = mp.get(u, self.ring.zero) + \
-                    ring_elems[rng.randrange(len(ring_elems))]
-            comps.append(mp)
-        return self.from_components(comps)
+                k = chi * w + rng.randrange(w)
+                out[k] = self.scalars.add(out[k],
+                                          ring[rng.randrange(len(ring))])
+        return IwasawaElement(self, tuple(out))
+
+    # -- arithmetic on code tuples ------------------------------------------
+
+    def add(self, x: tuple, y: tuple) -> tuple:
+        return tuple(map(self.scalars.add, x, y))
+
+    def sub(self, x: tuple, y: tuple) -> tuple:
+        return tuple(map(self.scalars.sub, x, y))
+
+    def mul(self, x: tuple, y: tuple) -> tuple:
+        """Per tame character, the convolution of the wild components."""
+        add, mul, w = self.scalars.add, self.scalars.mul, self.width
+        out = [0] * len(x)
+        for base in range(0, len(x), w):
+            ys = y[base:base + w]
+            for row, c in zip(self._wild_products, x[base:base + w]):
+                if c:
+                    for j, e in enumerate(ys):
+                        if e:
+                            k = base + row[j]
+                            out[k] = add(out[k], mul(c, e))
+        return tuple(out)
+
+    def codes(self) -> SimpleNamespace:
+        """The projector's codec: an element's code is its own tuple."""
+        return SimpleNamespace(zero=self.zero.codes, one=self.one.codes,
+                               encode=attrgetter("codes"),
+                               decode=partial(IwasawaElement, self),
+                               add=self.add, sub=self.sub, mul=self.mul)
 
     def __repr__(self):
         return f"IwasawaLevel({self.place}, m={self.m})"
@@ -123,67 +181,45 @@ def _local_key(x: LocalElement):
     return tuple(c.log for c in x.value.coeffs)
 
 
-def _canonical_component(mp: dict) -> tuple:
-    items = [(u, c) for u, c in mp.items() if not c.is_zero()]
-    items.sort(key=lambda uc: _local_key(uc[0]))
-    return tuple(items)
-
-
 class IwasawaElement:
-    """Level-m truncated measure in decomposed storage: per tame character,
-    a finitely supported map from principal units to level-m scalars."""
+    """Level-m truncated measure: per tame character chi, a map from the
+    principal units w_i to level-m scalars, held as the level's tuple of
+    scalar codes with c_chi(w_i) at chi * width + i.  Codes are canonical,
+    so equality and hashing compare the tuples."""
 
-    __slots__ = ("level", "components")
+    __slots__ = ("level", "codes")
 
-    def __init__(self, level: IwasawaLevel, components: tuple):
+    def __init__(self, level: IwasawaLevel, codes: tuple):
         self.level = level
-        self.components = components
-
-    def component(self, chi: int) -> dict:
-        return dict(self.components[chi])
+        self.codes = codes
 
     def is_zero(self) -> bool:
-        return all(not c for c in self.components)
+        return not any(self.codes)
 
-    def _binop(self, other, fn):
+    def _codes_of(self, other) -> tuple:
         if not isinstance(other, IwasawaElement) or other.level is not self.level:
             raise ValueError("elements of different levels")
-        out = []
-        for mine, theirs in zip(self.components, other.components):
-            acc = dict(mine)
-            for u, c in theirs:
-                acc[u] = fn(acc.get(u, self.level.ring.zero), c)
-            out.append(_canonical_component(acc))
-        return IwasawaElement(self.level, tuple(out))
+        return other.codes
 
     def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
+        return IwasawaElement(self.level,
+                              self.level.add(self.codes, self._codes_of(other)))
 
     def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
+        return IwasawaElement(self.level,
+                              self.level.sub(self.codes, self._codes_of(other)))
 
     def __neg__(self):
-        return IwasawaElement(self.level,
-                              tuple(tuple((u, -c) for u, c in comp)
-                                    for comp in self.components))
+        return self.level.zero - self
 
     def __mul__(self, other):
+        lv = self.level
         if isinstance(other, LocalElement):
-            return IwasawaElement(
-                self.level,
-                tuple(_canonical_component({u: c * other for u, c in comp})
-                      for comp in self.components))
-        if not isinstance(other, IwasawaElement) or other.level is not self.level:
-            raise ValueError("elements of different levels")
-        out = []
-        for mine, theirs in zip(self.components, other.components):
-            acc: dict = {}
-            for u, c in mine:
-                for v, e in theirs:
-                    w = u * v
-                    acc[w] = acc.get(w, self.level.ring.zero) + c * e
-            out.append(_canonical_component(acc))
-        return IwasawaElement(self.level, tuple(out))
+            if other.ring is not lv.ring:
+                raise ValueError("scalar of a different ring")
+            s, mul = lv.scalars.encode(other), lv.scalars.mul
+            return IwasawaElement(lv, tuple(mul(c, s) for c in self.codes))
+        return IwasawaElement(lv, lv.mul(self.codes, self._codes_of(other)))
 
     def __rmul__(self, other):
         if isinstance(other, LocalElement):
@@ -196,125 +232,82 @@ class IwasawaElement:
     def reduce_to(self, m: int) -> "IwasawaElement":
         """The ring map to a lower level: coefficients and group keys both
         reduce modulo varpi^m."""
-        if m > self.level.m:
+        lv = self.level
+        if m > lv.m:
             raise ValueError("cannot raise the level")
-        target = iwasawa_level(self.level.place, m)
-        out = []
-        for comp in self.components:
-            acc: dict = {}
-            for u, c in comp:
-                ru = target.ring.from_apoly(u.value)
-                rc = target.ring.from_apoly(c.value)
-                acc[ru] = acc.get(ru, target.ring.zero) + rc
-            out.append(_canonical_component(acc))
-        return IwasawaElement(target, tuple(out))
+        low = iwasawa_level(lv.place, m)
+        out = list(low.zero.codes)
+        for n, c in enumerate(self.codes):
+            if c:
+                chi, i = divmod(n, lv.width)
+                u = low.ring.from_apoly(lv.wild_group[i].value)
+                k = chi * low.width + low.wild_index[u]
+                c = low.ring.from_apoly(lv.scalars.decode(c).value)
+                out[k] = low.scalars.add(out[k], low.scalars.encode(c))
+        return IwasawaElement(low, tuple(out))
 
     def expand(self) -> dict:
         """The element as a measure on the full unit group: coefficient of
         [omega(zeta) * v] is (tame order)^-1 sum_chi chi^-1(zeta) c_chi(v)."""
-        lv = self.level
-        out: dict = {}
-        for a in range(lv.tame_order):
-            om = lv.teich_powers[a]
-            for chi in range(lv.tame_order):
-                comp = self.components[chi]
-                if not comp:
-                    continue
-                weight = lv.chi_value((-chi) % lv.tame_order, a) * lv.tame_inverse
-                for v, c in comp:
-                    u = om * v
-                    out[u] = out.get(u, lv.ring.zero) + weight * c
-        return {u: c for u, c in out.items() if not c.is_zero()}
+        decode = self.level.scalars.decode
+        return {decode(u): decode(c) for u, c in _expand_codes(self).items()}
 
     def __eq__(self, other):
         return (isinstance(other, IwasawaElement)
                 and other.level is self.level
-                and other.components == self.components)
+                and other.codes == self.codes)
 
     def __hash__(self):
-        return hash((id(self.level), self.components))
+        return hash((id(self.level), self.codes))
 
     def as_record(self) -> dict:
-        return {
-            "level": self.level.m,
-            "tame": {
-                str(chi): {str(u.value): str(c.value) for u, c in comp}
-                for chi, comp in enumerate(self.components) if comp
-            },
-        }
+        lv, w = self.level, self.level.width
+        comps = [self.codes[b:b + w] for b in range(0, len(self.codes), w)]
+        return {"level": lv.m, "tame": {
+            str(chi): {str(lv.wild_group[i].value):
+                       str(lv.scalars.decode(c).value)
+                       for i, c in enumerate(comp) if c}
+            for chi, comp in enumerate(comps) if any(comp)}}
 
     def __repr__(self):
         return f"Iwasawa({self.as_record()})"
 
 
-class MeasureCodes:
-    """Dense codes for the elements of one level: a tuple with one scalar
-    code (from the coefficient ring's ElementCodes) per pair of tame
-    character and wild-group position, character-major.  Products are
-    per-character convolutions through the wild group's product index
-    table.  Codes are canonical, like the scalar codes they hold."""
+def _expand_codes(x: IwasawaElement) -> dict:
+    """`expand` on codes: unit code -> nonzero coefficient code."""
+    lv = x.level
+    w, add, mul = lv.width, lv.scalars.add, lv.scalars.mul
+    units, out = lv._unit_tables[0], {}
+    for a, weights in enumerate(lv._expand_weights):
+        for i in range(w):
+            acc = 0
+            for weight, c in zip(weights, x.codes[i::w]):
+                if c:
+                    acc = add(acc, mul(weight, c))
+            if acc:
+                out[units[a * w + i]] = acc
+    return out
 
-    def __init__(self, level: IwasawaLevel):
-        self.level = level
-        self.scalars = level.ring.codes()
-        wild = level.wild_group
-        self.width = len(wild)
-        self.wild_products = [[level.wild_index[u * v] for v in wild]
-                              for u in wild]
-        self.zero = (0,) * (level.tame_order * self.width)
-        self.one = self.encode(level.one)
 
-    def encode(self, x: IwasawaElement) -> tuple:
-        code = list(self.zero)
-        wild_index, encode = self.level.wild_index, self.scalars.encode
-        for chi, comp in enumerate(x.components):
-            base = chi * self.width
-            for u, c in comp:
-                code[base + wild_index[u]] = encode(c)
-        return tuple(code)
-
-    def decode(self, code: tuple) -> IwasawaElement:
-        # wild_group is sorted like a canonical component, and code 0 is
-        # the zero coefficient a canonical component leaves out
-        wild, decode, w = self.level.wild_group, self.scalars.decode, self.width
-        comps = tuple(
-            tuple((wild[i], decode(c))
-                  for i, c in enumerate(code[base:base + w]) if c)
-            for base in range(0, len(code), w))
-        return IwasawaElement(self.level, comps)
-
-    def add(self, x: tuple, y: tuple) -> tuple:
-        return tuple(map(self.scalars.add, x, y))
-
-    def sub(self, x: tuple, y: tuple) -> tuple:
-        return tuple(map(self.scalars.sub, x, y))
-
-    def mul(self, x: tuple, y: tuple) -> tuple:
-        add, mul, w = self.scalars.add, self.scalars.mul, self.width
-        out = [0] * len(x)
-        for base in range(0, len(x), w):
-            ys = y[base:base + w]
-            for i, c in enumerate(x[base:base + w]):
-                if not c:
-                    continue
-                row = self.wild_products[i]
-                for j, e in enumerate(ys):
-                    if e:
-                        k = base + row[j]
-                        out[k] = add(out[k], mul(c, e))
-        return tuple(out)
+def _decompose_codes(level: IwasawaLevel, pairs) -> IwasawaElement:
+    """`decompose` on (unit code, coefficient code) pairs."""
+    t, w, codes = level.tame_order, level.width, level.scalars
+    split, teich = level._unit_tables[1], level._teich_codes
+    out = list(level.zero.codes)
+    for u, c in pairs:
+        a, i = split[u]
+        for chi in range(t):
+            k = chi * w + i
+            out[k] = codes.add(out[k], codes.mul(teich[chi * a % t], c))
+    return IwasawaElement(level, tuple(out))
 
 
 def decompose(level: IwasawaLevel, measure: dict) -> IwasawaElement:
     """Inverse of expand: a measure on the full unit group, componentized
     over the tame characters."""
-    comps = [dict() for _ in range(level.tame_order)]
-    for u, c in measure.items():
-        a, wild = level.split_unit(u)
-        for chi in range(level.tame_order):
-            w = level.chi_value(chi, a) * c
-            comps[chi][wild] = comps[chi].get(wild, level.ring.zero) + w
-    return level.from_components(comps)
+    encode = level.scalars.encode
+    return _decompose_codes(level, ((level._unit_code(u), encode(c))
+                                    for u, c in measure.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +334,14 @@ def specialize(x: IwasawaElement, weight) -> LocalElement:
     the tame component matching the weight contributes."""
     w = weight if isinstance(weight, WeightChar) else WeightChar(weight)
     lv = x.level
-    chi = w.tame(lv.tame_order)
-    acc = lv.ring.zero
-    for v, c in x.components[chi]:
-        acc = acc + c * v ** w.k
-    return acc
+    codes = lv.scalars
+    base = w.tame(lv.tame_order) * lv.width
+    acc = 0
+    for v, c in zip(lv.wild_group, x.codes[base:base + lv.width]):
+        if c:
+            acc = codes.add(acc, codes.mul(c, lv.unit_power(codes.encode(v),
+                                                            w.k)))
+    return lv.scalars.decode(acc)
 
 
 def iota_eval(x: IwasawaElement, k: int) -> LocalElement:
@@ -353,10 +349,12 @@ def iota_eval(x: IwasawaElement, k: int) -> LocalElement:
     evaluations: expand over the full unit group and sum c_u u^k.  Agrees
     with specialize at every integer weight (the two routes are kept
     independent on purpose)."""
-    acc = x.level.ring.zero
-    for u, c in x.expand().items():
-        acc = acc + c * u ** k
-    return acc
+    lv = x.level
+    add, mul = lv.scalars.add, lv.scalars.mul
+    acc = 0
+    for u, c in _expand_codes(x).items():
+        acc = add(acc, mul(c, lv.unit_power(u, k)))
+    return lv.scalars.decode(acc)
 
 
 def duality_twist(x: IwasawaElement) -> IwasawaElement:
@@ -364,12 +362,9 @@ def duality_twist(x: IwasawaElement) -> IwasawaElement:
     [u] it returns u^2 [u^{-1}].  Specialization at weight k of the twist
     equals specialization at weight 2 - k, and the twist is an involution."""
     lv = x.level
-    out: dict = {}
-    for u, c in x.expand().items():
-        v = u.inverse()
-        coeff = c * u * u
-        out[v] = out.get(v, lv.ring.zero) + coeff
-    return decompose(lv, out)
+    mul, pw = lv.scalars.mul, lv.unit_power
+    return _decompose_codes(lv, ((pw(u, -1), mul(c, pw(u, 2)))
+                                 for u, c in _expand_codes(x).items()))
 
 
 def _generated_subgroup(ring, gens) -> set:
@@ -416,16 +411,17 @@ def determining_weights(place: PrimePlace, m: int) -> "DeterminingSet":
     p = place.field.p
     # exponent of the unit group: tame order times the wild exponent
     wild_exp = 1
-    while any((u ** wild_exp) != lv.ring.one for u in lv.wild_group):
+    wild = [lv.scalars.encode(v) for v in lv.wild_group]
+    while any(lv.unit_power(v, wild_exp) != 1 for v in wild):
         wild_exp *= p
     exponent = lv.tame_order * wild_exp
-    units = sorted((u for u in lv.ring.units()), key=_local_key)
-    matrix = [[u ** k for k in range(exponent)] for u in units]
-    rank = _evaluation_rank(m, matrix)
-    doubled = [[u ** k for k in range(2 * exponent)] for u in units]
-    rank2 = _evaluation_rank(m, doubled)
+    units = [lv.scalars.encode(u)
+             for u in sorted(lv.ring.units(), key=_local_key)]
+    doubled = [[lv.unit_power(u, k) for k in range(2 * exponent)]
+               for u in units]
+    rank = _evaluation_rank(lv, [row[:exponent] for row in doubled])
     return DeterminingSet(place, m, tuple(range(exponent)), exponent,
-                          rank, rank == rank2)
+                          rank, rank == _evaluation_rank(lv, doubled))
 
 
 @dataclass(frozen=True)
@@ -442,11 +438,13 @@ class DeterminingSet:
         return self.saturated
 
 
-def _evaluation_rank(m: int, matrix) -> int:
-    """Rank of a matrix over A/(varpi^m) in the residue sense refined by
-    valuation: the number of varpi-power pivots found by fraction-free
-    elimination (enough for saturation comparison)."""
-    rows = [[e for e in row] for row in matrix]
+def _evaluation_rank(lv: IwasawaLevel, matrix) -> int:
+    """Rank of a matrix of scalar codes over A/(varpi^m) in the residue
+    sense refined by valuation: the number of varpi-power pivots found by
+    fraction-free elimination (enough for saturation comparison)."""
+    m, codes = lv.m, lv.scalars
+    val = cache(lambda c: codes.decode(c).varpi_valuation())
+    rows = [list(row) for row in matrix]
     if not rows:
         return 0
     ncols = len(rows[0])
@@ -455,27 +453,27 @@ def _evaluation_rank(m: int, matrix) -> int:
         # find the row whose entry at col has minimal valuation
         best, best_val = None, m
         for r in range(rank, len(rows)):
-            v = rows[r][col].varpi_valuation()
+            v = val(rows[r][col])
             if v < best_val:
                 best, best_val = r, v
         if best is None or best_val >= m:
             continue
         rows[rank], rows[best] = rows[best], rows[rank]
-        pivot = rows[rank][col]
-        # clear below using exact multiples: entry - (entry/pivot) * pivot
+        # clear below using exact multiples: entry - (entry/pivot) * pivot,
+        # where entry/pivot divides both by the pivot valuation and then
+        # inverts the unit part of the pivot
+        unit_inverse = _shift_unit(codes.decode(rows[rank][col]),
+                                   best_val).inverse()
         for r in range(rank + 1, len(rows)):
             e = rows[r][col]
-            if e.varpi_valuation() >= m:
+            if val(e) >= m:
                 continue
-            # factor = e / pivot in the local ring: divide both by the
-            # pivot valuation, then invert the unit part
-            pu = _shift_unit(pivot, best_val)
-            ev = e.varpi_valuation()
-            if ev < best_val:
+            if val(e) < best_val:
                 raise AssertionError("pivot was not minimal")
-            eu = _shift_unit(e, best_val)
-            factor = eu * pu.inverse()
-            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+            eu = _shift_unit(codes.decode(e), best_val)
+            factor = codes.encode(eu * unit_inverse)
+            rows[r] = [codes.sub(a, codes.mul(factor, b))
+                       for a, b in zip(rows[r], rows[rank])]
         rank += 1
         if rank == len(rows):
             break
@@ -484,13 +482,10 @@ def _evaluation_rank(m: int, matrix) -> int:
 
 def _shift_unit(x: LocalElement, val: int) -> LocalElement:
     """x / varpi^val performed exactly, re-raised to the original ring."""
-    out = x
-    for _ in range(val):
-        quot, rem = out.value.divmod(out.ring.place.varpi)
-        if not rem.is_zero():
-            raise ValueError("not divisible")
-        out = LocalElement(out.ring, quot)
-    return out
+    quot, rem = x.value.divmod(x.ring.place.varpi ** val)
+    if not rem.is_zero():
+        raise ValueError("not divisible")
+    return LocalElement(x.ring, quot)
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +507,9 @@ class MonomialIdeal:
         return all(self.contains_monomial(g) for g in other.gens)
 
     def minimal_gens(self) -> tuple:
-        out = []
+        out: list = []
         for g in sorted(self.gens):
-            reduced = MonomialIdeal(self.nvars, tuple(x for x in out))
-            if not (out and reduced.contains_monomial(g)):
+            if not MonomialIdeal(self.nvars, tuple(out)).contains_monomial(g):
                 out.append(g)
         return tuple(out)
 

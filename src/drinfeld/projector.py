@@ -4,12 +4,12 @@ projector e(T) = lim T^(n!), with the control-style compatibility checks
 
 Towers hold plain row lists of ring elements; levels of a tower may live
 over different rings connected by entrywise transition maps.  The matrix
-arithmetic works on integer codes instead: every matrix ring's `codes()`
-returns a fresh codec (`zero`, `one`, `encode`, `decode`, `add`, `sub`,
-`mul`) whose codes are canonical, so `==` on codes is equality of
-elements.  `ordinary_projector`, `factorial_powers_vanish` and
-`control_check` each encode their input matrices once, compute on codes,
-and decode only the matrices they report.
+arithmetic works on codes instead: every matrix ring's `codes()` returns
+a codec (`zero`, `one`, `encode`, `decode`, `add`, `sub`, `mul`) with
+canonical codes, so `==` on codes is equality of elements; it is fresh per
+call except an `IwasawaLevel`'s, which lives as long as the level.  The
+three entry points below encode their input matrices once, compute on
+codes, and decode only the matrices they report.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ def mat_mul(a, b, codec):
     add, mul = codec.add, codec.mul
     cols = list(zip(*b))
     return [[reduce(add, map(mul, row, col)) for col in cols] for row in a]
-
-
-def mat_sub(a, b, codec):
-    return [list(map(codec.sub, ra, rb)) for ra, rb in zip(a, b)]
 
 
 def mat_eq(a, b) -> bool:
@@ -88,6 +84,16 @@ class TowerModule:
         return (lambda x: x) if t is None else t
 
 
+def incompatible_level(tower: TowerModule, matrices: list):
+    """The first level i whose matrix is not the transition image of the
+    matrix of level i + 1, or None when every adjacent pair commutes."""
+    for i in range(tower.depth - 1):
+        pushed = mat_map(matrices[i + 1], tower.transition_entry(i))
+        if not mat_eq(pushed, matrices[i]):
+            return i
+    return None
+
+
 class TowerOperator:
     """A compatible family of endomorphism matrices on a tower: the
     transition of level i+1 composed with the matrix equals the matrix of
@@ -99,17 +105,19 @@ class TowerOperator:
         for mat in matrices:
             if len(mat) != tower.rank or any(len(r) != tower.rank for r in mat):
                 raise ValueError("matrix rank mismatch")
-        for i in range(tower.depth - 1):
-            fn = tower.transition_entry(i)
-            pushed = mat_map(matrices[i + 1], fn)
-            if not mat_eq(pushed, matrices[i]):
-                raise ValueError(
-                    f"levels {i + 1} -> {i} do not commute with the transition")
+        i = incompatible_level(tower, matrices)
+        if i is not None:
+            raise ValueError(
+                f"levels {i + 1} -> {i} do not commute with the transition")
         self.tower = tower
         self.matrices = matrices
 
-    def level(self, i: int):
-        return self.matrices[i]
+    @classmethod
+    def unchecked(cls, tower: TowerModule, matrices: list) -> "TowerOperator":
+        """The family as given: a projector reports its compatibility."""
+        op = cls.__new__(cls)
+        op.tower, op.matrices = tower, matrices
+        return op
 
     def __repr__(self):
         return f"TowerOperator(depth={self.tower.depth}, rank={self.tower.rank})"
@@ -184,31 +192,34 @@ def ordinary_projector(op: TowerOperator) -> ProjectorReport:
     codecs = [ring.codes() for ring in tower.rings]
     coded = [mat_map(T, c.encode) for c, T in zip(codecs, op.matrices)]
     limits = [_stabilized_factorial_power(T, c) for c, T in zip(codecs, coded)]
-    steps = [st for _, st in limits]
-    proj = TowerOperator(tower, [mat_map(e, c.decode)
-                                 for c, (e, _) in zip(codecs, limits)])
-    report = ProjectorReport(op, proj, steps)
+    mats = [mat_map(e, c.decode) for c, (e, _) in zip(codecs, limits)]
+    report = ProjectorReport(
+        op, TowerOperator.unchecked(tower, mats),
+        [st for _, st in limits],
+        compatible=incompatible_level(tower, mats) is None)
     for c, T, (e, st) in zip(codecs, coded, limits):
         if not mat_eq(mat_mul(e, e, c), e):
             report.idempotent = False
-        if not mat_eq(mat_mul(e, T, c), mat_mul(T, e, c)):
+        Te = mat_mul(T, e, c)
+        if not mat_eq(mat_mul(e, T, c), Te):
             report.commutes = False
-        # invertibility on the image: some power of T acts as the identity
-        # there (the restriction generates a finite group)
-        # T restricted to im(e) is inverted by T^(f-1) e where T^f = e:
-        # verify the witness identity (T e)(T^(f-1) e) = e
+        # T restricted to im(e) is invertible, inverted by P e with
+        # P = T^(f-1) as T^f = e: verify the witness (T e)(P e) = e
         f = math.factorial(st + 1)
-        witness = mat_mul(mat_pow(T, f - 1, c), e, c)
-        if not mat_eq(mat_mul(mat_mul(T, e, c), witness, c), e):
+        P = mat_pow(T, f - 1, c)
+        if not mat_eq(mat_mul(Te, mat_mul(P, e, c), c), e):
             report.invertible_on_image = False
+        if not _vanishes_on_kernel(T, P, e, c):
+            report.vanishes_on_kernel = False
         report.invertibility_order.append(f)
-    if not factorial_powers_vanish(op, report):
-        report.vanishes_on_kernel = False
-    for i in range(tower.depth - 1):
-        fn = tower.transition_entry(i)
-        if not mat_eq(mat_map(proj.matrices[i + 1], fn), proj.matrices[i]):
-            report.compatible = False
     return report
+
+
+def _vanishes_on_kernel(T, P, e, c) -> bool:
+    """T^f (1 - e) = 0, tested as T^f e = T^f, for coded T, e and
+    P = T^(f-1); T^f = T P comes from T's own powers, never from e."""
+    Tf = mat_mul(T, P, c)
+    return mat_eq(mat_mul(Tf, e, c), Tf)
 
 
 def factorial_powers_vanish(op: TowerOperator, report: ProjectorReport) -> bool:
@@ -217,9 +228,9 @@ def factorial_powers_vanish(op: TowerOperator, report: ProjectorReport) -> bool:
     for ring, T, e, st in zip(op.tower.rings, op.matrices,
                               report.projector.matrices, report.steps):
         c = ring.codes()
-        stable = mat_pow(mat_map(T, c.encode), math.factorial(st + 1), c)
-        one_minus_e = mat_sub(mat_identity(c, len(T)), mat_map(e, c.encode), c)
-        if not mat_is_zero(mat_mul(stable, one_minus_e, c), c):
+        T = mat_map(T, c.encode)
+        P = mat_pow(T, math.factorial(st + 1) - 1, c)
+        if not _vanishes_on_kernel(T, P, mat_map(e, c.encode), c):
             return False
     return True
 

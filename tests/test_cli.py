@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from drinfeld import cache
-from drinfeld.basearith import finite_field, make_place, poly_T
+from drinfeld import cache, projector
+from drinfeld.basearith import finite_field, local_ring, make_place, poly_T
 from drinfeld.cli import main
 from drinfeld.hecke import enumerate_moduli
 from drinfeld.skew import SkewPoly
@@ -232,6 +232,36 @@ def test_projector_run_rejects_incompatible_levels(tmp_path, capsys):
     path.write_text(json.dumps(tower))
     code, _, err = run_cli(["projector", "run", "--tower", str(path)], capsys)
     assert code == 2 and "commute" in err
+
+
+def test_projector_run_reports_incompatible_projector(tmp_path, capsys,
+                                                     monkeypatch):
+    # a projector whose deeper level is replaced by the identity no longer
+    # reduces to the shallower one: a failed identity (exit 1, "ok": false),
+    # not a usage error
+    real = projector._stabilized_factorial_power
+    calls = []
+
+    def limit(mat, codec):
+        calls.append(mat)
+        e, step = real(mat, codec)
+        if len(calls) % 2 == 0:
+            e = projector.mat_identity(codec, len(mat))
+        return e, step
+
+    monkeypatch.setattr(projector, "_stabilized_factorial_power", limit)
+    place = make_place(poly_T(finite_field(3)))
+    L2 = local_ring(place, 2)
+    rep = projector.ordinary_projector(projector.reduction_tower(
+        place, [[L2.one, L2.one], [L2.zero, L2.varpi]], 2))
+    assert rep.compatible is False and not rep.ok
+    tower = {"format": 1, "q": 3, "varpi": "T", "depth": 2,
+             "matrix": [["1", "1"], ["0", "T"]]}
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(tower))
+    code, out, _ = run_cli(["projector", "run", "--tower", str(path)], capsys)
+    assert code == 1
+    assert json.loads(out)["ok"] is False
 
 
 def _truncate(path):

@@ -1,8 +1,12 @@
 import random
+import re
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from drinfeld.basearith import ext_field
+from drinfeld.checks import assert_orbit_invariance, check_correspondence
 from drinfeld.hecke import (admissible_weight_values, apply_u_by_table,
                             atkin_lehner, build_correspondence,
                             enumerate_moduli, operator_matrix,
@@ -183,5 +187,15 @@ def test_support_valuations():
 
 
 def test_ordinariness_is_orbit_invariant_by_sweep(place_TT1):
-    # enumerate_moduli raises if the sweep ever disagrees on an orbit
-    enumerate_moduli(place_TT1, 2)
+    # the correspondence-structure check sweeps every (g, delta) pair and
+    # raises, naming j, if one disagrees with the point of its orbit
+    assert check_correspondence(place_TT1, 2).passed
+    corr = build_correspondence(place_TT1, 2)
+    assert_orbit_invariance(corr)
+    p = corr.ordinary[0]
+    flipped = replace(p, ordinary=False)
+    wrong = SimpleNamespace(
+        ext=corr.ext, points=[flipped if q is p else q for q in corr.points])
+    witness = f"orbit-invariant at j = {re.escape(str(p.j))}$"
+    with pytest.raises(AssertionError, match=witness):
+        assert_orbit_invariance(wrong)

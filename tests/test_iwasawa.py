@@ -1,8 +1,10 @@
 import random
+from itertools import product
 
 import pytest
 
 from drinfeld.basearith import poly_T
+from drinfeld.checks import standard_places
 from drinfeld.iwasawa import (J_ideal, WeightChar, alpha, decompose,
                               determining_weights, duality_twist, filtration,
                               filtration_index_range, iota_eval,
@@ -240,3 +242,172 @@ def test_wild_generators_generate(place_T, place_TT1):
             assert _generated_subgroup(lv.ring, gens) == set(lv.wild_group)
             for g in gens:
                 assert (g - lv.ring.one).varpi_valuation() >= 1
+
+
+# -- the coded storage against a reference group algebra ------------------------
+#
+# The reference holds a measure on the full unit group as a dict
+# {unit: coefficient} of LocalElements, multiplies by naive convolution and
+# evaluates sum c * u^k with LocalElement powers.  Elements under test are
+# compared through `expand`.
+
+def _ref_add(x, y, op):
+    out = dict(x)
+    for u, c in y.items():
+        out[u] = op(out.get(u, u.ring.zero), c)
+    return {u: c for u, c in out.items() if not c.is_zero()}
+
+
+def _ref_mul(x, y):
+    out = {}
+    for u, a in x.items():
+        for v, b in y.items():
+            out[u * v] = out.get(u * v, u.ring.zero) + a * b
+    return {u: c for u, c in out.items() if not c.is_zero()}
+
+
+def _ref_scale(x, s):
+    return {u: c * s for u, c in x.items() if not (c * s).is_zero()}
+
+
+def _ref_eval(x, k, ring):
+    acc = ring.zero
+    for u, c in x.items():
+        acc = acc + c * u ** k
+    return acc
+
+
+def _ref_twist(x):
+    return {u.inverse(): c * u * u for u, c in x.items()}
+
+
+def _ref_reduce(x, ring):
+    out = {}
+    for u, c in x.items():
+        ru, rc = ring.from_apoly(u.value), ring.from_apoly(c.value)
+        out[ru] = out.get(ru, ring.zero) + rc
+    return {u: c for u, c in out.items() if not c.is_zero()}
+
+
+def _ref_record(lv, x):
+    """as_record of a measure, decomposed with LocalElement arithmetic: the
+    unit u = omega * v with omega = teichmuller(u) contributes chi(omega) c
+    at v to component chi; wild units print in coefficient-log order."""
+    t = lv.tame_order
+    comps = [{} for _ in range(t)]
+    for u, c in x.items():
+        omega = lv.ring.teichmuller(u)
+        a = lv.teich_powers.index(omega)
+        v = omega.inverse() * u
+        for chi in range(t):
+            w = lv.teich_powers[chi * a % t] * c
+            comps[chi][v] = comps[chi].get(v, lv.ring.zero) + w
+    tame = {}
+    for chi, comp in enumerate(comps):
+        keys = sorted((v for v in comp if not comp[v].is_zero()),
+                      key=lambda v: tuple(c.log for c in v.value.coeffs))
+        if keys:
+            tame[str(chi)] = {str(v.value): str(comp[v].value) for v in keys}
+    return {"level": lv.m, "tame": tame}
+
+
+def _assert_element_matches(lv, x, ref):
+    assert x.expand() == ref
+    assert repr(x.as_record()) == repr(_ref_record(lv, ref))
+    assert decompose(lv, ref) == x
+
+
+def _assert_unary_matches(lv, x, scalars, weights, lower):
+    ref = x.expand()
+    _assert_element_matches(lv, x, ref)
+    for s in scalars:
+        _assert_element_matches(lv, x * s, _ref_scale(ref, s))
+        assert s * x == x * s
+    for k in weights:
+        value = _ref_eval(ref, k, lv.ring)
+        assert specialize(x, k) == value
+        assert iota_eval(x, k) == value
+    _assert_element_matches(lv, duality_twist(x), _ref_twist(ref))
+    for m in lower:
+        low = iwasawa_level(lv.place, m)
+        _assert_element_matches(low, x.reduce_to(m),
+                                _ref_reduce(ref, low.ring))
+
+
+def _assert_binary_matches(x, y):
+    # records and round trips are covered element by element
+    rx, ry = x.expand(), y.expand()
+    assert (x + y).expand() == _ref_add(rx, ry, lambda a, b: a + b)
+    assert (x - y).expand() == _ref_add(rx, ry, lambda a, b: a - b)
+    assert (x * y).expand() == _ref_mul(rx, ry)
+
+
+@pytest.mark.parametrize("place_index", [0, 1])
+def test_level_one_matches_reference_exhaustively(place_index):
+    # every element of the 9- and 64-element level-1 algebras, and every pair
+    lv = iwasawa_level(standard_places()[place_index], 1)
+    units = list(lv.ring.units())
+    scalars = list(lv.ring.elements())
+    measures = [{u: c for u, c in zip(units, cs) if not c.is_zero()}
+                for cs in product(scalars, repeat=len(units))]
+    elements = [decompose(lv, mx) for mx in measures]
+    assert len(set(elements)) == len(elements) == len(scalars) ** len(units)
+    for x, mx in zip(elements, measures):
+        assert x.expand() == mx
+        _assert_unary_matches(lv, x, scalars, range(-3, 7), [1])
+        for y in elements:
+            _assert_binary_matches(x, y)
+
+
+@pytest.mark.parametrize("place_index", [0, 1])
+@pytest.mark.parametrize("m", [2, 3])
+def test_seeded_levels_match_reference(place_index, m):
+    lv = iwasawa_level(standard_places()[place_index], m)
+    rng = random.Random(41 + m)
+    scalars = [lv.ring.one, lv.ring.varpi, lv.teich_gen]
+    for _ in range(6):
+        x, y = lv.random_element(rng), lv.random_element(rng)
+        _assert_unary_matches(lv, x, scalars, range(-3, 7), range(1, m + 1))
+        _assert_binary_matches(x, y)
+        _assert_element_matches(lv, x ** 3, _ref_mul(
+            _ref_mul(x.expand(), x.expand()), x.expand()))
+
+
+@pytest.mark.parametrize("place_index", [0, 1])
+def test_unit_power_table_matches_local_powers(place_index):
+    for m in (1, 2, 3):
+        lv = iwasawa_level(standard_places()[place_index], m)
+        codes = lv.scalars
+        for u in lv.ring.units():
+            for k in range(-3, 7):
+                got = codes.decode(lv.unit_power(codes.encode(u), k))
+                assert got == u ** k
+
+
+def _head_random_components(lv, rng, support):
+    """The per-character {principal unit: coefficient} maps the dict-keyed
+    storage drew from the same generator."""
+    ring_elems = [lv.ring.from_apoly(a.value) for a in lv.ring.elements()]
+    comps = []
+    for _ in range(lv.tame_order):
+        mp = {}
+        for _ in range(rng.randrange(support + 1)):
+            u = lv.wild_group[rng.randrange(len(lv.wild_group))]
+            c = ring_elems[rng.randrange(len(ring_elems))]
+            mp[u] = mp.get(u, lv.ring.zero) + c
+        comps.append(mp)
+    return comps
+
+
+@pytest.mark.parametrize("place_index", [0, 1])
+def test_random_element_draws_as_before(place_index):
+    for m in (1, 2, 3):
+        lv = iwasawa_level(standard_places()[place_index], m)
+        for seed, support in ((0, 3), (1, 2), (5, 3)):
+            x = lv.random_element(random.Random(seed), support)
+            comps = _head_random_components(lv, random.Random(seed), support)
+            w = len(lv.wild_group)
+            for chi, comp in enumerate(comps):
+                for i, u in enumerate(lv.wild_group):
+                    c = lv.scalars.decode(x.codes[chi * w + i])
+                    assert c == comp.get(u, lv.ring.zero)

@@ -7,7 +7,7 @@ import pytest
 from drinfeld.basearith import APoly, local_ring, power
 from drinfeld.checks import standard_places
 from drinfeld.hecke import build_correspondence, operator_matrix
-from drinfeld.iwasawa import iwasawa_level, specialize
+from drinfeld.iwasawa import decompose, iwasawa_level, specialize
 from drinfeld.projector import (TowerModule, TowerOperator, constant_tower,
                                 control_check, factorial_powers_vanish,
                                 image_membership_identities,
@@ -302,12 +302,9 @@ def _small_rings(kind, place):
                 for k, which in _HECKE_TOWERS}
         return [(ext, list(ext.elements())) for ext in exts]
     lv = iwasawa_level(place, 1)
-    w = len(lv.wild_group)
-    elements = [
-        lv.from_components([{u: cs[chi * w + i]
-                             for i, u in enumerate(lv.wild_group)}
-                            for chi in range(lv.tame_order)])
-        for cs in product(list(lv.ring.elements()), repeat=lv.tame_order * w)]
+    units = list(lv.ring.units())
+    elements = [decompose(lv, dict(zip(units, cs)))
+                for cs in product(list(lv.ring.elements()), repeat=len(units))]
     return [(lv, elements)]
 
 
