@@ -50,7 +50,11 @@ class ElementCodes:
     pair (sums and products by unordered pair); a miss is filled by the
     ring's own element arithmetic, so no table is built up front and any
     ring size works.  Codes are canonical: two codes are equal exactly when
-    their elements are."""
+    their elements are.
+
+    A ring builds one codec, holding only zero and one, and owns it for its
+    lifetime (`ring.codes()`), so every caller shares what earlier ones
+    filled.  Each memo holds at most |R|^2 pairs."""
 
     def __init__(self, ring):
         self.zero, self.one = 0, 1
@@ -764,9 +768,10 @@ class LocalRing:
         self.zero = LocalElement(self, APoly(place.field, []))
         self.one = LocalElement(self, APoly(place.field, [place.field.one]))
         self.varpi = LocalElement(self, place.varpi)
+        self._codes = ElementCodes(self)
 
     def codes(self) -> ElementCodes:
-        return ElementCodes(self)
+        return self._codes
 
     def from_apoly(self, a: APoly) -> LocalElement:
         return LocalElement(self, a)
@@ -868,6 +873,7 @@ class FieldExt:
         self.zero = self.field.zero
         self.one = self.field.one
         self._residue_iso = None
+        self._codes = ElementCodes(self)
 
     @property
     def size(self) -> int:
@@ -877,7 +883,7 @@ class FieldExt:
         return x ** (self.q ** e)
 
     def codes(self) -> ElementCodes:
-        return ElementCodes(self)
+        return self._codes
 
     def elements(self):
         return self.field.elements()

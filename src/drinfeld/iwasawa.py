@@ -6,19 +6,20 @@ filtration certifying the profinite structure.
 A level-m element is stored in its semilocal decomposition, one wild
 group-algebra component per tame character of the residue field units,
 as a flat tuple of scalar codes: character-major, then by wild-group
-position.  The codes come from the one `ElementCodes` over A/(varpi^m)
-that the level owns, so coefficient arithmetic is a memo lookup, in the
-manner of Zech logarithms.  Tables built on first use map a unit code to
-its (tame exponent, wild position) and give u^k by code.  Weight
-specialization reads off a single component; the independent evaluation
-route expands the element over the full unit group first.
+position.  The codes come from the one `ElementCodes` that the ring
+A/(varpi^m) owns, shared with the projector's matrices over that ring, so
+coefficient arithmetic is a memo lookup, in the manner of Zech logarithms.
+Tables built on first use map a unit code to its (tame exponent, wild
+position) and give u^k by code.  Weight specialization reads off a single
+component; the independent evaluation route expands the element over the
+full unit group first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from operator import attrgetter
+from operator import attrgetter, ge
 from types import SimpleNamespace
 
 from .basearith import LocalElement, PrimePlace, local_ring, power
@@ -52,6 +53,10 @@ class IwasawaLevel:
         self.zero = IwasawaElement(self, (0,) * (self.tame_order * self.width))
         self.one = IwasawaElement(
             self, self._dirac_codes(0, self.wild_index[self.ring.one]))
+        self._codec = SimpleNamespace(
+            zero=self.zero.codes, one=self.one.codes,
+            encode=attrgetter("codes"), decode=partial(IwasawaElement, self),
+            add=self.add, sub=self.sub, mul=self.mul)
 
     def _find_teich_generator(self) -> LocalElement:
         for u in sorted(self.ring.units(), key=_local_key):
@@ -157,11 +162,9 @@ class IwasawaLevel:
         return tuple(out)
 
     def codes(self) -> SimpleNamespace:
-        """The projector's codec: an element's code is its own tuple."""
-        return SimpleNamespace(zero=self.zero.codes, one=self.one.codes,
-                               encode=attrgetter("codes"),
-                               decode=partial(IwasawaElement, self),
-                               add=self.add, sub=self.sub, mul=self.mul)
+        """The projector's codec, one per level: an element's code is its
+        own tuple."""
+        return self._codec
 
     def __repr__(self):
         return f"IwasawaLevel({self.place}, m={self.m})"
@@ -501,7 +504,9 @@ class MonomialIdeal:
     gens: tuple
 
     def contains_monomial(self, mono: tuple) -> bool:
-        return any(all(m >= g for m, g in zip(mono, gen)) for gen in self.gens)
+        """Some generator divides mono: every exponent is at least the
+        generator's."""
+        return any(all(map(ge, mono, gen)) for gen in self.gens)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         return all(self.contains_monomial(g) for g in other.gens)

@@ -5,18 +5,19 @@ projector e(T) = lim T^(n!), with the control-style compatibility checks
 Towers hold plain row lists of ring elements; levels of a tower may live
 over different rings connected by entrywise transition maps.  The matrix
 arithmetic works on codes instead: every matrix ring's `codes()` returns
-a codec (`zero`, `one`, `encode`, `decode`, `add`, `sub`, `mul`) with
-canonical codes, so `==` on codes is equality of elements; it is fresh per
-call except an `IwasawaLevel`'s, which lives as long as the level.  The
-three entry points below encode their input matrices once, compute on
-codes, and decode only the matrices they report.
+the ring's own codec (`zero`, `one`, `encode`, `decode`, `add`, `sub`,
+`mul`), the same object on every call and for the ring's lifetime, with
+canonical codes, so `==` on codes is equality of elements.  The three
+entry points below encode their input matrices once, compute on codes,
+and decode only the matrices they report.  Products skip zero codes, so a
+sparse (in the Hecke towers, monomial) matrix costs one codec product per
+pair of nonzero entries that meet.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 from .basearith import LocalRing, local_ring, power
 
@@ -33,10 +34,21 @@ def mat_identity(codec, n: int):
 
 
 def mat_mul(a, b, codec):
-    """The product of two coded square matrices."""
-    add, mul = codec.add, codec.mul
-    cols = list(zip(*b))
-    return [[reduce(add, map(mul, row, col)) for col in cols] for row in a]
+    """The product of two coded matrices, row by row (Gustavson's sparse
+    product): each nonzero a[i][k] adds a[i][k] * b[k][j] over the nonzero
+    entries of row k of b only, into a row that starts at `codec.zero`."""
+    zero, add, mul = codec.zero, codec.add, codec.mul
+    width = len(b[0]) if b else 0
+    rows_b = [[(j, y) for j, y in enumerate(row) if y != zero] for row in b]
+    out = []
+    for row in a:
+        acc = [zero] * width
+        for x, row_b in zip(row, rows_b):
+            if x != zero:
+                for j, y in row_b:
+                    acc[j] = add(acc[j], mul(x, y))
+        out.append(acc)
+    return out
 
 
 def mat_eq(a, b) -> bool:
@@ -172,13 +184,17 @@ def _stabilized_factorial_power(mat, codec):
     """The limit of T^(n!) in the finite matrix monoid, on codes: iterate
     S <- S^(n+1) and stop at the first idempotent iterate, which is the
     unique idempotent of the cyclic subsemigroup generated by the matrix
-    and therefore equals every later factorial power.  Returns
-    (limit, stop step)."""
+    and therefore equals every later factorial power.  The square computed
+    for the idempotence test starts the next power:
+    S^(n+1) = (S^2)^((n+1)//2) * S^((n+1)%2).  Returns (limit, stop step)."""
     cur = mat
     for step in range(1, FACTORIAL_STEP_CAP + 1):
-        if mat_eq(mat_mul(cur, cur, codec), cur):
+        sq = mat_mul(cur, cur, codec)
+        if mat_eq(sq, cur):
             return cur, step
-        cur = mat_pow(cur, step + 1, codec)
+        half, odd = divmod(step + 1, 2)
+        nxt = mat_pow(sq, half, codec)
+        cur = mat_mul(nxt, cur, codec) if odd else nxt
     raise RuntimeError(
         f"factorial iteration did not stabilize within {FACTORIAL_STEP_CAP} steps")
 

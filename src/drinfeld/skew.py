@@ -10,8 +10,8 @@ and its callers assume without probing:
   `q`, `qpow(x, e)`, `from_int(c)`, `embed_fq(c)` (F_q -> R), `gamma_T`
   and `gamma_eval(a)` (the structure map A -> R);
 * matrix rings (LocalRing, FieldExt, IwasawaLevel) expose `zero`, `one`
-  and `codes()`, the codec of the projector's matrix arithmetic (see
-  `projector`, which says how long each codec lives);
+  and `codes()`, the codec of the projector's matrix arithmetic, which
+  the ring owns for its lifetime;
 * every element answers `is_zero()`, and coefficient elements also answer
   `is_unit()` and `inverse()`.
 """

@@ -9,7 +9,8 @@ from drinfeld.iwasawa import (J_ideal, WeightChar, alpha, decompose,
                               determining_weights, duality_twist, filtration,
                               filtration_index_range, iota_eval,
                               iwasawa_level, maximal_ideal_kills_quotient,
-                              monomial_str, quotient_basis, specialize)
+                              monomial_str, power_containment_degree,
+                              quotient_basis, specialize)
 
 
 @pytest.fixture()
@@ -200,6 +201,29 @@ def test_chain_is_decreasing_and_killed():
             I, J = filtration(s, r), filtration(s, r + 1)
             assert I.contains_ideal(J)
             assert maximal_ideal_kills_quotient(I, J)
+
+
+def test_containment_matches_componentwise_definition():
+    # mono lies in a monomial ideal iff mono - gen has no negative exponent
+    # for some generator; checked on every monomial up to one degree past
+    # the containment degree of every chain ideal
+    from drinfeld.iwasawa import _monomials_of_degree
+    seen = set()
+    for s in range(1, 5):
+        for r in range(filtration_index_range(s) + 1):
+            I = filtration(s, r)
+            D = power_containment_degree(I)
+            for deg in range(D + 2):
+                for mono in _monomials_of_degree(I.nvars, deg):
+                    want = any(min(m - g for m, g in zip(mono, gen)) >= 0
+                               for gen in I.gens)
+                    assert I.contains_monomial(mono) is want, (s, r, mono)
+                    assert want or deg < D, (s, r, mono)
+                    seen.add(want)
+            assert D == 0 or not all(
+                I.contains_monomial(mono)
+                for mono in _monomials_of_degree(I.nvars, D - 1))
+    assert seen == {True, False}
 
 
 def test_out_of_range_rejected():

@@ -4,7 +4,8 @@ from itertools import product
 
 import pytest
 
-from drinfeld.basearith import APoly, local_ring, power
+from drinfeld.basearith import (APoly, ElementCodes, ext_field, local_ring,
+                                power)
 from drinfeld.checks import standard_places
 from drinfeld.hecke import build_correspondence, operator_matrix
 from drinfeld.iwasawa import decompose, iwasawa_level, specialize
@@ -150,8 +151,8 @@ def test_projector_properties(worked):
     assert factorial_powers_vanish(worked, rep)
 
 
-@pytest.mark.parametrize("e", range(20))
-def test_mat_pow_product_count(e, L2, monkeypatch):
+def _counted_products(monkeypatch):
+    """A list that grows by one per call of projector.mat_mul."""
     from drinfeld import projector
     calls = []
 
@@ -160,11 +161,82 @@ def test_mat_pow_product_count(e, L2, monkeypatch):
         return mat_mul(a, b, codec)
 
     monkeypatch.setattr(projector, "mat_mul", counting_mul)
+    return calls
+
+
+@pytest.mark.parametrize("e", range(20))
+def test_mat_pow_product_count(e, L2, monkeypatch):
+    calls = _counted_products(monkeypatch)
     c = L2.codes()
     M = _coded([[L2.one, L2.one], [L2.zero, L2.varpi]], c)
     mat_pow(M, e, c)
     expected = (e.bit_length() - 1) + (bin(e).count("1") - 1) if e else 0
     assert len(calls) == expected
+
+
+def _matrix_rings(place):
+    """(ring, draw of a nonzero element) for the three kinds of matrix ring
+    the projector runs over: A/(varpi^2), a residue extension and an
+    Iwasawa level."""
+    out = []
+    for ring in (local_ring(place, 2), ext_field(place, 2)):
+        nonzero = [x for x in ring.elements() if x != ring.zero]
+        out.append((ring, lambda rng, pool=nonzero: rng.choice(pool)))
+    lv = iwasawa_level(place, 2)
+
+    def draw(rng):
+        x = lv.zero
+        while x == lv.zero:
+            x = lv.random_element(rng, support=2)
+        return x
+    out.append((lv, draw))
+    return out
+
+
+@pytest.mark.parametrize("place_index", [0, 1])
+@pytest.mark.parametrize("density", [0, 0.1, 0.5, 1])
+def test_sparse_product_matches_reference(place_index, density):
+    rng = random.Random(23)
+    for ring, draw in _matrix_rings(standard_places()[place_index]):
+        c = ring.codes()
+
+        def rand(rows, cols):
+            return [[draw(rng) if rng.random() < density else ring.zero
+                     for _ in range(cols)] for _ in range(rows)]
+        for n, mid, m in [(1, 1, 1), (5, 5, 5), (2, 3, 4)]:
+            for _ in range(3):
+                a, b = rand(n, mid), rand(mid, m)
+                if n > 1:
+                    # an all-zero row and column on each side
+                    a[1] = [ring.zero] * mid
+                    b[0] = [ring.zero] * m
+                    for row in a:
+                        row[-1] = ring.zero
+                    for row in b:
+                        row[0] = ring.zero
+                got = mat_mul(_coded(a, c), _coded(b, c), c)
+                assert mat_map(got, c.decode) == _ref_mat_mul(a, b, ring)
+
+
+# (place, seed, stop step, products): a non-final step n costs the square
+# of the idempotence test plus the ladder for (n+1)//2 on it, and one more
+# product when n+1 is odd; the stop step costs its square alone
+@pytest.mark.parametrize("place_index,seed,stop,products",
+                         [(0, 9, 2, 2), (0, 2, 3, 4), (0, 7, 4, 6),
+                          (0, 6, 6, 12), (1, 1, 7, 16), (0, 0, 13, 41)])
+def test_factorial_ladder_product_count(place_index, seed, stop, products,
+                                        monkeypatch):
+    from drinfeld.projector import _stabilized_factorial_power
+    place = standard_places()[place_index]
+    L2 = local_ring(place, 2)
+    elems = list(L2.elements())
+    rng = random.Random(seed)
+    T = [[rng.choice(elems) for _ in range(3)] for _ in range(3)]
+    c = L2.codes()
+    calls = _counted_products(monkeypatch)
+    _, step = _stabilized_factorial_power(_coded(T, c), c)
+    assert (step, len(calls)) == (stop, products)
+    _assert_projector_matches_reference(constant_tower(L2, T))
 
 
 def test_idempotent_equals_for_powers(worked, place_T, L2):
@@ -325,6 +397,45 @@ def test_codec_matches_ring_arithmetic(kind, place_index):
                 assert c.decode(c.add(cx, cy)) == x + y
                 assert c.decode(c.sub(cx, cy)) == x - y
                 assert c.decode(c.mul(cx, cy)) == x * y
+
+
+@pytest.mark.parametrize("place_index", [0, 1])
+def test_codes_are_owned_by_the_ring(place_index):
+    place = standard_places()[place_index]
+    for ring in (local_ring(place, 2), ext_field(place, 2),
+                 iwasawa_level(place, 2)):
+        assert ring.codes() is ring.codes()
+    for m in (1, 2, 3):
+        assert iwasawa_level(place, m).scalars is local_ring(place, m).codes()
+
+
+def test_repeated_control_check_builds_no_codec(place_T, monkeypatch):
+    lv = iwasawa_level(place_T, 2)
+    rng = random.Random(3)
+    M = [[lv.random_element(rng, support=2) for _ in range(3)]
+         for _ in range(3)]
+
+    def run():
+        return control_check(M, lv, lambda x: specialize(x, 3), lv.ring)
+    first = run()
+    built = []
+    init = ElementCodes.__init__
+
+    def counting_init(self, ring):
+        built.append(ring)
+        init(self, ring)
+
+    monkeypatch.setattr(ElementCodes, "__init__", counting_init)
+    memo = {name: len(getattr(lv.scalars, name))
+            for name in ("_sums", "_diffs", "_prods")}
+    again = run()
+    assert built == []
+    # nothing left to refill: every product was filled by the first run
+    assert memo == {name: len(getattr(lv.scalars, name)) for name in memo}
+    assert (again.specialized_projector, again.projector_of_specialized,
+            again.images_agree) == (first.specialized_projector,
+                                    first.projector_of_specialized,
+                                    first.images_agree)
 
 
 def _assert_projector_matches_reference(op):
