@@ -1,10 +1,14 @@
 """Exact arithmetic for F_q, A = F_q[T], truncated completions A/(varpi^n),
-finite extensions of the residue field, and monogenic Artinian test rings.
+finite extensions of the residue field, and truncated polynomial rings
+R[x]/(x^N): the monogenic Artinian test rings k'[eps]/(eps^n) and the
+series rings over them.
 
 All values are immutable; sharing across tasks is safe.  Field elements are
 discrete-log encoded against a fixed primitive element (Zech logarithms),
-polynomials are coefficient tuples, local and Artinian elements carry their
-ring handle.  Everything is exact; there is no floating point anywhere.
+polynomials are coefficient tuples, local and truncated elements carry their
+ring handle.  Truncated elements and the twisted polynomials of `skew`
+share one coefficient-tuple core, `CoeffTuple`.  Everything is exact; there
+is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -118,6 +122,69 @@ def join_terms(pairs, var: str) -> str:
             mono = var if i == 1 else f"{var}^{i}"
             terms.append(mono if cs == "1" else f"{wrapped}*{mono}")
     return "+".join(terms) or "0"
+
+
+class CoeffTuple:
+    """The shared core of polynomial-like elements stored as a coefficient
+    tuple, low degree first, with trailing zeros trimmed (the zero element
+    has no coefficients and degree -1).  Subclasses supply `_coerce` (the
+    other operand as an element of the same ring, or None), `_coeff_zero`,
+    the variable name `var` and their own product."""
+
+    __slots__ = ("ring", "coeffs")
+
+    def __init__(self, ring, coeffs):
+        elems = list(coeffs)
+        while elems and elems[-1].is_zero():
+            elems.pop()
+        self.ring = ring
+        self.coeffs = tuple(elems)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def coefficient(self, i: int):
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self._coeff_zero
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        a, b = self.coeffs, o.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return type(self)(self.ring, [x + y for x, y in zip(a, b)] + list(a[len(b):]))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)(self.ring, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and other.ring is self.ring
+                and other.coeffs == self.coeffs)
+
+    def __hash__(self):
+        return hash((id(self.ring), self.coeffs))
+
+    def __str__(self):
+        return join_terms(((i, str(c)) for i, c in enumerate(self.coeffs)), self.var)
 
 
 # ---------------------------------------------------------------------------
@@ -843,33 +910,20 @@ def local_reduce(a: APoly, place: PrimePlace, n: int) -> LocalElement:
 
 class FieldExt:
     """Finite extension of degree m over the residue field of a place,
-    realized as F_{q^{dm}} with a distinguished image gamma_T of T.
+    realized as F_{q^{dm}} with a distinguished image gamma_T of T: the
+    first root of varpi, so the base has characteristic the place."""
 
-    When char_p is set, gamma_T is a root of varpi (the base has
-    characteristic the place); otherwise it is the first non-root."""
-
-    def __init__(self, place: PrimePlace, m: int, char_p: bool = True):
+    def __init__(self, place: PrimePlace, m: int):
         if m < 1:
             raise ValueError("extension degree must be >= 1")
         self.place = place
         self.m = m
-        self.char_p = char_p
         base = place.field
         self.field = finite_field(base.p, base.n * place.d * m)
         self.embed_fq = self.field.embedding_from(base)
         self.q = place.q
-        gamma = None
-        for x in self.field.elements():
-            val = place.varpi.eval_in(x, self.embed_fq)
-            if char_p and val.is_zero():
-                gamma = x
-                break
-            if not char_p and not val.is_zero():
-                gamma = x
-                break
-        if gamma is None:
-            raise ValueError("no suitable image of T in the extension")
-        self.gamma_T = gamma
+        self.gamma_T = next(x for x in self.field.elements()
+                            if place.varpi.eval_in(x, self.embed_fq).is_zero())
         self.zero = self.field.zero
         self.one = self.field.one
         self._residue_iso = None
@@ -909,180 +963,190 @@ class FieldExt:
             raise ValueError(f"{x} is not in the residue subfield") from None
 
     def __repr__(self):
-        tag = "char-p" if self.char_p else "generic"
-        return f"FieldExt({self.place}, m={self.m}, {tag})"
+        return f"FieldExt({self.place}, m={self.m})"
 
 
 _EXTS: dict[tuple, FieldExt] = {}
 
 
-def ext_field(place: PrimePlace, m: int, char_p: bool = True) -> FieldExt:
-    key = (place.key(), m, char_p)
+def ext_field(place: PrimePlace, m: int) -> FieldExt:
+    key = (place.key(), m)
     if key not in _EXTS:
-        _EXTS[key] = FieldExt(place, m, char_p)
+        _EXTS[key] = FieldExt(place, m)
     return _EXTS[key]
 
 
 # ---------------------------------------------------------------------------
-# monogenic Artinian rings k'[eps]/(eps^n) with eps = image of varpi
+# truncated polynomial rings R[x]/(x^N): Artinian rings k'[eps]/(eps^n) with
+# eps = image of varpi, and the series rings of the pullback trace
 # ---------------------------------------------------------------------------
 
-class ArtinElement:
-    """Element of an ArtinRing: a truncated polynomial in eps with residue
-    field coefficients, low degree first."""
+class TruncPoly(CoeffTuple):
+    """Element of a TruncPolyRing: a coefficient tuple cut at N and trimmed,
+    multiplied with truncation at N."""
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, ring: "ArtinRing", coeffs):
-        n = ring.nilpotency
-        elems = list(coeffs)[:n]
-        elems += [ring.residue.zero] * (n - len(elems))
-        self.ring = ring
-        self.coeffs = tuple(elems)
+    def __init__(self, ring: "TruncPolyRing", coeffs):
+        super().__init__(ring, list(coeffs)[:ring.N])
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+    @property
+    def var(self) -> str:
+        return self.ring.var
 
-    def __bool__(self):
-        return not self.is_zero()
-
-    def residue(self) -> FFElement:
-        return self.coeffs[0]
+    @property
+    def _coeff_zero(self):
+        return self.ring.coeff_ring.zero
 
     def _coerce(self, other):
-        if isinstance(other, ArtinElement):
-            if other.ring is not self.ring:
-                raise ValueError("different Artinian rings")
-            return other
-        if isinstance(other, int):
-            return self.ring.from_int(other)
-        if isinstance(other, FFElement):
-            return self.ring.from_fq(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ArtinElement(self.ring, [a + b for a, b in zip(self.coeffs, o.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ArtinElement(self.ring, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        """Elements of this ring, ints, and constants from the coefficient
+        ring; None for anything else."""
+        ring = self.ring
+        if isinstance(other, TruncPoly):
+            if other.ring is ring:
+                return other
+            if other.ring is not ring.coeff_ring:
+                raise ValueError("elements of different truncated rings")
+        elif isinstance(other, int):
+            return ring.from_int(other)
+        elif not isinstance(other, FFElement):
+            return None
+        return ring.from_coeff(other)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = self.ring.nilpotency
-        zero = self.ring.residue.zero
-        out = [zero] * n
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
+        N = self.ring.N
+        a, b = self.coeffs, o.coeffs
+        out = [self._coeff_zero] * min(N, len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x.is_zero():
                 continue
-            for j, b in enumerate(o.coeffs):
-                if i + j < n:
-                    out[i + j] = out[i + j] + a * b
-        return ArtinElement(self.ring, out)
+            for j, y in enumerate(b[:N - i]):
+                out[i + j] = out[i + j] + x * y
+        return TruncPoly(self.ring, out)
 
     __rmul__ = __mul__
-
-    def is_unit(self) -> bool:
-        return not self.coeffs[0].is_zero()
-
-    def inverse(self) -> "ArtinElement":
-        if not self.is_unit():
-            raise ZeroDivisionError("not a unit")
-        z = self.ring.from_fq(self.coeffs[0].inverse())
-        two = self.ring.one + self.ring.one
-        for _ in range(self.ring.nilpotency + 1):
-            z = z * (two - self * z)
-        return z
 
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
         return power(self, e, self.ring.one)
 
+    def residue(self):
+        return self.coefficient(0)
+
+    def is_unit(self) -> bool:
+        return bool(self.coeffs) and self.coeffs[0].is_unit()
+
     def in_maximal_ideal(self) -> bool:
-        return self.coeffs[0].is_zero()
+        return not self.is_unit()
 
-    def __eq__(self, other):
-        return (isinstance(other, ArtinElement) and other.ring is self.ring
-                and other.coeffs == self.coeffs)
+    def inverse(self) -> "TruncPoly":
+        """Newton iteration z -> z*(2 - x*z) from the inverse of the
+        constant term; each step doubles the number of correct terms."""
+        if not self.is_unit():
+            raise ZeroDivisionError(f"{self} is not a unit")
+        ring = self.ring
+        z = ring.from_coeff(self.coeffs[0].inverse())
+        two = ring.from_int(2)
+        correct = 1
+        while correct < ring.N:
+            z = z * (two - self * z)
+            correct *= 2
+        return z
 
-    def __hash__(self):
-        return hash((id(self.ring), self.coeffs))
+    def eps_divisible(self) -> bool:
+        """Whether eps divides self: in an ArtinRing the constant term
+        vanishes, and over one every coefficient is eps-divisible."""
+        if isinstance(self.ring, ArtinRing):
+            return self.in_maximal_ideal()
+        return all(c.eps_divisible() for c in self.coeffs)
 
-    def __str__(self):
-        return join_terms(((i, str(c)) for i, c in enumerate(self.coeffs)), "eps")
+    def eps_quotient(self) -> "TruncPoly":
+        """self/eps, shifting eps-digits down (coefficientwise over an
+        ArtinRing); a distinguished representative modulo the annihilator
+        of eps."""
+        if isinstance(self.ring, ArtinRing):
+            if not self.in_maximal_ideal():
+                raise ValueError(f"{self} is not divisible by eps")
+            return TruncPoly(self.ring, self.coeffs[1:])
+        return TruncPoly(self.ring, [c.eps_quotient() for c in self.coeffs])
 
     def __repr__(self):
-        return f"Artin({self})"
+        return f"Trunc({self})"
 
 
-class ArtinRing:
-    """k'[eps]/(eps^n), local with maximal ideal (eps), together with the
-    structure map A -> R sending varpi exactly to eps (Hensel-adjusted
-    gamma_T).  In particular varpi^n = 0 holds in the ring."""
+class TruncPolyRing:
+    """R[var]/(var^N) over a coefficient ring R.  The generator is the
+    attribute named after the variable (`R.eps`, `S.X`)."""
+
+    var = "x"
+
+    def __init__(self, coeff_ring, N: int):
+        if N < 1:
+            raise ValueError(f"truncation order {N} must be >= 1")
+        self.coeff_ring = coeff_ring
+        self.N = N
+        self.zero = TruncPoly(self, [])
+        self.one = TruncPoly(self, [coeff_ring.one])
+        setattr(self, self.var, TruncPoly(self, [coeff_ring.zero, coeff_ring.one]))
+
+    def from_coeff(self, c) -> TruncPoly:
+        return TruncPoly(self, [c])
+
+    def from_int(self, c: int) -> TruncPoly:
+        return self.from_coeff(self.coeff_ring.from_int(c))
+
+    def elements(self):
+        for coeffs in product(self.coeff_ring.elements(), repeat=self.N):
+            yield TruncPoly(self, coeffs)
+
+    def __repr__(self):
+        return f"{self.coeff_ring!r}[{self.var}]/({self.var}^{self.N})"
+
+
+class ArtinRing(TruncPolyRing):
+    """k'[eps]/(eps^n) over the degree-m residue extension k', local with
+    maximal ideal (eps), together with the structure map A -> R sending
+    varpi exactly to eps (Hensel-adjusted gamma_T).  In particular
+    varpi^n = 0 holds in the ring."""
+
+    var = "eps"
 
     def __init__(self, place: PrimePlace, m: int, nilpotency: int):
-        if nilpotency < 1:
-            raise ValueError("nilpotency order must be >= 1")
+        super().__init__(ext_field(place, m), nilpotency)
         self.place = place
-        self.residue = ext_field(place, m, char_p=True)
-        self.nilpotency = nilpotency
         self.q = place.q
-        zero_f = self.residue.zero
-        one_f = self.residue.one
-        self.zero = ArtinElement(self, [zero_f])
-        self.one = ArtinElement(self, [one_f])
-        self.eps = ArtinElement(self, [zero_f, one_f]) if nilpotency > 1 else self.zero
         self.gamma_T = self._hensel_gamma()
 
-    def from_fq(self, c: FFElement) -> ArtinElement:
-        return ArtinElement(self, [c])
+    def from_fq(self, c: FFElement) -> TruncPoly:
+        """The residue-field element c as a constant."""
+        return self.from_coeff(c)
 
-    def embed_fq(self, c) -> ArtinElement:
+    def embed_fq(self, c) -> TruncPoly:
         """F_q -> R through the residue field."""
-        return self.from_fq(self.residue.embed_fq(c))
+        return self.from_coeff(self.coeff_ring.embed_fq(c))
 
-    def from_int(self, c: int) -> ArtinElement:
-        return self.embed_fq(self.place.field.from_int(c))
-
-    def _hensel_gamma(self) -> ArtinElement:
+    def _hensel_gamma(self) -> TruncPoly:
+        """The root of varpi(g) = eps over the residue root gamma_T, by
+        Newton's iteration (varpi is separable, so varpi'(g) is a unit)."""
         varpi = self.place.varpi
         dpoly = varpi.derivative()
-        g = self.from_fq(self.residue.gamma_T)
-        for _ in range(self.nilpotency + 1):
+        g = self.from_coeff(self.coeff_ring.gamma_T)
+        for _ in range(self.N + 1):
             f_val = varpi.eval_in(g, self.embed_fq) - self.eps
             if f_val.is_zero():
                 return g
             g = g - f_val * dpoly.eval_in(g, self.embed_fq).inverse()
-        f_val = varpi.eval_in(g, self.embed_fq) - self.eps
-        if not f_val.is_zero():  # pragma: no cover - Newton converges here
-            raise RuntimeError("could not adjust gamma_T to send varpi to eps")
-        return g
+        raise RuntimeError("could not adjust gamma_T to send varpi to eps")
 
-    def gamma_eval(self, a: APoly) -> ArtinElement:
+    def gamma_eval(self, a: APoly) -> TruncPoly:
         return a.eval_in(self.gamma_T, self.embed_fq)
 
-    def qpow(self, x: ArtinElement, e: int = 1) -> ArtinElement:
+    def qpow(self, x: TruncPoly, e: int = 1) -> TruncPoly:
         return x ** (self.q ** e)
-
-    def elements(self):
-        for coeffs in product(self.residue.elements(), repeat=self.nilpotency):
-            yield ArtinElement(self, coeffs)
 
     def maximal_ideal(self):
         for x in self.elements():
@@ -1091,10 +1155,7 @@ class ArtinRing:
 
     @property
     def size(self) -> int:
-        return self.residue.size ** self.nilpotency
-
-    def __repr__(self):
-        return f"ArtinRing({self.residue.field!r}[eps]/(eps^{self.nilpotency}))"
+        return self.coeff_ring.size ** self.N
 
 
 def artin_ring(place: PrimePlace, m: int, nilpotency: int) -> ArtinRing:

@@ -9,9 +9,10 @@ in deg(M) instead of exponential.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
-from .basearith import (APoly, ArtinElement, ArtinRing, PrimePlace, all_monic,
-                        join_terms, power)
+from .basearith import (APoly, ArtinRing, PrimePlace, TruncPoly, TruncPolyRing,
+                        all_monic)
 from .skew import PolyRing, SkewPoly
 
 
@@ -81,106 +82,17 @@ def all_places(field, max_degree: int):
 # truncated power series and the pullback trace
 # ---------------------------------------------------------------------------
 
-class TruncSeriesRing:
-    """R[X]/(X^N) for an Artinian coefficient ring R; elements are fixed
-    coefficient tuples, multiplication truncates at N."""
+class TruncSeriesRing(TruncPolyRing):
+    """R[X]/(X^N) over an ArtinRing R, the ring the pullback trace lives on."""
 
-    def __init__(self, coeff_ring: ArtinRing, N: int):
-        self.coeff_ring = coeff_ring
-        self.N = N
-        self.zero = TruncSeries(self, [])
-        self.one = TruncSeries(self, [coeff_ring.one])
-        self.X = TruncSeries(self, [coeff_ring.zero, coeff_ring.one])
-
-    def from_coeff(self, c: ArtinElement) -> "TruncSeries":
-        return TruncSeries(self, [c])
-
-    def __repr__(self):
-        return f"TruncSeriesRing({self.coeff_ring!r}, N={self.N})"
-
-
-class TruncSeries:
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring: TruncSeriesRing, coeffs):
-        elems = list(coeffs)[:ring.N]
-        while elems and elems[-1].is_zero():
-            elems.pop()
-        self.ring = ring
-        self.coeffs = tuple(elems)
-
-    def coefficient(self, i: int) -> ArtinElement:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.ring.coeff_ring.zero
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return TruncSeries(self.ring,
-                           [self.coefficient(i) + other.coefficient(i) for i in range(n)])
-
-    def __neg__(self):
-        return TruncSeries(self.ring, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, ArtinElement):
-            return TruncSeries(self.ring, [c * other for c in self.coeffs])
-        N = self.ring.N
-        zero = self.ring.coeff_ring.zero
-        out = [zero] * min(N, max(len(self.coeffs) + len(other.coeffs) - 1, 0))
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j >= N:
-                    break
-                out[i + j] = out[i + j] + a * b
-        return TruncSeries(self.ring, out)
-
-    def __pow__(self, e: int):
-        return power(self, e, self.ring.one)
-
-    def eps_divisible(self) -> bool:
-        """Whether every coefficient lies in the maximal ideal (eps)."""
-        return all(c.in_maximal_ideal() for c in self.coeffs)
-
-    def eps_quotient(self) -> "TruncSeries":
-        """Divide by eps coefficientwise (shift of eps-digits; the result is
-        a distinguished representative modulo the annihilator of eps)."""
-        R = self.ring.coeff_ring
-        out = []
-        for c in self.coeffs:
-            if not c.in_maximal_ideal():
-                raise ValueError("series is not divisible by eps")
-            out.append(ArtinElement(R, list(c.coeffs[1:]) + [R.residue.zero]))
-        return TruncSeries(self.ring, out)
-
-    def is_unit(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[0].is_unit()
-
-    def __eq__(self, other):
-        return (isinstance(other, TruncSeries) and other.ring is self.ring
-                and other.coeffs == self.coeffs)
-
-    def __hash__(self):
-        return hash((id(self.ring), self.coeffs))
-
-    def __str__(self):
-        return join_terms(((i, str(c)) for i, c in enumerate(self.coeffs)), "X")
-
-    def __repr__(self):
-        return f"Series({self})"
+    var = "X"
 
 
 @dataclass(frozen=True)
 class TraceReport:
     place: PrimePlace
     series_ring: TruncSeriesRing
-    pullback: TruncSeries                 # [varpi](X) in the series ring
+    pullback: TruncPoly                   # [varpi](X) in the series ring
     traces: tuple                         # trace of each basis element, in the ring
     quotients: tuple                      # varpi^{-1} * trace representatives
     generates_unit_ideal: bool
@@ -207,7 +119,7 @@ def trace_of_carlitz_pullback(place: PrimePlace, ring: TruncSeriesRing) -> Trace
     if ring.N < qd * qd:
         raise ValueError(f"truncation {ring.N} below q^(2d) = {qd * qd}; "
                          "multiplication matrices would be inexact")
-    if R.nilpotency < 2:
+    if R.N < 2:
         raise ValueError("coefficient nilpotency must be at least 2")
     pull = carlitz_eval(place.varpi, R)  # sum c_j X^(q^j), c_d = 1, c_0 = eps
     c = [pull.coefficient(j) for j in range(place.d + 1)]
@@ -241,12 +153,9 @@ def trace_of_carlitz_pullback(place: PrimePlace, ring: TruncSeriesRing) -> Trace
     for s in range(qd):
         if s > 0:
             basis_images = [mult_by_X(v) for v in basis_images]
-        diag = []
-        for i in range(qd):
-            diag.append(basis_images[i][i])
         tr_poly = []
-        for dp in diag:
-            tr_poly = _poly_add(tr_poly, dp, R)
+        for i in range(qd):
+            tr_poly = _poly_add(tr_poly, basis_images[i][i], R)
         trace = _substitute(ring, tr_poly, pull_series)
         if not trace.eps_divisible():
             raise AssertionError(
@@ -259,34 +168,20 @@ def trace_of_carlitz_pullback(place: PrimePlace, ring: TruncSeriesRing) -> Trace
 
 
 def _poly_add(a: list, b: list, R: ArtinRing) -> list:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else R.zero
-        y = b[i] if i < len(b) else R.zero
-        out.append(x + y)
-    return out
+    return [x + y for x, y in zip_longest(a, b, fillvalue=R.zero)]
 
 
 def _substitution_powers(ring: TruncSeriesRing, pull: SkewPoly, qd: int):
     """Powers 1, y, y^2, ... of the pullback series, enough for y-degree
     q^d - 1."""
-    y = ring.zero
-    for j, coeff in enumerate(pull.coeffs):
-        if coeff.is_zero():
-            continue
-        mono = [ring.coeff_ring.zero] * (pull.ring.q ** j) + [coeff]
-        y = y + TruncSeries(ring, mono)
+    q = pull.ring.q
+    y = sum((ring.X ** (q ** j) * c for j, c in enumerate(pull.coeffs)), ring.zero)
     powers = [ring.one]
     for _ in range(qd - 1):
         powers.append(powers[-1] * y)
     return powers
 
 
-def _substitute(ring: TruncSeriesRing, ypoly: list, powers) -> TruncSeries:
-    acc = ring.zero
-    for a, coeff in enumerate(ypoly):
-        if coeff.is_zero():
-            continue
-        acc = acc + powers[a] * coeff
-    return acc
+def _substitute(ring: TruncSeriesRing, ypoly: list, powers) -> TruncPoly:
+    return sum((powers[a] * c for a, c in enumerate(ypoly) if not c.is_zero()),
+               ring.zero)

@@ -42,6 +42,13 @@ class CheckResult:
             f" ({self.details})" if self.details else "")
 
 
+def require(cond, message: str) -> None:
+    """Raise AssertionError(message) unless cond holds; unlike a bare
+    assert, it survives python -O, so no check can pass without checking."""
+    if not cond:
+        raise AssertionError(message)
+
+
 def _run(check_id: str, description: str, fn) -> CheckResult:
     t0 = time.time()
     try:
@@ -60,7 +67,7 @@ def _run(check_id: str, description: str, fn) -> CheckResult:
 def check_carlitz_profile(place: PrimePlace) -> CheckResult:
     def body():
         prof = carlitz_coefficient_profile(place)
-        assert prof.ok
+        require(prof.ok, "coefficient profile is off")
         return f"deg {place.d}, {len(prof.middle)} middle coefficients"
     return _run("carlitz-linear-coefficient",
                 f"action polynomial profile at {place}", body)
@@ -92,21 +99,25 @@ def check_torsion_dichotomy(place: PrimePlace) -> CheckResult:
                 subs = stable_order_qd_subgroups(E)
                 if E.is_ordinary():
                     etale = [H for H in subs if H.kind.value == "etale"]
-                    assert len(subs) == 2 and len(etale) == 1
+                    require(len(subs) == 2 and len(etale) == 1,
+                            f"{len(subs)} subgroups at j = {E.j_invariant()}")
                     u = etale[0].u
-                    assert not u.constant().is_zero()  # separable: q^d roots
+                    require(not u.constant().is_zero(), "inseparable kernel")
                     r = splitting_degree(u, ext)
                     if ext.size ** r <= 4096:
                         big = ext_field(place, ext.m * r)
                         tor = E.torsion_points(1, big)
-                        assert tor.count == qd and tor.complete
-                        assert tor.is_cyclic()
+                        require(tor.count == qd and tor.complete,
+                                f"{tor.count} of {qd} torsion points rational")
+                        require(tor.is_cyclic(), "non-cyclic torsion")
                 else:
-                    assert len(subs) == 1
+                    require(len(subs) == 1,
+                            f"{len(subs)} subgroups at j = {E.j_invariant()}")
                     pv = E.phi_eval(place.varpi)
-                    assert pv.tau_valuation() == 2 * place.d
+                    require(pv.tau_valuation() == 2 * place.d,
+                            f"twist valuation {pv.tau_valuation()}")
                     tor = E.torsion_points(1, ext)
-                    assert tor.count == 1
+                    require(tor.count == 1, f"{tor.count} torsion points")
                 checked += 1
         return f"{checked} modules"
     return _run("torsion-dichotomy",
@@ -119,11 +130,12 @@ def check_trace_divisibility(place: PrimePlace) -> CheckResult:
         R = artin_ring(place, 1, 2)
         S = TruncSeriesRing(R, qd * qd + 1)
         rep = trace_of_carlitz_pullback(place, S)
-        assert rep.ok
+        require(rep.ok, "a basis trace is not divisible by varpi")
         if place.q == 3 and place.d == 1:
             minus_two = R.embed_fq(place.field.from_int(-2))
             expect = S.from_coeff(R.eps * minus_two)
-            assert rep.traces[2] == expect
+            require(rep.traces[2] == expect,
+                    f"trace of X^2 is {rep.traces[2]}, expected {expect}")
         return f"rank {qd}, truncation {S.N}"
     return _run("pullback-trace-divisibility",
                 f"basis traces of the X -> [varpi](X) pullback at {place}",
@@ -139,9 +151,9 @@ def check_serre_tate(place: PrimePlace, m: int = 2, nilpotency: int = 2) -> Chec
         R = artin_ring(place, m, nilpotency)
         datum = constant_lift(E0, R, nilpotency - 1)
         rep = lift_independence_check(datum)
-        assert rep.ok
+        require(rep.ok, f"{len(rep.violations)} lift-independence violations")
         for v in rep.values.values():
-            assert v.in_maximal_ideal()
+            require(v.in_maximal_ideal(), f"deformation value {v} is a unit")
         return (f"{rep.torsion_count} torsion points, "
                 f"{rep.perturbations_checked} lift perturbations"
                 + ("" if rep.exhaustive else " (sampled)"))
@@ -168,17 +180,17 @@ def check_correspondence(place: PrimePlace, m: int) -> CheckResult:
         f_map = {}
         for p in corr.ordinary:
             e = corr.edges_from(p, "F")[0]
-            assert e.dst.j == p.j ** qd
+            require(e.dst.j == p.j ** qd, f"F edge from j = {p.j} misses j^(q^d)")
             f_map[p.j] = e.dst.j
         v_map = {p.j: corr.edges_from(p, "V")[0].dst.j for p in corr.ordinary}
         for j, j2 in f_map.items():
-            assert v_map[j2] == j  # inverse permutations
+            require(v_map[j2] == j, f"V edge from {j2} does not return to {j}")
         atkin_lehner(corr)
         U0 = operator_matrix(corr, 0, "U", locus="ordinary")
         F0 = operator_matrix(corr, 0, "F", locus="ordinary")
-        assert mat_eq(U0.transpose().rows, F0.rows)
+        require(mat_eq(U0.transpose().rows, F0.rows), "U^T != F in weight 0")
         kinds = {e.kind for e in corr.edges}
-        assert kinds <= {"F", "V"}
+        require(kinds <= {"F", "V"}, f"edge kinds {sorted(kinds)}")
         return (f"{len(corr.ordinary)} ordinary, "
                 f"{len(corr.supersingular)} supersingular, "
                 f"{len(corr.edges)} edges")
@@ -198,8 +210,8 @@ def check_weight_homogeneity(place: PrimePlace, m: int,
                 vals = admissible_weight_values(corr, k, U.work_ext, rng)
                 direct = apply_u_by_table(corr, k, vals, U.work_ext)
                 got = U.apply([vals[p.j] for p in U.index])
-                for i, p in enumerate(U.index):
-                    assert got[i] == direct[p.j]
+                require(got == [direct[p.j] for p in U.index],
+                        f"weight {k}: matrix and table disagree")
         return f"weights {list(weights)}"
     return _run("weight-homogeneity",
                 f"operator respects weight-k homogeneity at {place}, m={m}",
@@ -212,12 +224,13 @@ def check_u_ordinarity(place: PrimePlace, m: int,
         corr = build_correspondence(place, m)
         for k in weights:
             U = operator_matrix(corr, k, "U")
-            assert not U.determinant().is_zero()
+            require(not U.determinant().is_zero(), f"U singular at k = {k}")
         U0 = operator_matrix(corr, 0, "U")
         rep = ordinary_projector(constant_tower(U0.work_ext, U0.rows))
-        assert rep.ok
-        assert mat_eq(rep.projector.matrices[0],
-                      mat_identity(U0.work_ext, U0.size))
+        require(rep.ok, "projector of U in weight 0 fails its properties")
+        require(mat_eq(rep.projector.matrices[0],
+                       mat_identity(U0.work_ext, U0.size)),
+                "projector of U in weight 0 is not the identity")
         return f"invertible for k in {list(weights)}; projector is identity"
     return _run("u-ordinarity",
                 f"etale-part operator invertible on the ordinary locus at "
@@ -229,13 +242,13 @@ def check_hecke_support(place: PrimePlace, m: int) -> CheckResult:
         corr = build_correspondence(place, m)
         f_edges = {id(e) for e in corr.edges if e.kind == "F"}
         v_edges = {id(e) for e in corr.edges if e.kind == "V"}
-        assert not (f_edges & v_edges)
+        require(not (f_edges & v_edges), "an edge is both F and V")
         vals = {k: support_valuations(k) for k in (-2, -1, 0, 1, 2, 3)}
         for k, v in vals.items():
             if k <= 0:
-                assert v["F"] == 0 and v["V"] > 0
+                require(v["F"] == 0 and v["V"] > 0, f"weight {k}: {v}")
             if k >= 2:
-                assert v["V"] == 0 and v["F"] > 0
+                require(v["V"] == 0 and v["F"] > 0, f"weight {k}: {v}")
         return "edge supports disjoint; normalization bookkeeping consistent"
     return _run("hecke-support",
                 f"connected/etale parts have disjoint edge support at "
@@ -245,13 +258,13 @@ def check_hecke_support(place: PrimePlace, m: int) -> CheckResult:
 def check_iwasawa_filtration(s_max: int = 4, r_max: int = 12) -> CheckResult:
     def body():
         basis = quotient_basis(J_ideal(3, 2), J_ideal(3, 3))
-        assert len(basis) == 11
+        require(len(basis) == 11, f"{len(basis)} corner monomials")
         for s in range(1, s_max + 1):
             top = min(r_max, filtration_index_range(s) - 1)
             for r in range(top + 1):
                 I, J = filtration(s, r), filtration(s, r + 1)
-                assert I.contains_ideal(J)
-                assert maximal_ideal_kills_quotient(I, J)
+                require(I.contains_ideal(J), f"chain breaks at ({s}, {r})")
+                require(maximal_ideal_kills_quotient(I, J), f"({s}, {r}) not killed")
         return f"chain indices r <= {r_max}, generators s <= {s_max}; " \
                "corner quotient basis has 11 monomials"
     return _run("iwasawa-filtration",
@@ -269,7 +282,8 @@ def check_iwasawa_specialization(place: PrimePlace, m_max: int = 3,
             for _ in range(100 // m_max):
                 x = lv.random_element(rng)
                 for k in range(-3, 7):
-                    assert specialize(x, k) == iota_eval(x, k)
+                    require(specialize(x, k) == iota_eval(x, k),
+                            f"routes disagree at level {m}, weight {k}")
                     total += 1
         return f"{total} weight evaluations agree along both routes"
     return _run("iwasawa-specialization",
@@ -282,7 +296,7 @@ def check_determining_weights(place: PrimePlace, m_max: int = 3) -> CheckResult:
         ranks = []
         for m in range(1, m_max + 1):
             ds = determining_weights(place, m)
-            assert ds.ok
+            require(ds.ok, f"level {m}: rank {ds.rank} not saturated")
             ranks.append((m, len(ds.weights), ds.rank))
         return "; ".join(f"level {m}: |K|={k}, rank {r}" for m, k, r in ranks)
     return _run("iwasawa-determining-weights",
@@ -296,9 +310,10 @@ def check_duality_twist(place: PrimePlace, m: int = 2, seed: int = 0) -> CheckRe
         rng = random.Random(seed)
         for _ in range(50):
             x = lv.random_element(rng)
-            assert duality_twist(duality_twist(x)) == x
+            require(duality_twist(duality_twist(x)) == x, "not an involution")
             for k in (-2, 0, 1, 2, 3, 5):
-                assert specialize(duality_twist(x), k) == specialize(x, 2 - k)
+                require(specialize(duality_twist(x), k) == specialize(x, 2 - k),
+                        f"twist does not swap weights {k} and {2 - k}")
         return "involution and weight swap k -> 2-k on 50 random elements"
     return _run("duality-weight-swap",
                 f"twist is an involution exchanging weights k and 2-k at "
@@ -311,12 +326,12 @@ def check_projector_worked_example(place: PrimePlace) -> CheckResult:
         M = [[L2.one, L2.one], [L2.zero, L2.varpi]]
         op = reduction_tower(place, M, 2)
         rep = ordinary_projector(op)
-        assert rep.ok
+        require(rep.ok, "worked-example projector fails")
         expected = [[L2.one, L2.one + L2.varpi], [L2.zero, L2.zero]]
-        assert mat_eq(rep.projector.matrices[-1], expected)
-        assert factorial_powers_vanish(op, rep)
+        require(mat_eq(rep.projector.matrices[-1], expected), "wrong projector")
+        require(factorial_powers_vanish(op, rep), "powers do not vanish")
         lf = local_finiteness_report(op)
-        assert all(level["stable"] for level in lf)
+        require(all(level["stable"] for level in lf), "not locally finite")
         return f"stabilized at steps {rep.steps}"
     return _run("projector-worked-example",
                 f"2x2 projector over the depth-2 truncation at {place}", body)
@@ -329,17 +344,17 @@ def check_projector_hecke_towers(place: PrimePlace, m: int) -> CheckResult:
         for which in ("F", "U", "T"):
             M = operator_matrix(corr, 0, which)
             rep = ordinary_projector(constant_tower(M.work_ext, M.rows))
-            assert rep.ok
+            require(rep.ok, f"projector of {which} fails its properties")
             count += 1
             if _residue_entries(M):
                 lifted = _teichmuller_lift(M, place, depth=2)
                 rep2 = ordinary_projector(lifted)
-                assert rep2.ok
+                require(rep2.ok, f"lifted {which} projector fails")
                 count += 1
         for k in (-2, 2, 3, 5):
             M = operator_matrix(corr, k, "U")
             rep = ordinary_projector(constant_tower(M.work_ext, M.rows))
-            assert rep.ok
+            require(rep.ok, f"projector of U fails at k = {k}")
             count += 1
         return f"{count} towers"
     return _run("projector-hecke-towers",
@@ -373,7 +388,7 @@ def check_projector_random(place: PrimePlace, count: int = 100,
             M = [[elems[rng.randrange(len(elems))] for _ in range(4)]
                  for _ in range(4)]
             rep = ordinary_projector(reduction_tower(place, M, 2))
-            assert rep.ok
+            require(rep.ok, "a random tower projector fails its properties")
         return f"{count} random 4x4 depth-2 towers"
     return _run("projector-random-towers",
                 f"projector properties on random towers at {place}", body)
@@ -392,14 +407,14 @@ def check_projector_control(place: PrimePlace, m: int = 2,
             for k in (0, 2, 3):
                 cr = control_check(M, lv, lambda x, kk=k: specialize(x, kk),
                                    lv.ring)
-                assert cr.ok
+                require(cr.ok, f"base change fails at k = {k}")
                 cases += 1
         # the worked rank-one case: unit on the diagonal against varpi
         u = lv.wild_group[min(1, len(lv.wild_group) - 1)]
         M = [[lv.one, lv.one], [lv.zero, lv.dirac(u) * lv.ring.varpi]]
         for k in (0, 2, 5):
             cr = control_check(M, lv, lambda x, kk=k: specialize(x, kk), lv.ring)
-            assert cr.ok
+            require(cr.ok, f"rank-one base change fails at k = {k}")
             cases += 1
         return f"{cases} base-change comparisons"
     return _run("projector-control",

@@ -272,7 +272,9 @@ def cmd_projector_run(args) -> int:
 
 def cmd_suite(args) -> int:
     if args.q is None:
-        configs = [(pl, 2) for pl in standard_places()]
+        if args.m < 1:
+            raise UsageError("extension degree m must be >= 1")
+        configs = [(pl, args.m) for pl in standard_places()]
     else:
         if args.varpi is None:
             raise UsageError("--varpi is required when --q is given")

@@ -99,7 +99,7 @@ def enumerate_moduli(place: PrimePlace, m: int):
     coarse coordinate j (zero first, then by log) with its canonical
     representative, split into (ordinary, supersingular) by its Hasse
     invariant; the correspondence-structure check sweeps the orbits."""
-    ext = ext_field(place, m, char_p=True)
+    ext = ext_field(place, m)
     ordinary_pts, ss_pts = [], []
     for j in ext.elements():
         rep = canonical_representative(ext, j)
@@ -117,7 +117,7 @@ def build_correspondence(place: PrimePlace, m: int) -> Correspondence:
     each one; counts, the Frobenius twist and the graph structure are
     asserted during the build."""
     ordinary_pts, ss_pts = enumerate_moduli(place, m)
-    ext = ext_field(place, m, char_p=True)
+    ext = ext_field(place, m)
     index = {p.j: p for p in ordinary_pts + ss_pts}
     d = place.d
     edges = []
@@ -269,7 +269,7 @@ def _working_extension(corr: Correspondence, k: int, max_steps: int = 8):
     weight factor exists."""
     place, m = corr.place, corr.m
     for t in range(1, max_steps + 1):
-        ext = ext_field(place, m * t, char_p=True)
+        ext = ext_field(place, m * t)
         scales = {}
         ok = True
         for e in corr.edges:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .basearith import APoly, FieldExt, PrimePlace, power
-from .skew import (SkewPoly, is_stable_divisor, kernel_points, right_divide,
+from .skew import (SkewPoly, kernel_points, right_divide,
                    stable_right_divisors, tau)
 
 
@@ -106,7 +106,7 @@ class DrinfeldModule:
             "delta": str(self.delta),
             "j": str(self.j_invariant()),
         }
-        if isinstance(self.base, FieldExt) and self.is_char_p():
+        if isinstance(self.base, FieldExt):  # characteristic the place
             rec["hasse"] = str(self.hasse_invariant())
             rec["ordinary"] = self.is_ordinary()
         return rec
@@ -178,9 +178,9 @@ class DrinfeldModule:
         also the etale kernel V'/lc(V'), where phi(varpi) = V * t^d =
         t^d * V' and V' is V with its coefficients raised to the q^-d
         power.  Listed in the order divisor enumeration produces them.
-        Each kernel is verified to be an A-stable divisor of phi(varpi);
-        a kernel that is not violates the identity and raises
-        AssertionError naming j and u."""
+        Each kernel is verified to divide phi(varpi) and, by the stability
+        division SubgroupScheme makes, to be A-stable; a kernel that is not
+        violates the identity and raises AssertionError naming j and u."""
         d = self.place.d
         _, V = self.frobenius_verschiebung()
         kernels = [tau(self.base, d)]
@@ -188,24 +188,27 @@ class DrinfeldModule:
             # q^(dm) fixes the degree-m extension, so q^(d(m-1)) inverts q^d
             Vp = V.poly.coeff_qpow(d * (self.base.m - 1))
             kernels.append(SkewPoly(self.base, [Vp.coeffs[-1].inverse()]) * Vp)
-        phi_T, phi_varpi = self.phi_T(), self.phi_eval(self.place.varpi)
+        phi_varpi = self.phi_eval(self.place.varpi)
+        subgroups = []
         for u in kernels:
-            if not is_stable_divisor(u, phi_T, phi_varpi):
+            H = None
+            if right_divide(phi_varpi, u)[1].is_zero():
+                try:
+                    H = SubgroupScheme(self, u)
+                except ValueError:  # u is not A-stable
+                    pass
+            if H is None:
                 raise AssertionError(
                     f"closed-form kernel u = {u} at j = {self.j_invariant()} "
                     "is not an A-stable divisor of phi(varpi)")
-        return [SubgroupScheme(self, u) for u in kernels]
+            subgroups.append(H)
+        return subgroups
 
     def quotient_by_kernel(self, H: "SubgroupScheme") -> "Isogeny":
         """The isogeny E -> E/H given by the kernel polynomial u of H: the
-        target action phi' solves phi'(T)*u = u*phi(T) by coefficient
-        matching; fails with a witness when H is not A-stable."""
-        u = H.u
-        w = u * self.phi_T()
-        quot, rem = right_divide(w, u)
-        if not rem.is_zero():
-            raise ValueError(f"kernel polynomial {u} is not A-stable: "
-                             f"remainder {rem}")
+        target action phi'(T) is the quotient of u*phi(T) by u that H kept
+        from its stability check."""
+        u, quot = H.u, H.action
         if quot.degree != 2:
             raise ValueError(f"quotient action has twist degree {quot.degree}")
         b0 = quot.coefficient(0)
@@ -223,18 +226,21 @@ class SubgroupKind(Enum):
 
 class SubgroupScheme:
     """A finite A-stable subgroup scheme of E, presented by a monic kernel
-    polynomial u; its order is q^deg(u)."""
+    polynomial u; its order is q^deg(u).  `action` is the quotient
+    (u*phi(T))/u, the action of T on E/H."""
 
-    __slots__ = ("parent", "u", "kind")
+    __slots__ = ("parent", "u", "action", "kind")
 
     def __init__(self, parent: DrinfeldModule, u: SkewPoly):
         if not u.is_monic():
             raise ValueError("kernel polynomial must be monic")
-        _, rem = right_divide(u * parent.phi_T(), u)
+        action, rem = right_divide(u * parent.phi_T(), u)
         if not rem.is_zero():
-            raise ValueError(f"kernel polynomial {u} is not A-stable")
+            raise ValueError(f"kernel polynomial {u} is not A-stable: "
+                             f"remainder {rem}")
         self.parent = parent
         self.u = u
+        self.action = action
         v = u.tau_valuation()
         if v == u.degree:
             self.kind = SubgroupKind.CONNECTED

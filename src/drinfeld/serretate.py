@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .basearith import APoly, ArtinElement, ArtinRing, FieldExt, PrimePlace
+from .basearith import APoly, ArtinRing, FieldExt, PrimePlace
 from .modules import DrinfeldModule
 from .skew import tau
 
@@ -35,23 +35,20 @@ class DeformationDatum:
     def __post_init__(self):
         if not isinstance(self.E0.base, FieldExt):
             raise ValueError("E0 must live over a field")
-        if not self.E0.is_char_p():
-            raise ValueError("E0 must have characteristic the place")
         if not self.E0.is_ordinary():
             raise ValueError("E0 must be ordinary")
         if self.E.base is not self.R:
             raise ValueError("E must live over R")
         if self.n < 1:
             raise ValueError("torsion depth must be >= 1")
-        if self.n + 1 > self.R.nilpotency:
+        if self.n + 1 > self.R.N:
             raise ValueError(
                 f"depth {self.n} exceeds the nilpotency bound: need "
-                f"varpi^{self.n + 1} = 0, ring has eps^{self.R.nilpotency} = 0")
-        if self.R.residue is not self.E0.base:
+                f"varpi^{self.n + 1} = 0, ring has eps^{self.R.N} = 0")
+        if self.R.coeff_ring is not self.E0.base:
             raise ValueError("R must have residue field the base of E0")
         for name in ("g", "delta"):
-            lifted: ArtinElement = getattr(self.E, name)
-            if lifted.residue() != getattr(self.E0, name):
+            if getattr(self.E, name).residue() != getattr(self.E0, name):
                 raise ValueError(f"E does not reduce to E0 at {name}")
 
     @property

@@ -8,19 +8,24 @@ and its callers assume without probing:
 
 * coefficient rings (FieldExt, ArtinRing, PolyRing) expose `zero`, `one`,
   `q`, `qpow(x, e)`, `from_int(c)`, `embed_fq(c)` (F_q -> R), `gamma_T`
-  and `gamma_eval(a)` (the structure map A -> R);
+  and `gamma_eval(a)` (the structure map A -> R); their elements are
+  FFElement, TruncPoly and APoly;
 * matrix rings (LocalRing, FieldExt, IwasawaLevel) expose `zero`, `one`
   and `codes()`, the codec of the projector's matrix arithmetic, which
   the ring owns for its lifetime;
 * every element answers `is_zero()`, and coefficient elements also answer
   `is_unit()` and `inverse()`.
+
+SkewPoly shares its coefficient-tuple core (trimming, `coefficient`, `+`,
+`-`, `==`, hash, printing) with TruncPoly through `basearith.CoeffTuple`;
+only the twisted product is its own.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .basearith import APoly, FiniteField, FieldExt, join_terms, power
+from .basearith import APoly, CoeffTuple, FiniteField, FieldExt, power
 
 
 class PolyRing:
@@ -50,30 +55,16 @@ class PolyRing:
         return f"PolyRing(F_{self.q}[T])"
 
 
-class SkewPoly:
-    """sum(c_i t^i) with the twist t*c = c^q*t; immutable."""
+class SkewPoly(CoeffTuple):
+    """sum(c_i t^i) with the twist t*c = c^q*t; immutable.  `ring` is the
+    coefficient ring."""
 
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring, coeffs):
-        elems = list(coeffs)
-        while elems and elems[-1].is_zero():
-            elems.pop()
-        self.ring = ring
-        self.coeffs = tuple(elems)
+    __slots__ = ()
+    var = "t"
 
     @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def coefficient(self, i: int):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.ring.zero
+    def _coeff_zero(self):
+        return self.ring.zero
 
     def constant(self):
         return self.coefficient(0)
@@ -88,7 +79,7 @@ class SkewPoly:
                 return i
         return -1
 
-    def _check(self, other) -> "SkewPoly":
+    def _coerce(self, other) -> "SkewPoly":
         if isinstance(other, SkewPoly):
             if other.ring is not self.ring:
                 raise ValueError("twisted polynomials over different rings")
@@ -97,22 +88,8 @@ class SkewPoly:
             return SkewPoly(self.ring, [self.ring.from_int(other)])
         return SkewPoly(self.ring, [other])
 
-    def __add__(self, other):
-        other = self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return SkewPoly(self.ring,
-                        [self.coefficient(i) + other.coefficient(i) for i in range(n)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SkewPoly(self.ring, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-self._check(other))
-
     def __mul__(self, other):
-        other = self._check(other)
+        other = self._coerce(other)
         if self.is_zero() or other.is_zero():
             return SkewPoly(self.ring, [])
         ring = self.ring
@@ -127,7 +104,7 @@ class SkewPoly:
         return SkewPoly(ring, out)
 
     def __rmul__(self, other):
-        return self._check(other) * self
+        return self._coerce(other) * self
 
     def __pow__(self, e: int):
         return power(self, e, SkewPoly(self.ring, [self.ring.one]))
@@ -149,16 +126,6 @@ class SkewPoly:
         """Coefficientwise q^e-power (base change along Frobenius)."""
         return SkewPoly(self.ring, [self.ring.qpow(c, e) for c in self.coeffs])
 
-    def __eq__(self, other):
-        return (isinstance(other, SkewPoly) and other.ring is self.ring
-                and other.coeffs == self.coeffs)
-
-    def __hash__(self):
-        return hash((id(self.ring), self.coeffs))
-
-    def __str__(self):
-        return join_terms(((i, str(c)) for i, c in enumerate(self.coeffs)), "t")
-
     def __repr__(self):
         return f"Skew({self})"
 
@@ -166,10 +133,6 @@ class SkewPoly:
 def tau(ring, e: int = 1) -> SkewPoly:
     """The twist generator t^e."""
     return SkewPoly(ring, [ring.zero] * e + [ring.one])
-
-
-def constant(ring, c) -> SkewPoly:
-    return SkewPoly(ring, [c])
 
 
 def right_divide(u: SkewPoly, v: SkewPoly) -> tuple[SkewPoly, SkewPoly]:

@@ -148,7 +148,7 @@ def parse_ext_element(ext, s: str) -> FFElement:
 def parse_artin(ring: ArtinRing, s: str):
     symbols = {
         "eps": ring.eps,
-        "a": ring.from_fq(ring.residue.field.gen()),
+        "a": ring.from_fq(ring.coeff_ring.field.gen()),
     }
     return _Parser(_tokenize(s), symbols, ring.from_int).parse()
 
@@ -161,7 +161,7 @@ def parse_skew(ring, s: str):
     symbols = {"t": SkewPoly(ring, [ring.zero, ring.one])}
     if isinstance(ring, ArtinRing):
         symbols["eps"] = SkewPoly(ring, [ring.eps])
-        symbols["a"] = SkewPoly(ring, [ring.from_fq(ring.residue.field.gen())])
+        symbols["a"] = SkewPoly(ring, [ring.from_fq(ring.coeff_ring.field.gen())])
     else:
         symbols["a"] = SkewPoly(ring, [ring.field.gen()])
 

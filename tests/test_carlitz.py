@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from drinfeld.basearith import (APoly, apoly, artin_ring, finite_field,
-                                make_place, poly_T)
-from drinfeld.carlitz import (TruncSeries, TruncSeriesRing, all_places,
+from drinfeld.basearith import (APoly, TruncPoly, apoly, artin_ring,
+                                finite_field, make_place, poly_T)
+from drinfeld.carlitz import (TruncSeriesRing, all_places,
                               carlitz_coefficient_profile, carlitz_eval,
                               trace_of_carlitz_pullback)
 from drinfeld.skew import PolyRing, SkewPoly
@@ -138,7 +138,7 @@ def test_trace_decomposition_substitutes_back(place_T):
     y = S.zero
     for j, c in enumerate(pull.coeffs):
         mono = [R.zero] * (R.q ** j) + [c]
-        y = y + TruncSeries(S, mono)
+        y = y + TruncPoly(S, mono)
     x_qd = S.X ** (place_T.q ** place_T.d)
     lower = S.zero
     for j in range(place_T.d):

@@ -203,6 +203,19 @@ def test_suite_small_config(capsys):
     assert out.count("[pass]") >= 15
 
 
+def test_suite_m_at_standard_places(capsys):
+    code, out, _ = run_cli(["suite", "--m", "1"], capsys)
+    assert code == 0
+    headers = [l for l in out.splitlines() if l.startswith("== suite at")]
+    assert len(headers) == 2
+    assert all(h.endswith(", m=1") for h in headers)
+
+
+def test_suite_rejects_m_zero(capsys):
+    code, _, err = run_cli(["suite", "--m", "0"], capsys)
+    assert code == 2 and "m must be >= 1" in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "drinfeld", "carlitz", "profile", "--q", "2",

@@ -5,14 +5,33 @@ from types import SimpleNamespace
 
 import pytest
 
+from drinfeld import modules, skew
 from drinfeld.basearith import ext_field
-from drinfeld.checks import assert_orbit_invariance, check_correspondence
+from drinfeld.checks import (assert_orbit_invariance, check_correspondence,
+                             standard_places)
 from drinfeld.hecke import (admissible_weight_values, apply_u_by_table,
                             atkin_lehner, build_correspondence,
                             enumerate_moduli, operator_matrix,
                             support_valuations)
 from drinfeld.projector import mat_eq
-from drinfeld.skew import tau
+from drinfeld.skew import right_divide, tau
+
+
+def test_closed_form_kernel_costs_two_divisions(monkeypatch):
+    # per edge: u | phi(varpi), and the stability division whose quotient
+    # SubgroupScheme keeps as the target action; every binding is counted
+    calls = []
+
+    def counted(u, v):
+        calls.append((u, v))
+        return right_divide(u, v)
+
+    monkeypatch.setattr(modules, "right_divide", counted)
+    monkeypatch.setattr(skew, "right_divide", counted)
+    for place in standard_places():
+        calls.clear()
+        corr = build_correspondence(place, 2)
+        assert len(calls) == 2 * len(corr.edges), place
 
 
 def test_enumerate_m1(place_T):
