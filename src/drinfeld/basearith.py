@@ -14,7 +14,7 @@ is no floating point anywhere.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
 MAX_FIELD_SIZE = 1 << 16
@@ -656,13 +656,12 @@ def smallest_factor(f: APoly) -> APoly | None:
 # the prime place
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrimePlace:
+class PrimePlace(namedtuple("PrimePlace", "varpi d")):
     """The data (q, varpi, d) fixing the base A = F_q[T] and the prime
-    ideal (varpi); varpi is monic irreducible of degree d."""
+    ideal (varpi); varpi is a monic irreducible APoly of degree d.  An
+    immutable record, hashed by `key()`."""
 
-    varpi: APoly
-    d: int
+    __slots__ = ()
 
     @property
     def field(self) -> FiniteField:

@@ -2,14 +2,16 @@
 
 Records carry a header (format version, configuration, content hash) and a
 body; the hash is recomputed on load and stale or corrupted records are
-rejected."""
+rejected.
+
+Only `hecke graph --cache` reaches this module's functions, so `hashlib`
+and `tempfile` are imported inside the functions that use them: every
+other command starts without paying for them."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import tempfile
 
 FORMAT_VERSION = 1
 
@@ -23,6 +25,8 @@ def _canonical(body) -> str:
 
 
 def body_hash(body) -> str:
+    """sha256 of the canonical JSON text of `body`."""
+    import hashlib
     return hashlib.sha256(_canonical(body).encode()).hexdigest()
 
 
@@ -39,6 +43,7 @@ def save_record(path: str, config: dict, body) -> dict:
     os.makedirs(directory, exist_ok=True)
     # write beside the target and rename over it, so that a reader never
     # sees a half-written record
+    import tempfile
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -69,5 +74,5 @@ def load_record(path: str, config: dict | None = None):
 
 
 def cache_path(cache_dir: str, kind: str, config: dict) -> str:
-    tag = hashlib.sha256(_canonical(config).encode()).hexdigest()[:16]
+    tag = body_hash(config)[:16]
     return os.path.join(cache_dir, f"{kind}-{tag}.json")

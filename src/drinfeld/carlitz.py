@@ -8,7 +8,7 @@ in deg(M) instead of exponential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import zip_longest
 
 from .basearith import (APoly, ArtinRing, PrimePlace, TruncPoly, TruncPolyRing,
@@ -29,14 +29,14 @@ def carlitz_eval(M: APoly, base) -> SkewPoly:
     return result
 
 
-@dataclass(frozen=True)
-class CoefficientProfile:
-    place: PrimePlace
-    poly: SkewPoly          # [varpi](X) over A
-    linear: APoly
-    leading: APoly
-    middle: tuple           # coefficients strictly between linear and leading
-    middle_reductions: tuple  # the same, reduced mod varpi
+class CoefficientProfile(namedtuple(
+        "CoefficientProfile",
+        "place poly linear leading middle middle_reductions")):
+    """[varpi](X) over A as a SkewPoly, its linear and leading coefficients,
+    the coefficients strictly between them and the same reduced mod
+    varpi."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -88,14 +88,14 @@ class TruncSeriesRing(TruncPolyRing):
     var = "X"
 
 
-@dataclass(frozen=True)
-class TraceReport:
-    place: PrimePlace
-    series_ring: TruncSeriesRing
-    pullback: TruncPoly                   # [varpi](X) in the series ring
-    traces: tuple                         # trace of each basis element, in the ring
-    quotients: tuple                      # varpi^{-1} * trace representatives
-    generates_unit_ideal: bool
+class TraceReport(namedtuple(
+        "TraceReport", "place series_ring pullback traces quotients "
+        "generates_unit_ideal")):
+    """The pullback [varpi](X) in the series ring, the trace of each basis
+    element (in the ring), the varpi^-1 * trace representatives, and
+    whether those generate the unit ideal."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .basearith import (APoly, artin_ring, ext_field, finite_field,
                         local_ring, make_place, poly_T, PrimePlace)
@@ -28,13 +28,13 @@ from .projector import (constant_tower, control_check, factorial_powers_vanish,
 from .serretate import constant_lift, lift_independence_check
 
 
-@dataclass
-class CheckResult:
-    check_id: str
-    description: str
-    passed: bool
-    details: str = ""
-    seconds: float = 0.0
+class CheckResult(namedtuple(
+        "CheckResult", "check_id description passed details seconds",
+        defaults=("", 0.0))):
+    """The outcome of one named check: its stable identifier, what it
+    checks, whether it passed, a short detail or witness, and its time."""
+
+    __slots__ = ()
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -50,14 +50,15 @@ def require(cond, message: str) -> None:
 
 
 def _run(check_id: str, description: str, fn) -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         details = fn() or ""
         return CheckResult(check_id, description, True, details,
-                           time.time() - t0)
+                           time.perf_counter() - t0)
     except Exception as exc:  # noqa: BLE001 - report any violation
         return CheckResult(check_id, description, False,
-                           f"{type(exc).__name__}: {exc}", time.time() - t0)
+                           f"{type(exc).__name__}: {exc}",
+                           time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

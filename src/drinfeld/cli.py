@@ -21,7 +21,8 @@ from .carlitz import TruncSeriesRing, carlitz_coefficient_profile, \
     trace_of_carlitz_pullback
 from .checks import standard_places, suite_checks
 from .hecke import atkin_lehner, build_correspondence, operator_matrix
-from .iwasawa import (filtration, iota_eval, iwasawa_level, monomial_str,
+from .iwasawa import (filtration, iota_eval, iwasawa_level,
+                      maximal_ideal_kills_quotient, monomial_str,
                       quotient_basis, specialize)
 from .modules import DrinfeldModule
 from .projector import (TowerModule, TowerOperator, local_finiteness_report,
@@ -185,7 +186,6 @@ def cmd_iwasawa_filtration(args) -> int:
     I = filtration(args.gens, args.r)
     J = filtration(args.gens, args.r + 1)
     basis = quotient_basis(I, J)
-    from .iwasawa import maximal_ideal_kills_quotient
     killed = maximal_ideal_kills_quotient(I, J)
     _emit({
         "format": 1,

@@ -13,29 +13,31 @@ coarse coordinate j = g^(q+1)/delta; each point carries the canonical
 representative (1, 1/j) (or (0, 1) at j = 0).  The normalization exponent
 -min(1, k) is carried formally on matrices: in residue characteristic it
 is a support statement, not scalar arithmetic.
+
+Points and edges are immutable records (namedtuples); a correspondence and
+an operator matrix are plain slotted classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .basearith import FFElement, FieldExt, PrimePlace, ext_field
 from .modules import DrinfeldModule, SubgroupKind
-from .skew import SkewPoly
 
 
-@dataclass(frozen=True)
-class ModuliPoint:
+class ModuliPoint(namedtuple("ModuliPoint", "j rep hasse ordinary")):
     """A geometric rescaling orbit: the coarse coordinate j together with
-    its canonical representative and ordinariness data."""
+    its canonical representative (a DrinfeldModule), its Hasse invariant
+    and whether it is ordinary.  Points compare and hash by j alone."""
 
-    j: FFElement
-    rep: DrinfeldModule
-    hasse: FFElement
-    ordinary: bool
+    __slots__ = ()
 
     def __eq__(self, other):
         return isinstance(other, ModuliPoint) and other.j == self.j
+
+    def __ne__(self, other):  # tuple's own __ne__ would compare every field
+        return not self == other
 
     def __hash__(self):
         return hash(self.j)
@@ -45,37 +47,37 @@ class ModuliPoint:
                 "hasse": str(self.hasse)}
 
 
-@dataclass(frozen=True)
-class CorrEdge:
-    """One edge of the correspondence: src --(kernel u)--> dst.  kind "F"
-    marks the connected kernel u = t^d (lie = 0); kind "V" the etale one."""
+class CorrEdge(namedtuple("CorrEdge", "src dst u kind lie target_module")):
+    """One edge of the correspondence: src --(kernel u)--> dst between
+    ModuliPoints.  kind "F" marks the connected kernel u = t^d (lie = 0);
+    kind "V" the etale one.  target_module is the raw quotient, before
+    normalization."""
 
-    src: ModuliPoint
-    dst: ModuliPoint
-    u: SkewPoly
-    kind: str
-    lie: FFElement
-    target_module: DrinfeldModule  # the raw quotient, before normalization
+    __slots__ = ()
 
     def as_record(self) -> dict:
         return {"src": str(self.src.j), "dst": str(self.dst.j),
                 "kind": self.kind, "u": str(self.u), "lie": str(self.lie)}
 
 
-@dataclass
 class Correspondence:
-    place: PrimePlace
-    m: int
-    ext: FieldExt
-    ordinary: list
-    supersingular: list
-    edges: list
-    # edges by (src, kind) and by (src, None), built once from `edges`
-    _out: dict = field(init=False, repr=False, compare=False)
+    """The points over the degree-m extension `ext`, split into ordinary
+    and supersingular lists, and the list of edges between them."""
 
-    def __post_init__(self):
+    __slots__ = ("place", "m", "ext", "ordinary", "supersingular", "edges",
+                 "_out")
+
+    def __init__(self, place: PrimePlace, m: int, ext: FieldExt,
+                 ordinary: list, supersingular: list, edges: list):
+        self.place = place
+        self.m = m
+        self.ext = ext
+        self.ordinary = ordinary
+        self.supersingular = supersingular
+        self.edges = edges
+        # edges by (src, kind) and by (src, None), built once from `edges`
         self._out = {}
-        for e in self.edges:
+        for e in edges:
             for kind in (e.kind, None):
                 self._out.setdefault((e.src, kind), []).append(e)
 
@@ -165,22 +167,29 @@ def _assert_structure(corr: Correspondence):
 # operators in weight k
 # ---------------------------------------------------------------------------
 
-@dataclass
 class HeckeMatrix:
     """Operator matrix on weight-k homogeneous functions on points, row
     convention (M v)(P) = sum over edges P -> P' of weight factor times
-    v(P').  Entries live in `work_ext` (the point field or a canonical
-    extension when the weight factors need one).  `semilinear` marks
-    operators that act q^d-semilinearly on values for k != 0."""
+    v(P').  `index` lists the ModuliPoints labelling rows and columns.
+    Entries live in `work_ext` (the point field or a canonical extension
+    when the weight factors need one), as rows over work_ext.field.
+    `semilinear` marks operators that act q^d-semilinearly on values for
+    k != 0; `norm_exponent` is the formal normalization -min(1, k)."""
 
-    op: str
-    k: int
-    locus: str
-    index: list            # ModuliPoints labelling rows/columns
-    work_ext: FieldExt
-    rows: list             # rows of entries over work_ext.field
-    semilinear: bool
-    norm_exponent: int     # the formal normalization -min(1, k)
+    __slots__ = ("op", "k", "locus", "index", "work_ext", "rows",
+                 "semilinear", "norm_exponent")
+
+    def __init__(self, op: str, k: int, locus: str, index: list,
+                 work_ext: FieldExt, rows: list, semilinear: bool,
+                 norm_exponent: int):
+        self.op = op
+        self.k = k
+        self.locus = locus
+        self.index = index
+        self.work_ext = work_ext
+        self.rows = rows
+        self.semilinear = semilinear
+        self.norm_exponent = norm_exponent
 
     def entry(self, i: int, j: int):
         return self.rows[i][j]

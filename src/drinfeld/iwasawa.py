@@ -17,7 +17,7 @@ full unit group first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, cached_property, partial
 from operator import attrgetter, ge
 from types import SimpleNamespace
@@ -317,13 +317,12 @@ def decompose(level: IwasawaLevel, measure: dict) -> IwasawaElement:
 # weights
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightChar:
+class WeightChar(namedtuple("WeightChar", "k tame_index", defaults=(None,))):
     """An algebraic weight k (group-likes map to the k-th power), with an
-    optional tame character override for non-algebraic pairs."""
+    optional tame character override `tame_index` (an int, or None) for
+    non-algebraic pairs.  An immutable record."""
 
-    k: int
-    tame_index: int | None = None
+    __slots__ = ()
 
     def tame(self, tame_order: int) -> int:
         if self.tame_index is not None:
@@ -427,14 +426,13 @@ def determining_weights(place: PrimePlace, m: int) -> "DeterminingSet":
                           rank, rank == _evaluation_rank(lv, doubled))
 
 
-@dataclass(frozen=True)
-class DeterminingSet:
-    place: PrimePlace
-    m: int
-    weights: tuple
-    exponent: int
-    rank: int
-    saturated: bool
+class DeterminingSet(namedtuple(
+        "DeterminingSet", "place m weights exponent rank saturated")):
+    """The weights of a determining set at level m, the unit group
+    exponent, the evaluation rank and whether it saturates.  An immutable
+    record."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -495,13 +493,13 @@ def _shift_unit(x: LocalElement, val: int) -> LocalElement:
 # the monomial ideal filtration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(namedtuple("MonomialIdeal", "nvars gens")):
     """Ideal generated by monomials in the variables (varpi, T_1, ..., T_s);
-    a monomial is an exponent tuple of length s + 1 (index 0 is varpi)."""
+    a monomial is an exponent tuple of length nvars = s + 1 (index 0 is
+    varpi), and `gens` is a tuple of them.  An immutable record, equal to
+    another with the same generator tuple."""
 
-    nvars: int  # s + 1
-    gens: tuple
+    __slots__ = ()
 
     def contains_monomial(self, mono: tuple) -> bool:
         """Some generator divides mono: every exponent is at least the
@@ -561,10 +559,12 @@ def alpha(n: int) -> int:
     return n * (n + 1) // 2 - 1
 
 
+@cache
 def filtration(s: int, r: int) -> MonomialIdeal:
     """The r-th ideal of the decreasing chain at truncation s: the corners
     are I_alpha(n) = J_n and the intermediate steps adjoin the monomials of
-    increasing degree divisible by the next wild variable."""
+    increasing degree divisible by the next wild variable.  Memoized: each
+    chain ideal is built once per process."""
     if s < 1:
         raise ValueError("need at least one wild generator")
     if r < 0 or r > filtration_index_range(s):

@@ -9,7 +9,7 @@ gamma_T + g*t + delta*t^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .basearith import APoly, FieldExt, PrimePlace, power
@@ -283,13 +283,11 @@ class Isogeny:
         return f"Isogeny(u={self.u})"
 
 
-@dataclass(frozen=True)
-class Verschiebung:
-    """The inner factor V of phi(varpi) = V * t^d; the constant coefficient
-    doubles as the Hasse invariant."""
+class Verschiebung(namedtuple("Verschiebung", "module poly")):
+    """The inner factor V of phi(varpi) = V * t^d, a SkewPoly, for the given
+    module; the constant coefficient doubles as the Hasse invariant."""
 
-    module: DrinfeldModule
-    poly: SkewPoly
+    __slots__ = ()
 
     def as_isogeny(self) -> Isogeny:
         return Isogeny(self.module.frob_twist(self.module.place.d),
@@ -300,14 +298,13 @@ class Verschiebung:
         return self.poly.coefficient(0)
 
 
-@dataclass(frozen=True)
-class TorsionModule:
-    module: DrinfeldModule
-    depth: int
-    points: tuple
-    basis: tuple
-    orders: dict
-    complete: bool  # all geometric points are rational over the given field
+class TorsionModule(namedtuple(
+        "TorsionModule", "module depth points basis orders complete")):
+    """The varpi^depth-torsion points of a module with a basis and the
+    order exponent of each point (a dict); `complete` says all geometric
+    points are rational over the given field."""
+
+    __slots__ = ()
 
     @property
     def count(self) -> int:

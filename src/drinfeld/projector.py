@@ -17,7 +17,7 @@ pair of nonzero entries that meet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .basearith import LocalRing, local_ring, power
 
@@ -73,19 +73,19 @@ def mat_map(a, fn):
 
 # -- towers ------------------------------------------------------------------
 
-@dataclass
 class TowerModule:
     """A tower of finite free modules: per level a coefficient ring handle
     and a rank, linked by entrywise transition maps level i+1 -> level i
     (None for a constant tower, meaning the identity)."""
 
-    rings: list
-    rank: int
-    transitions: list  # transitions[i]: entry map from level i+1 to level i
+    __slots__ = ("rings", "rank", "transitions")
 
-    def __post_init__(self):
-        if len(self.transitions) != len(self.rings) - 1:
+    def __init__(self, rings: list, rank: int, transitions: list):
+        if len(transitions) != len(rings) - 1:
             raise ValueError("need one transition per adjacent level pair")
+        self.rings = rings
+        self.rank = rank
+        self.transitions = transitions  # [i]: entry map level i+1 -> level i
 
     @property
     def depth(self) -> int:
@@ -162,17 +162,26 @@ def reduction_tower(place, matrix, depth: int) -> TowerOperator:
 
 # -- the ordinary projector ---------------------------------------------------
 
-@dataclass
 class ProjectorReport:
-    operator: TowerOperator
-    projector: TowerOperator
-    steps: list
-    idempotent: bool = True
-    commutes: bool = True
-    invertible_on_image: bool = True
-    vanishes_on_kernel: bool = True
-    compatible: bool = True
-    invertibility_order: list = field(default_factory=list)
+    """The operator, its projector e(T), the factorial step at which each
+    level stabilized, the outcome of each property and, per level, the
+    factorial f with T^f = e."""
+
+    __slots__ = ("operator", "projector", "steps", "idempotent", "commutes",
+                 "invertible_on_image", "vanishes_on_kernel", "compatible",
+                 "invertibility_order")
+
+    def __init__(self, operator: TowerOperator, projector: TowerOperator,
+                 steps: list, compatible: bool):
+        self.operator = operator
+        self.projector = projector
+        self.steps = steps
+        self.idempotent = True
+        self.commutes = True
+        self.invertible_on_image = True
+        self.vanishes_on_kernel = True
+        self.compatible = compatible
+        self.invertibility_order = []
 
     @property
     def ok(self) -> bool:
@@ -258,11 +267,13 @@ def image_membership_identities(e1, e2, codec) -> bool:
             and mat_eq(mat_mul(e2, e1, codec), e1))
 
 
-@dataclass
-class ControlReport:
-    specialized_projector: list   # e(T) base-changed along the weight
-    projector_of_specialized: list
-    images_agree: bool
+class ControlReport(namedtuple(
+        "ControlReport",
+        "specialized_projector projector_of_specialized images_agree")):
+    """e(T) base-changed along the weight, e of the base-changed T, and
+    whether their images agree."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .basearith import APoly, ArtinRing, FieldExt, PrimePlace
 from .modules import DrinfeldModule
@@ -21,35 +21,33 @@ from .skew import tau
 EXHAUSTIVE_IDEAL_BOUND = 256
 
 
-@dataclass(frozen=True)
-class DeformationDatum:
+class DeformationDatum(namedtuple("DeformationDatum", "E0 R E n")):
     """An ordinary module E0 over a finite field, an Artinian base R with
     varpi^(n+1) = 0, and a module E over R reducing to E0 modulo the
-    maximal ideal; n is the torsion depth."""
+    maximal ideal; n is the torsion depth.  Validated on construction."""
 
-    E0: DrinfeldModule
-    R: ArtinRing
-    E: DrinfeldModule
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.E0.base, FieldExt):
+    def __new__(cls, E0: DrinfeldModule, R: ArtinRing, E: DrinfeldModule,
+                n: int):
+        if not isinstance(E0.base, FieldExt):
             raise ValueError("E0 must live over a field")
-        if not self.E0.is_ordinary():
+        if not E0.is_ordinary():
             raise ValueError("E0 must be ordinary")
-        if self.E.base is not self.R:
+        if E.base is not R:
             raise ValueError("E must live over R")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("torsion depth must be >= 1")
-        if self.n + 1 > self.R.N:
+        if n + 1 > R.N:
             raise ValueError(
-                f"depth {self.n} exceeds the nilpotency bound: need "
-                f"varpi^{self.n + 1} = 0, ring has eps^{self.R.N} = 0")
-        if self.R.coeff_ring is not self.E0.base:
+                f"depth {n} exceeds the nilpotency bound: need "
+                f"varpi^{n + 1} = 0, ring has eps^{R.N} = 0")
+        if R.coeff_ring is not E0.base:
             raise ValueError("R must have residue field the base of E0")
         for name in ("g", "delta"):
-            if getattr(self.E, name).residue() != getattr(self.E0, name):
+            if getattr(E, name).residue() != getattr(E0, name):
                 raise ValueError(f"E does not reduce to E0 at {name}")
+        return super().__new__(cls, E0, R, E, n)
 
     @property
     def place(self) -> PrimePlace:
@@ -82,18 +80,26 @@ def phi_deformation_value(datum: DeformationDatum, x_n, lift_perturbation=None):
     return value
 
 
-@dataclass
 class LiftIndependenceReport:
-    datum: DeformationDatum
-    torsion_count: int
-    values: dict = field(default_factory=dict)
-    perturbations_checked: int = 0
-    exhaustive: bool = True
-    additivity_ok: bool = True
-    linearity_ok: bool = True
-    connected_ok: bool = True
-    frobenius_kernel_trivial: bool = True
-    violations: list = field(default_factory=list)
+    """Filled in by `lift_independence_check`: the deformation value of
+    each torsion point, the perturbations tried, the outcome of each
+    property and the violations found."""
+
+    __slots__ = ("datum", "torsion_count", "values", "perturbations_checked",
+                 "exhaustive", "additivity_ok", "linearity_ok",
+                 "connected_ok", "frobenius_kernel_trivial", "violations")
+
+    def __init__(self, datum: DeformationDatum, torsion_count: int):
+        self.datum = datum
+        self.torsion_count = torsion_count
+        self.values = {}
+        self.perturbations_checked = 0
+        self.exhaustive = True
+        self.additivity_ok = True
+        self.linearity_ok = True
+        self.connected_ok = True
+        self.frobenius_kernel_trivial = True
+        self.violations = []
 
     @property
     def ok(self) -> bool:

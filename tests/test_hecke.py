@@ -1,6 +1,5 @@
 import random
 import re
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -212,7 +211,7 @@ def test_ordinariness_is_orbit_invariant_by_sweep(place_TT1):
     corr = build_correspondence(place_TT1, 2)
     assert_orbit_invariance(corr)
     p = corr.ordinary[0]
-    flipped = replace(p, ordinary=False)
+    flipped = p._replace(ordinary=False)
     wrong = SimpleNamespace(
         ext=corr.ext, points=[flipped if q is p else q for q in corr.points])
     witness = f"orbit-invariant at j = {re.escape(str(p.j))}$"

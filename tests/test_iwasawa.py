@@ -227,8 +227,18 @@ def test_containment_matches_componentwise_definition():
 
 
 def test_out_of_range_rejected():
-    with pytest.raises(ValueError, match="out of range"):
-        filtration(2, filtration_index_range(2) + 1)
+    for _ in range(2):  # a raising call is not memoized
+        with pytest.raises(ValueError, match="out of range"):
+            filtration(2, filtration_index_range(2) + 1)
+        with pytest.raises(ValueError, match="out of range"):
+            filtration(2, -1)
+
+
+def test_filtration_is_memoized():
+    for s in range(1, 5):
+        for r in range(filtration_index_range(s) + 1):
+            assert filtration(s, r) is filtration(s, r)
+            assert filtration(s, r) == filtration.__wrapped__(s, r), (s, r)
 
 
 def test_truncation_collapse_is_harmless():
