@@ -1,20 +1,22 @@
-"""Exact arithmetic for F_q, A = F_q[T], truncated completions A/(varpi^n),
-finite extensions of the residue field, and truncated polynomial rings
-R[x]/(x^N): the monogenic Artinian test rings k'[eps]/(eps^n) and the
-series rings over them.
+"""Exact arithmetic for F_q, A = F_q[T], finite extensions of the residue
+field, and truncated polynomial rings R[x]/(x^N): the monogenic Artinian
+rings k'[eps]/(eps^n), the truncated completions A/(varpi^n) among them as
+F_Q[eps]/(eps^n), and the series rings over them.
 
 All values are immutable; sharing across tasks is safe.  Field elements are
 discrete-log encoded against a fixed primitive element (Zech logarithms),
-polynomials are coefficient tuples, local and truncated elements carry their
-ring handle.  Truncated elements and the twisted polynomials of `skew`
-share one coefficient-tuple core, `CoeffTuple`.  Everything is exact; there
-is no floating point anywhere.
+and polynomials are coefficient tuples.  Every truncated ring, A/(varpi^n)
+included, has one element type, TruncPoly, which carries its ring handle
+and shares one coefficient-tuple core, `CoeffTuple`, with the twisted
+polynomials of `skew`.  Everything is exact; there is no floating point
+anywhere.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import namedtuple
+from functools import cached_property
 from itertools import product
 
 MAX_FIELD_SIZE = 1 << 16
@@ -695,215 +697,6 @@ def make_place(varpi: APoly) -> PrimePlace:
 
 
 # ---------------------------------------------------------------------------
-# truncated local rings A/(varpi^n)
-# ---------------------------------------------------------------------------
-
-class LocalElement:
-    """Residue class modulo varpi^n, carried with its precision.  Binary
-    operations close at the minimum precision of the operands and never
-    silently pad."""
-
-    __slots__ = ("ring", "value")
-
-    def __init__(self, ring: "LocalRing", value: APoly):
-        self.ring = ring
-        if len(value.coeffs) > ring.deg_bound:
-            value = value % ring.modulus
-        self.value = value
-
-    @property
-    def precision(self) -> int:
-        return self.ring.n
-
-    def is_zero(self) -> bool:
-        return self.value.is_zero()
-
-    def __bool__(self):
-        return bool(self.value)
-
-    def _pair(self, other):
-        if isinstance(other, LocalElement):
-            if other.ring is self.ring:
-                return self.ring, self.value, other.value
-            if other.ring.place != self.ring.place:
-                raise ValueError("different places")
-            n = min(self.ring.n, other.ring.n)
-            ring = local_ring(self.ring.place, n)
-            return ring, self.value, other.value
-        if isinstance(other, (int, APoly)):
-            o = other if isinstance(other, APoly) else \
-                APoly(self.ring.place.field, [other])
-            return self.ring, self.value, o
-        return None, None, None
-
-    def __add__(self, other):
-        ring, a, b = self._pair(other)
-        if ring is None:
-            return NotImplemented
-        return LocalElement(ring, a + b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LocalElement(self.ring, -self.value)
-
-    def __sub__(self, other):
-        ring, a, b = self._pair(other)
-        if ring is None:
-            return NotImplemented
-        return LocalElement(ring, a - b)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        ring, a, b = self._pair(other)
-        if ring is None:
-            return NotImplemented
-        return LocalElement(ring, a * b)
-
-    __rmul__ = __mul__
-
-    def is_unit(self) -> bool:
-        return not (self.value % self.ring.place.varpi).is_zero()
-
-    def inverse(self) -> "LocalElement":
-        """Inverse modulo varpi^n via extended Euclid in F_q[T]."""
-        if not self.is_unit():
-            raise ZeroDivisionError(f"{self} is not a unit")
-        a, m = self.value, self.ring.modulus
-        field = self.ring.place.field
-        r0, r1 = m, a
-        s0, s1 = APoly(field, []), APoly(field, [field.one])
-        while not r1.is_zero():
-            qpoly, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - qpoly * s1
-        # r0 = gcd is a nonzero constant
-        inv_c = r0.coeffs[0].inverse()
-        return LocalElement(self.ring, s0 * inv_c)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return power(self, e, self.ring.one)
-
-    def reduce_to(self, n: int) -> "LocalElement":
-        if n > self.ring.n:
-            raise ValueError("cannot raise precision")
-        return LocalElement(local_ring(self.ring.place, n), self.value)
-
-    def varpi_valuation(self) -> int:
-        """Largest k <= n with varpi^k dividing the value (n for zero)."""
-        if self.value.is_zero():
-            return self.ring.n
-        v, val = self.value, 0
-        while True:
-            quot, rem = v.divmod(self.ring.place.varpi)
-            if not rem.is_zero():
-                return val
-            v, val = quot, val + 1
-
-    def __eq__(self, other):
-        return (isinstance(other, LocalElement) and other.ring is self.ring
-                and other.value == self.value)
-
-    def __hash__(self):
-        return hash((self.ring.place.key(), self.ring.n, self.value))
-
-    def __str__(self):
-        mod = f"({self.ring.place.varpi})"
-        if self.ring.n != 1:
-            mod += f"^{self.ring.n}"
-        return f"{self.value} mod {mod}"
-
-    def __repr__(self):
-        return f"Local({self})"
-
-
-class LocalRing:
-    """A/(varpi^n); elements are APoly values of degree < n*d."""
-
-    def __init__(self, place: PrimePlace, n: int):
-        if n < 1:
-            raise ValueError("precision must be >= 1")
-        self.place = place
-        self.n = n
-        self.deg_bound = n * place.d
-        self.modulus = place.varpi ** n
-        self.zero = LocalElement(self, APoly(place.field, []))
-        self.one = LocalElement(self, APoly(place.field, [place.field.one]))
-        self.varpi = LocalElement(self, place.varpi)
-        self._codes = ElementCodes(self)
-
-    def codes(self) -> ElementCodes:
-        return self._codes
-
-    def from_apoly(self, a: APoly) -> LocalElement:
-        return LocalElement(self, a)
-
-    def from_int(self, c: int) -> LocalElement:
-        return LocalElement(self, APoly(self.place.field, [c]))
-
-    def elements(self):
-        field = self.place.field
-        for coeffs in product(field.elements(), repeat=self.deg_bound):
-            yield LocalElement(self, APoly(field, coeffs))
-
-    def units(self):
-        for x in self.elements():
-            if x.is_unit():
-                yield x
-
-    def principal_units(self):
-        """Elements congruent to 1 modulo varpi (the wild unit group)."""
-        for x in self.elements():
-            if (x.value - self.one.value) % self.place.varpi == APoly(self.place.field, []):
-                yield x
-
-    def teichmuller(self, x: LocalElement) -> LocalElement:
-        """The unique (q^d - 1)-th root of unity congruent to x mod varpi
-        (zero for non-unit input)."""
-        z = LocalElement(self, x.value)
-        if not z.is_unit():
-            return self.zero
-        qd = self.place.q ** self.place.d
-        for _ in range(self.n + 2):
-            nz = z ** qd
-            if nz == z:
-                return z
-            z = nz
-        raise RuntimeError("teichmuller iteration failed to stabilize")
-
-    def __eq__(self, other):
-        return (isinstance(other, LocalRing) and other.place == self.place
-                and other.n == self.n)
-
-    def __hash__(self):
-        return hash((self.place.key(), self.n))
-
-    def __repr__(self):
-        return f"A/({self.place.varpi})^{self.n}"
-
-
-_LOCAL_RINGS: dict[tuple, LocalRing] = {}
-
-
-def local_ring(place: PrimePlace, n: int) -> LocalRing:
-    key = (place.key(), n)
-    if key not in _LOCAL_RINGS:
-        _LOCAL_RINGS[key] = LocalRing(place, n)
-    return _LOCAL_RINGS[key]
-
-
-def local_reduce(a: APoly, place: PrimePlace, n: int) -> LocalElement:
-    """The image of a in A/(varpi^n)."""
-    if n < 1:
-        raise ValueError("precision must be >= 1")
-    return local_ring(place, n).from_apoly(a)
-
-
-# ---------------------------------------------------------------------------
 # extensions of the residue field
 # ---------------------------------------------------------------------------
 
@@ -948,14 +741,12 @@ class FieldExt:
         """gamma(a): the structure map A -> F_{q^{dm}} applied to a."""
         return a.eval_in(self.gamma_T, self.embed_fq)
 
-    def to_residue(self, x: FFElement) -> LocalElement:
+    def to_residue(self, x: FFElement) -> TruncPoly:
         """Inverse of gamma on the residue subfield, valued in A/(varpi)."""
         if self._residue_iso is None:
-            table = {}
             r1 = local_ring(self.place, 1)
-            for a in r1.elements():
-                table[self.gamma_eval(a.value)] = a
-            self._residue_iso = table
+            self._residue_iso = {self.gamma_eval(r1.to_apoly(a)): a
+                                 for a in r1.elements()}
         try:
             return self._residue_iso[x]
         except KeyError:
@@ -1056,6 +847,12 @@ class TruncPoly(CoeffTuple):
             correct *= 2
         return z
 
+    def varpi_valuation(self) -> int:
+        """The largest k <= N with var^k dividing self: the index of the
+        first nonzero coefficient, N for zero.  In an ArtinRing the
+        variable eps is the image of varpi."""
+        return next((i for i, c in enumerate(self.coeffs) if c), self.ring.N)
+
     def eps_divisible(self) -> bool:
         """Whether eps divides self: in an ArtinRing the constant term
         vanishes, and over one every coefficient is eps-divisible."""
@@ -1063,15 +860,18 @@ class TruncPoly(CoeffTuple):
             return self.in_maximal_ideal()
         return all(c.eps_divisible() for c in self.coeffs)
 
-    def eps_quotient(self) -> "TruncPoly":
-        """self/eps, shifting eps-digits down (coefficientwise over an
-        ArtinRing); a distinguished representative modulo the annihilator
-        of eps."""
+    def eps_quotient(self, k: int = 1) -> "TruncPoly":
+        """self/eps^k, shifting eps-digits down k places (coefficientwise
+        over an ArtinRing); a distinguished representative modulo the
+        annihilator of eps^k."""
         if isinstance(self.ring, ArtinRing):
-            if not self.in_maximal_ideal():
-                raise ValueError(f"{self} is not divisible by eps")
-            return TruncPoly(self.ring, self.coeffs[1:])
-        return TruncPoly(self.ring, [c.eps_quotient() for c in self.coeffs])
+            if self.varpi_valuation() < k:
+                raise ValueError(f"{self} is not divisible by eps^{k}")
+            return TruncPoly(self.ring, self.coeffs[k:])
+        return TruncPoly(self.ring, [c.eps_quotient(k) for c in self.coeffs])
+
+    def __str__(self):
+        return self.ring.format(self)
 
     def __repr__(self):
         return f"Trunc({self})"
@@ -1101,6 +901,10 @@ class TruncPolyRing:
     def elements(self):
         for coeffs in product(self.coeff_ring.elements(), repeat=self.N):
             yield TruncPoly(self, coeffs)
+
+    def format(self, x: TruncPoly) -> str:
+        """The text of an element: its terms in the ring variable."""
+        return CoeffTuple.__str__(x)
 
     def __repr__(self):
         return f"{self.coeff_ring!r}[{self.var}]/({self.var}^{self.N})"
@@ -1159,3 +963,109 @@ class ArtinRing(TruncPolyRing):
 
 def artin_ring(place: PrimePlace, m: int, nilpotency: int) -> ArtinRing:
     return ArtinRing(place, m, nilpotency)
+
+
+# ---------------------------------------------------------------------------
+# the truncated local rings A/(varpi^n)
+# ---------------------------------------------------------------------------
+
+class LocalRing(ArtinRing):
+    """A/(varpi^n), held as the Artinian ring F_Q[eps]/(eps^n), Q = q^d,
+    through gamma: by the Cohen structure theorem the residue field lifts,
+    here to the constants (the Teichmuller lifts), and eps is the image of
+    varpi.  Elements are the ring's TruncPoly.  A polynomial appears only
+    at the boundary: `from_apoly` (gamma) reads one, and `to_apoly` gives
+    the representative of degree < n*d that the element prints as.  One
+    ring per (place, n), built by `local_ring`."""
+
+    def __init__(self, place: PrimePlace, n: int):
+        super().__init__(place, 1, n)
+        self.n = n
+        self.varpi = self.eps
+        self._codes = ElementCodes(self)
+
+    from_apoly = ArtinRing.gamma_eval
+
+    def codes(self) -> ElementCodes:
+        return self._codes
+
+    def elements(self):
+        """Every element, in the product order of the coefficients of its
+        representative of degree < n*d, the constant coefficient slowest:
+        sums of F_q-multiples of gamma(T^j), built up from j = n*d - 1."""
+        basis = [self.one]
+        for _ in range(1, self.N * self.place.d):
+            basis.append(basis[-1] * self.gamma_T)
+        scalars = [self.embed_fq(c) for c in self.place.field.elements()]
+        out = [self.zero]
+        for g in reversed(basis):
+            out = [g * c + y for c in scalars for y in out]
+        yield from out
+
+    def units(self):
+        return (x for x in self.elements() if x.is_unit())
+
+    def principal_units(self):
+        """Elements congruent to 1 modulo varpi (the wild unit group)."""
+        one = self.coeff_ring.one
+        return (x for x in self.elements() if x.residue() == one)
+
+    def teichmuller(self, x: TruncPoly) -> TruncPoly:
+        """The unique (q^d - 1)-th root of unity congruent to x mod varpi,
+        zero for a non-unit: the constant term."""
+        return self.from_coeff(x.residue())
+
+    def reduce(self, x: TruncPoly) -> TruncPoly:
+        """The image of x, from A/(varpi^N) with N >= n at the same place:
+        truncation."""
+        if x.ring.coeff_ring is not self.coeff_ring or x.ring.N < self.N:
+            raise ValueError(f"cannot reduce {x!r} into {self!r}")
+        return TruncPoly(self, x.coeffs)
+
+    @cached_property
+    def _lifts(self) -> list:
+        """[i][c]: teich(c) * varpi^i mod varpi^n for c in F_Q.  In
+        characteristic p, teich(c) = r^(Q^s) mod varpi^n for any r with
+        residue c and any Q^s >= n: lifts of c differ by multiples of
+        varpi, which the Q^s-th power sends into varpi^n."""
+        field, varpi, Q = self.place.field, self.place.varpi, self.coeff_ring.size
+        modulus = varpi ** self.n
+        qs = Q
+        while qs < self.n:
+            qs *= Q
+        teich = {}
+        for coeffs in product(field.elements(), repeat=self.place.d):
+            r = APoly(field, coeffs)
+            teich[self.coeff_ring.gamma_eval(r)] = r.qpow(qs) % modulus
+        lifts, varpi_i = [], APoly(field, [1])
+        for _ in range(self.n):
+            lifts.append({c: t * varpi_i % modulus for c, t in teich.items()})
+            varpi_i = varpi_i * varpi
+        return lifts
+
+    def to_apoly(self, x: TruncPoly) -> APoly:
+        """The representative of x of degree < n*d: sum teich(c_i) varpi^i
+        mod varpi^n over the coefficients c_i of x."""
+        return sum((lift[c] for lift, c in zip(self._lifts, x.coeffs)),
+                   APoly(self.place.field, []))
+
+    def format(self, x: TruncPoly) -> str:
+        """The text `textenc.parse_local` reads: "<to_apoly> mod (varpi)^n",
+        the power left out at n = 1."""
+        mod = f"({self.place.varpi})"
+        if self.n != 1:
+            mod += f"^{self.n}"
+        return f"{self.to_apoly(x)} mod {mod}"
+
+    def __repr__(self):
+        return f"A/({self.place.varpi})^{self.n}"
+
+
+_LOCAL_RINGS: dict[tuple, LocalRing] = {}
+
+
+def local_ring(place: PrimePlace, n: int) -> LocalRing:
+    key = (place.key(), n)
+    if key not in _LOCAL_RINGS:
+        _LOCAL_RINGS[key] = LocalRing(place, n)
+    return _LOCAL_RINGS[key]

@@ -369,11 +369,9 @@ def _residue_entries(M) -> bool:
 
 
 def _teichmuller_lift(M, place: PrimePlace, depth: int):
-    ring = local_ring(place, depth)
-    ext = M.work_ext
-    rows = [[ring.teichmuller(
-        local_ring(place, depth).from_apoly(ext.to_residue(x).value))
-        for x in row] for row in M.rows]
+    ring, ext = local_ring(place, depth), M.work_ext
+    rows = [[ring.from_coeff(ext.to_residue(x).residue()) for x in row]
+            for row in M.rows]
     return reduction_tower(place, rows, depth)
 
 

@@ -4,7 +4,8 @@ full identity suite.
 
 All output is deterministic for a fixed configuration: canonical orderings
 everywhere, sorted JSON keys, no timestamps.  Exit codes: 0 success,
-1 violated identity (the report names the check), 2 usage error.
+1 violated identity (the report names the check) or an internal error,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import os
 import sys
 
 from . import cache as cachemod
-from .basearith import (artin_ring, ext_field, field_of_order, local_ring,
-                        make_place)
+from .basearith import (MAX_FIELD_SIZE, artin_ring, ext_field,
+                        field_of_order, local_ring, make_place)
 from .carlitz import TruncSeriesRing, carlitz_coefficient_profile, \
     trace_of_carlitz_pullback
 from .checks import standard_places, suite_checks
@@ -37,6 +38,15 @@ class UsageError(ValueError):
     pass
 
 
+def _read(build, *args):
+    """build(*args) on what a command reads from its arguments or a tower
+    file: a ValueError there rejects the input, so it is a usage error."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _place(args):
     """The place of --q/--varpi, validated together with --m before any
     work starts."""
@@ -44,7 +54,19 @@ def _place(args):
         raise UsageError("q must be a prime power >= 2")
     if args.m < 1:
         raise UsageError("extension degree m must be >= 1")
-    return make_place(parse_apoly(field_of_order(args.q), args.varpi))
+    place = _read(lambda: make_place(parse_apoly(field_of_order(args.q),
+                                                 args.varpi)))
+    size = place.q ** (place.d * args.m)
+    if size > MAX_FIELD_SIZE:
+        raise UsageError(f"q^(d*m) = {size} exceeds the supported size "
+                         f"{MAX_FIELD_SIZE}")
+    return place
+
+
+def _nilpotency(args) -> int:
+    if args.nilpotency < 2:
+        raise UsageError("nilpotency must be >= 2")
+    return args.nilpotency
 
 
 def _emit(payload) -> None:
@@ -76,11 +98,11 @@ def cmd_serre_tate(args) -> int:
     ext = ext_field(place, args.m)
     g = parse_ext_element(ext, args.g)
     delta = parse_ext_element(ext, args.delta)
-    E0 = DrinfeldModule(ext, g, delta)
+    E0 = _read(DrinfeldModule, ext, g, delta)
     if not E0.is_ordinary():
         print("error: base module is supersingular", file=sys.stderr)
         return 2
-    R = artin_ring(place, args.m, args.nilpotency)
+    R = artin_ring(place, args.m, _nilpotency(args))
     datum = constant_lift(E0, R, args.nilpotency - 1)
     rep = lift_independence_check(datum)
     _emit({
@@ -171,10 +193,10 @@ def cmd_iwasawa_specialize(args) -> int:
     _emit({
         "format": 1,
         "q": args.q, "varpi": str(place.varpi), "level": args.m,
-        "u": str(u_val.value), "k": args.k,
+        "u": str(lv.ring.to_apoly(u_val)), "k": args.k,
         "element": x.as_record(),
-        "specialize": str(spec.value),
-        "iota_eval": str(other.value),
+        "specialize": str(lv.ring.to_apoly(spec)),
+        "iota_eval": str(lv.ring.to_apoly(other)),
         "routes_agree": spec == other,
     })
     return 0 if spec == other else 1
@@ -183,8 +205,7 @@ def cmd_iwasawa_specialize(args) -> int:
 def cmd_iwasawa_filtration(args) -> int:
     if args.gens < 1:
         raise UsageError("need at least one wild generator")
-    I = filtration(args.gens, args.r)
-    J = filtration(args.gens, args.r + 1)
+    I, J = (_read(filtration, args.gens, r) for r in (args.r, args.r + 1))
     basis = quotient_basis(I, J)
     killed = maximal_ideal_kills_quotient(I, J)
     _emit({
@@ -224,8 +245,10 @@ def _tower_matrix(obj, where: str = "tower"):
     return rows
 
 
-def cmd_projector_run(args) -> int:
-    with open(args.tower) as fh:
+def _load_tower(path: str):
+    """(the tower file's JSON, the operator it describes, the precisions of
+    its levels)."""
+    with open(path) as fh:
         spec_data = json.load(fh)
     if _tower_key(spec_data, "format", int) != 1:
         raise UsageError("unsupported tower format")
@@ -243,9 +266,7 @@ def cmd_projector_run(args) -> int:
         mats = [[[ring.from_apoly(parse_apoly(field, e)) for e in row]
                  for row in _tower_matrix(l, "tower level")]
                 for ring, l in zip(rings, levels)]
-        transitions = [(lambda x, n=rings[i].n: x.reduce_to(n))
-                       for i in range(len(rings) - 1)]
-        tower = TowerModule(rings, len(mats[0]), transitions)
+        tower = TowerModule(rings, len(mats[0]), [r.reduce for r in rings[:-1]])
         op = TowerOperator(tower, mats)
         precisions = [r.n for r in rings]
     else:
@@ -255,14 +276,20 @@ def cmd_projector_run(args) -> int:
                 for row in _tower_matrix(spec_data)]
         op = reduction_tower(place, rows, depth)
         precisions = list(range(1, depth + 1))
+    return spec_data, op, precisions
+
+
+def cmd_projector_run(args) -> int:
+    spec_data, op, precisions = _read(_load_tower, args.tower)
     rep = ordinary_projector(op)
     payload = {
         "format": 1,
         "q": spec_data["q"], "varpi": spec_data["varpi"],
         "precisions": precisions,
         "stabilized_steps": rep.steps,
-        "projector": [[[str(x.value) for x in row] for row in mat]
-                      for mat in rep.projector.matrices],
+        "projector": [[[str(ring.to_apoly(x)) for x in row] for row in mat]
+                      for ring, mat in zip(op.tower.rings,
+                                           rep.projector.matrices)],
         "local_finiteness": local_finiteness_report(op),
         "ok": rep.ok,
     }
@@ -296,7 +323,9 @@ def cmd_carlitz_trace(args) -> int:
     place = _place(args)
     qd = place.q ** place.d
     N = args.truncation or qd * qd + 1
-    R = artin_ring(place, 1, args.nilpotency)
+    if N < qd * qd:
+        raise UsageError(f"truncation must be >= q^(2d) = {qd * qd}")
+    R = artin_ring(place, 1, _nilpotency(args))
     rep = trace_of_carlitz_pullback(place, TruncSeriesRing(R, N))
     _emit({
         "format": 1,
@@ -403,11 +432,14 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (UsageError, ParseError, ValueError, FileNotFoundError) as exc:
+    except (UsageError, ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"identity violated: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # a fault of the program, not of the input
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

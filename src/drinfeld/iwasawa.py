@@ -22,7 +22,7 @@ from functools import cache, cached_property, partial
 from operator import attrgetter, ge
 from types import SimpleNamespace
 
-from .basearith import LocalElement, PrimePlace, local_ring, power
+from .basearith import PrimePlace, TruncPoly, local_ring, power
 
 
 class IwasawaLevel:
@@ -39,8 +39,7 @@ class IwasawaLevel:
         self.ring = local_ring(place, m)
         self.scalars = self.ring.codes()
         self.tame_order = place.q ** place.d - 1
-        self.wild_group = tuple(sorted(self.ring.principal_units(),
-                                       key=_local_key))
+        self.wild_group = tuple(self.ring.principal_units())
         self.wild_index = {u: i for i, u in enumerate(self.wild_group)}
         self.width = len(self.wild_group)
         # tame structure: a generator of the Teichmuller lifts and the
@@ -58,8 +57,8 @@ class IwasawaLevel:
             encode=attrgetter("codes"), decode=partial(IwasawaElement, self),
             add=self.add, sub=self.sub, mul=self.mul)
 
-    def _find_teich_generator(self) -> LocalElement:
-        for u in sorted(self.ring.units(), key=_local_key):
+    def _find_teich_generator(self) -> TruncPoly:
+        for u in self.ring.units():
             t = self.ring.teichmuller(u)
             if all(t ** k != self.ring.one for k in range(1, self.tame_order)):
                 return t
@@ -106,9 +105,9 @@ class IwasawaLevel:
 
     # -- elements ------------------------------------------------------------
 
-    def _unit_code(self, u: LocalElement) -> int:
+    def _unit_code(self, u: TruncPoly) -> int:
         if u.ring is not self.ring:
-            u = self.ring.from_apoly(u.value)
+            raise ValueError(f"{u} is not an element of {self.ring!r}")
         code = self.scalars.encode(u)
         if code not in self._unit_tables[1]:
             raise ValueError(f"{u} is not a unit")
@@ -122,16 +121,21 @@ class IwasawaLevel:
             out[chi * w + i] = self._teich_codes[chi * a % t]
         return tuple(out)
 
-    def dirac(self, u: LocalElement) -> "IwasawaElement":
+    def dirac(self, u: TruncPoly) -> "IwasawaElement":
         """The group-like element [u]."""
         a, i = self._unit_tables[1][self._unit_code(u)]
         return IwasawaElement(self, self._dirac_codes(a, i))
+
+    @cached_property
+    def _element_codes(self) -> tuple:
+        """The codes of the ring's elements, in `ring.elements()` order."""
+        return tuple(map(self.scalars.encode, self.ring.elements()))
 
     def random_element(self, rng, support: int = 3) -> "IwasawaElement":
         """Per tame character, up to `support` draws of a wild position and
         a ring element (in `ring.elements()` order), summed."""
         out, w = list(self.zero.codes), self.width
-        ring = list(map(self.scalars.encode, self.ring.elements()))
+        ring = self._element_codes
         for chi in range(self.tame_order):
             for _ in range(rng.randrange(support + 1)):
                 k = chi * w + rng.randrange(w)
@@ -180,10 +184,6 @@ def iwasawa_level(place: PrimePlace, m: int) -> IwasawaLevel:
     return _LEVELS[key]
 
 
-def _local_key(x: LocalElement):
-    return tuple(c.log for c in x.value.coeffs)
-
-
 class IwasawaElement:
     """Level-m truncated measure: per tame character chi, a map from the
     principal units w_i to level-m scalars, held as the level's tuple of
@@ -217,7 +217,7 @@ class IwasawaElement:
 
     def __mul__(self, other):
         lv = self.level
-        if isinstance(other, LocalElement):
+        if isinstance(other, TruncPoly):
             if other.ring is not lv.ring:
                 raise ValueError("scalar of a different ring")
             s, mul = lv.scalars.encode(other), lv.scalars.mul
@@ -225,7 +225,7 @@ class IwasawaElement:
         return IwasawaElement(lv, lv.mul(self.codes, self._codes_of(other)))
 
     def __rmul__(self, other):
-        if isinstance(other, LocalElement):
+        if isinstance(other, TruncPoly):
             return self * other
         return NotImplemented
 
@@ -243,9 +243,9 @@ class IwasawaElement:
         for n, c in enumerate(self.codes):
             if c:
                 chi, i = divmod(n, lv.width)
-                u = low.ring.from_apoly(lv.wild_group[i].value)
+                u = low.ring.reduce(lv.wild_group[i])
                 k = chi * low.width + low.wild_index[u]
-                c = low.ring.from_apoly(lv.scalars.decode(c).value)
+                c = low.ring.reduce(lv.scalars.decode(c))
                 out[k] = low.scalars.add(out[k], low.scalars.encode(c))
         return IwasawaElement(low, tuple(out))
 
@@ -265,10 +265,11 @@ class IwasawaElement:
 
     def as_record(self) -> dict:
         lv, w = self.level, self.level.width
+        text = lv.ring.to_apoly
         comps = [self.codes[b:b + w] for b in range(0, len(self.codes), w)]
         return {"level": lv.m, "tame": {
-            str(chi): {str(lv.wild_group[i].value):
-                       str(lv.scalars.decode(c).value)
+            str(chi): {str(text(lv.wild_group[i])):
+                       str(text(lv.scalars.decode(c)))
                        for i, c in enumerate(comp) if c}
             for chi, comp in enumerate(comps) if any(comp)}}
 
@@ -330,7 +331,7 @@ class WeightChar(namedtuple("WeightChar", "k tame_index", defaults=(None,))):
         return self.k % tame_order
 
 
-def specialize(x: IwasawaElement, weight) -> LocalElement:
+def specialize(x: IwasawaElement, weight) -> TruncPoly:
     """The weight specialization, a ring map to A/(varpi^m): on a dirac
     mass [u] it returns u^k.  Computed through the decomposed storage: only
     the tame component matching the weight contributes."""
@@ -346,7 +347,7 @@ def specialize(x: IwasawaElement, weight) -> LocalElement:
     return lv.scalars.decode(acc)
 
 
-def iota_eval(x: IwasawaElement, k: int) -> LocalElement:
+def iota_eval(x: IwasawaElement, k: int) -> TruncPoly:
     """The same value through the embedding into weight-indexed
     evaluations: expand over the full unit group and sum c_u u^k.  Agrees
     with specialize at every integer weight (the two routes are kept
@@ -417,8 +418,7 @@ def determining_weights(place: PrimePlace, m: int) -> "DeterminingSet":
     while any(lv.unit_power(v, wild_exp) != 1 for v in wild):
         wild_exp *= p
     exponent = lv.tame_order * wild_exp
-    units = [lv.scalars.encode(u)
-             for u in sorted(lv.ring.units(), key=_local_key)]
+    units = [lv.scalars.encode(u) for u in lv.ring.units()]
     doubled = [[lv.unit_power(u, k) for k in range(2 * exponent)]
                for u in units]
     rank = _evaluation_rank(lv, [row[:exponent] for row in doubled])
@@ -463,15 +463,15 @@ def _evaluation_rank(lv: IwasawaLevel, matrix) -> int:
         # clear below using exact multiples: entry - (entry/pivot) * pivot,
         # where entry/pivot divides both by the pivot valuation and then
         # inverts the unit part of the pivot
-        unit_inverse = _shift_unit(codes.decode(rows[rank][col]),
-                                   best_val).inverse()
+        unit_inverse = codes.decode(rows[rank][col]).eps_quotient(
+            best_val).inverse()
         for r in range(rank + 1, len(rows)):
             e = rows[r][col]
             if val(e) >= m:
                 continue
             if val(e) < best_val:
                 raise AssertionError("pivot was not minimal")
-            eu = _shift_unit(codes.decode(e), best_val)
+            eu = codes.decode(e).eps_quotient(best_val)
             factor = codes.encode(eu * unit_inverse)
             rows[r] = [codes.sub(a, codes.mul(factor, b))
                        for a, b in zip(rows[r], rows[rank])]
@@ -479,14 +479,6 @@ def _evaluation_rank(lv: IwasawaLevel, matrix) -> int:
         if rank == len(rows):
             break
     return rank
-
-
-def _shift_unit(x: LocalElement, val: int) -> LocalElement:
-    """x / varpi^val performed exactly, re-raised to the original ring."""
-    quot, rem = x.value.divmod(x.ring.place.varpi ** val)
-    if not rem.is_zero():
-        raise ValueError("not divisible")
-    return LocalElement(x.ring, quot)
 
 
 # ---------------------------------------------------------------------------

@@ -144,20 +144,12 @@ def constant_tower(ring, matrix, depth: int = 1) -> TowerOperator:
 
 
 def reduction_tower(place, matrix, depth: int) -> TowerOperator:
-    """Levels A/(varpi^depth), ..., A/(varpi^1) with reduction transitions,
-    all reductions of one integral matrix (level order: index 0 is the
-    deepest precision so transitions lower it)."""
-    rings = [local_ring(place, depth - i) for i in range(depth)]
-    mats = [mat_map(matrix, lambda x, r=rings[i]: x.reduce_to(r.n))
-            for i in range(depth)]
-    # reorder so transitions go from higher precision (later index) down
-    rings = rings[::-1]
-    mats = mats[::-1]
-    transitions = [
-        (lambda x, n=rings[i].n: x.reduce_to(n)) for i in range(depth - 1)
-    ]
-    tower = TowerModule(rings, len(matrix), transitions)
-    return TowerOperator(tower, mats)
+    """Levels A/(varpi), ..., A/(varpi^depth), index i at precision i + 1,
+    each holding the reduction of one matrix over A/(varpi^depth) or
+    deeper, with reduction transitions from level i + 1 down to level i."""
+    rings = [local_ring(place, n) for n in range(1, depth + 1)]
+    tower = TowerModule(rings, len(matrix), [r.reduce for r in rings[:-1]])
+    return TowerOperator(tower, [mat_map(matrix, r.reduce) for r in rings])
 
 
 # -- the ordinary projector ---------------------------------------------------

@@ -10,9 +10,10 @@ and its callers assume without probing:
   `q`, `qpow(x, e)`, `from_int(c)`, `embed_fq(c)` (F_q -> R), `gamma_T`
   and `gamma_eval(a)` (the structure map A -> R); their elements are
   FFElement, TruncPoly and APoly;
-* matrix rings (LocalRing, FieldExt, IwasawaLevel) expose `zero`, `one`
-  and `codes()`, the codec of the projector's matrix arithmetic, which
-  the ring owns for its lifetime;
+* matrix rings (LocalRing, which holds A/(varpi^n) as the ArtinRing
+  F_Q[eps]/(eps^n); FieldExt; IwasawaLevel) expose `zero`, `one` and
+  `codes()`, the codec of the projector's matrix arithmetic, which the
+  ring owns for its lifetime;
 * every element answers `is_zero()`, and coefficient elements also answer
   `is_unit()` and `inverse()`.
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 
 from .basearith import (APoly, ArtinRing, FFElement, FiniteField,
-                        LocalElement, PrimePlace, local_ring)
+                        PrimePlace, TruncPoly, local_ring)
 
 _TOKEN = re.compile(r"\s*(\d+|[a-zA-Z]+|\^|\+|\-|\*|\(|\))")
 
@@ -125,7 +125,7 @@ def parse_apoly(field: FiniteField, s: str) -> APoly:
     return v
 
 
-def parse_local(place: PrimePlace, s: str) -> LocalElement:
+def parse_local(place: PrimePlace, s: str) -> TruncPoly:
     """Parse "value mod (varpi)^n"; the modulus must match the place."""
     if " mod " not in s:
         raise ParseError("local element must contain ' mod '")

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from drinfeld.basearith import (TruncPoly, apoly, artin_ring, ext_field,
-                                finite_field, local_reduce, local_ring,
-                                make_place, poly_T, power)
+                                finite_field, local_ring, make_place, poly_T,
+                                power)
 from drinfeld.carlitz import TruncSeriesRing
 from drinfeld.iwasawa import iwasawa_level
 from drinfeld.projector import mat_identity, mat_mul, mat_pow
@@ -122,37 +122,39 @@ def test_make_place_rejects_reducible_with_witness(F3):
 
 # -- local rings --------------------------------------------------------------
 
-def test_local_reduce_examples(F3, place_T):
+def test_from_apoly_examples(F3, place_T):
     T = poly_T(F3)
-    assert local_reduce(T ** 3, place_T, 2).is_zero()
-    assert local_reduce(T ** 3 + T, place_T, 2).value == T
+    L2 = local_ring(place_T, 2)
+    assert L2.from_apoly(T ** 3).is_zero()
+    assert L2.to_apoly(L2.from_apoly(T ** 3 + T)) == T
 
     place_c = make_place(T ** 2 + 1)
-    r = local_reduce(T ** 2 + T + 2, place_c, 1)
-    assert r.value == T + 1
+    L1 = local_ring(place_c, 1)
+    r = L1.to_apoly(L1.from_apoly(T ** 2 + T + 2))
+    assert r == T + 1
     # re-multiplication oracle: a = q*varpi + r with q found independently
-    assert (T ** 2 + T + 2) - r.value == place_c.varpi
+    assert (T ** 2 + T + 2) - r == place_c.varpi
 
 
 @given(coeff_lists, coeff_lists)
-def test_local_reduce_is_ring_hom(a, b):
+def test_from_apoly_is_ring_hom(a, b):
     F3 = finite_field(3)
     place = make_place(poly_T(F3) ** 2 + 1)
     pa, pb = apoly(F3, a), apoly(F3, b)
     for n in (1, 2):
-        assert local_reduce(pa * pb, place, n) == \
-            local_reduce(pa, place, n) * local_reduce(pb, place, n)
-        assert local_reduce(pa + pb, place, n) == \
-            local_reduce(pa, place, n) + local_reduce(pb, place, n)
+        ring = local_ring(place, n)
+        assert ring.from_apoly(pa * pb) == \
+            ring.from_apoly(pa) * ring.from_apoly(pb)
+        assert ring.from_apoly(pa + pb) == \
+            ring.from_apoly(pa) + ring.from_apoly(pb)
 
 
-def test_min_precision_semantics(place_T):
-    r2 = local_ring(place_T, 2)
-    r3 = local_ring(place_T, 3)
-    x = r3.from_int(1)
-    y = r2.from_int(1)
-    assert (x + y).precision == 2
-    assert (x * y).precision == 2
+def test_mixed_precisions_raise(place_T):
+    x = local_ring(place_T, 3).from_int(1)
+    y = local_ring(place_T, 2).from_int(1)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError):
+            op(x, y)
 
 
 def test_local_inverse(place_T):

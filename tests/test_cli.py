@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from drinfeld import cache, projector
+from drinfeld import cache, cli, projector
 from drinfeld.basearith import finite_field, local_ring, make_place, poly_T
 from drinfeld.cli import main
 from drinfeld.hecke import enumerate_moduli
@@ -355,3 +355,47 @@ def test_malformed_tower_is_usage_error(spec, named, tmp_path, capsys):
     path.write_text(json.dumps(spec))
     code, _, err = run_cli(["projector", "run", "--tower", str(path)], capsys)
     assert code == 2 and named in err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["carlitz", "profile", "--q", "6", "--varpi", "T"], "prime power"),
+    (["hecke", "graph", "--q", "3", "--varpi", "T", "--m", "11"],
+     "supported size"),
+    (["iwasawa", "filtration", "--gens", "1", "--r", "9"], "out of range"),
+    (["serre-tate", "check", "--q", "3", "--varpi", "T", "--nilpotency", "1"],
+     "nilpotency"),
+    (["serre-tate", "check", "--q", "3", "--varpi", "T", "--delta", "0"],
+     "delta"),
+    (["carlitz", "trace", "--q", "3", "--varpi", "T", "--nilpotency", "1"],
+     "nilpotency"),
+    (["carlitz", "trace", "--q", "3", "--varpi", "T", "--truncation", "5"],
+     "truncation"),
+])
+def test_invalid_arguments_are_usage_errors(argv, named, capsys):
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2 and named in err
+
+
+@pytest.mark.parametrize("text,named", [
+    ("{", "Expecting"),
+    (json.dumps(dict(_TOWER, depth=0)), ">= 1"),
+    (json.dumps(dict(_TOWER, q=6)), "prime power"),
+    (json.dumps(dict(_LEVELS, levels=[{"precision": 0, "matrix": [["1"]]}])),
+     ">= 1"),
+])
+def test_invalid_tower_is_usage_error(text, named, tmp_path, capsys):
+    path = tmp_path / "tower.json"
+    path.write_text(text)
+    code, _, err = run_cli(["projector", "run", "--tower", str(path)], capsys)
+    assert code == 2 and named in err
+
+
+def test_internal_value_error_exits_one_without_traceback(monkeypatch, capsys):
+    def broken(place):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "carlitz_coefficient_profile", broken)
+    code, out, err = run_cli(["carlitz", "profile", "--q", "3", "--varpi", "T"],
+                             capsys)
+    assert code == 1 and out == ""
+    assert err == "error: ValueError: internal fault\n"

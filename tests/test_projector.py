@@ -268,7 +268,7 @@ def test_exactness_shadow(worked, place_T):
     e1 = rep.projector.matrices[0]
     for col in range(2):
         deep = [e2[r][col] * L2.varpi for r in range(2)]
-        lifted = [x.value for x in deep]
+        lifted = [L2.to_apoly(x) for x in deep]
         shallow = [e1[r][col] for r in range(2)]
         for x, y in zip(lifted, shallow):
             got = (x % place_T.varpi ** 2)
