@@ -10,6 +10,13 @@ included, has one element type, TruncPoly, which carries its ring handle
 and shares one coefficient-tuple core, `CoeffTuple`, with the twisted
 polynomials of `skew`.  Everything is exact; there is no floating point
 anywhere.
+
+`ElementCodes` gives the elements of any finite commutative ring int
+codes, for the projector's matrices: arithmetic on codes is a subscript
+of int-keyed memo tables, `sums[a][b]`, `diffs[a][b]` and `prods[a][b]`,
+whose missing entries the ring's own element arithmetic fills.  Every
+matrix ring owns one, local rings, residue extensions and Iwasawa levels
+alike.
 """
 
 from __future__ import annotations
@@ -49,26 +56,61 @@ def power(x, e: int, one, mul=operator.mul):
     return result
 
 
+class _MemoRow(dict):
+    """One row of a `_MemoTable`, for the element x of its code: a missing
+    entry b is filled once with the code of op(x, element b), computed by
+    the ring's own element arithmetic."""
+
+    __slots__ = ("codes", "op", "x")
+
+    def __init__(self, codes, op, x):
+        self.codes, self.op, self.x = codes, op, x
+
+    def __missing__(self, b: int) -> int:
+        c = self[b] = self.codes.encode(self.op(self.x, self.codes.decode(b)))
+        return c
+
+
+class _MemoTable(dict):
+    """An int-keyed memo `table[a][b]` of one binary operation on codes:
+    a missing row is created empty, so a hit is two dict subscripts."""
+
+    __slots__ = ("codes", "op")
+
+    def __init__(self, codes, op):
+        self.codes, self.op = codes, op
+
+    def __missing__(self, a: int) -> _MemoRow:
+        row = self[a] = _MemoRow(self.codes, self.op, self.codes.decode(a))
+        return row
+
+
 class ElementCodes:
     """Integer codes for the elements of one finite commutative ring: zero
     is 0, one is 1, and every other element gets the next free int when
-    first encoded.  Sums, differences and products are memoized by code
-    pair (sums and products by unordered pair); a miss is filled by the
-    ring's own element arithmetic, so no table is built up front and any
-    ring size works.  Codes are canonical: two codes are equal exactly when
+    first encoded.  Codes are canonical: two codes are equal exactly when
     their elements are.
+
+    Arithmetic on codes is table subscripting: `sums[a][b]`, `diffs[a][b]`
+    and `prods[a][b]` are the codes of a + b, a - b and a * b.  The tables
+    are memos, empty at first; a missing entry is filled by the ring's own
+    element arithmetic, so no table is built up front and any ring size
+    works, and a hit costs two dict subscripts and no Python call.
 
     A ring builds one codec, holding only zero and one, and owns it for its
     lifetime (`ring.codes()`), so every caller shares what earlier ones
-    filled.  Each memo holds at most |R|^2 pairs."""
+    filled.  Each table holds at most |R|^2 entries."""
+
+    __slots__ = ("zero", "one", "_elements", "_index", "sums", "diffs",
+                 "prods")
 
     def __init__(self, ring):
         self.zero, self.one = 0, 1
         self._elements = [ring.zero, ring.one]
         self._index = {ring.zero: 0, ring.one: 1}
-        self._sums: dict = {}
-        self._diffs: dict = {}
-        self._prods: dict = {}
+        self.sums = _MemoTable(self, operator.add)
+        self.diffs = _MemoTable(self, operator.sub)
+        self.prods = _MemoTable(self, operator.mul)
 
     def encode(self, x) -> int:
         code = self._index.get(x)
@@ -79,34 +121,6 @@ class ElementCodes:
 
     def decode(self, code: int):
         return self._elements[code]
-
-    def add(self, a: int, b: int) -> int:
-        if a > b:
-            a, b = b, a
-        try:
-            return self._sums[a, b]
-        except KeyError:
-            c = self._sums[a, b] = self.encode(
-                self._elements[a] + self._elements[b])
-            return c
-
-    def sub(self, a: int, b: int) -> int:
-        try:
-            return self._diffs[a, b]
-        except KeyError:
-            c = self._diffs[a, b] = self.encode(
-                self._elements[a] - self._elements[b])
-            return c
-
-    def mul(self, a: int, b: int) -> int:
-        if a > b:
-            a, b = b, a
-        try:
-            return self._prods[a, b]
-        except KeyError:
-            c = self._prods[a, b] = self.encode(
-                self._elements[a] * self._elements[b])
-            return c
 
 
 def join_terms(pairs, var: str) -> str:

@@ -8,28 +8,28 @@ group-algebra component per tame character of the residue field units,
 as a flat tuple of scalar codes: character-major, then by wild-group
 position.  The codes come from the one `ElementCodes` that the ring
 A/(varpi^m) owns, shared with the projector's matrices over that ring, so
-coefficient arithmetic is a memo lookup, in the manner of Zech logarithms.
-Tables built on first use map a unit code to its (tame exponent, wild
-position) and give u^k by code.  Weight specialization reads off a single
-component; the independent evaluation route expands the element over the
-full unit group first.
+coefficient arithmetic subscripts its memo tables (`sums[a][b]`,
+`prods[a][b]`), in the manner of Zech logarithms.  Each level also owns
+one `ElementCodes` over its own elements, which codes the projector's
+matrices over the level.  Tables built on first use map a unit code to its
+(tame exponent, wild position) and give u^k by code.  Weight
+specialization reads off a single component; the independent evaluation
+route expands the element over the full unit group first.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache, cached_property, partial
-from operator import attrgetter, ge
-from types import SimpleNamespace
+from functools import cache, cached_property
 
-from .basearith import PrimePlace, TruncPoly, local_ring, power
+from .basearith import ElementCodes, PrimePlace, TruncPoly, local_ring, power
 
 
 class IwasawaLevel:
     """The level-m truncation: coefficients in A/(varpi^m), group the units
     of that ring, decomposed as (residue units) x (principal units).
-    `add`, `sub` and `mul` act on the elements' code tuples, and `codes()`
-    hands the same functions to the projector."""
+    `add`, `sub` and `mul` act on the elements' tuples of scalar codes, and
+    `codes()` is the level's own codec, whose codes stand for elements."""
 
     def __init__(self, place: PrimePlace, m: int):
         if m < 1:
@@ -52,10 +52,7 @@ class IwasawaLevel:
         self.zero = IwasawaElement(self, (0,) * (self.tame_order * self.width))
         self.one = IwasawaElement(
             self, self._dirac_codes(0, self.wild_index[self.ring.one]))
-        self._codec = SimpleNamespace(
-            zero=self.zero.codes, one=self.one.codes,
-            encode=attrgetter("codes"), decode=partial(IwasawaElement, self),
-            add=self.add, sub=self.sub, mul=self.mul)
+        self._codes = ElementCodes(self)
 
     def _find_teich_generator(self) -> TruncPoly:
         for u in self.ring.units():
@@ -78,9 +75,10 @@ class IwasawaLevel:
     def _expand_weights(self) -> tuple:
         """[a][chi]: chi^-1(zeta^a) / (tame order), the weight of component
         chi at tame exponent a in `expand`."""
-        t, teich, mul = self.tame_order, self._teich_codes, self.scalars.mul
-        inv = self.scalars.encode(self.ring.from_int(t).inverse())
-        return tuple(tuple(mul(teich[-chi * a % t], inv) for chi in range(t))
+        t, teich = self.tame_order, self._teich_codes
+        inv = self.scalars.prods[
+            self.scalars.encode(self.ring.from_int(t).inverse())]
+        return tuple(tuple(inv[teich[-chi * a % t]] for chi in range(t))
                      for a in range(t))
 
     @cached_property
@@ -94,12 +92,12 @@ class IwasawaLevel:
         cycle u^0, u^1, ... of u (kept once computed)."""
         cycle = self._cycles.get(u)
         if cycle is None:
-            mul, acc, cycle = self.scalars.mul, u, [1]
+            times_u, acc, cycle = self.scalars.prods[u], u, [1]
             while acc != 1:
                 if not acc:
                     raise ValueError(f"{self.scalars.decode(u)} is not a unit")
                 cycle.append(acc)
-                acc = mul(acc, u)
+                acc = times_u[acc]
             cycle = self._cycles[u] = tuple(cycle)
         return cycle[k % len(cycle)]
 
@@ -134,41 +132,42 @@ class IwasawaLevel:
     def random_element(self, rng, support: int = 3) -> "IwasawaElement":
         """Per tame character, up to `support` draws of a wild position and
         a ring element (in `ring.elements()` order), summed."""
-        out, w = list(self.zero.codes), self.width
+        out, w, sums = list(self.zero.codes), self.width, self.scalars.sums
         ring = self._element_codes
         for chi in range(self.tame_order):
             for _ in range(rng.randrange(support + 1)):
                 k = chi * w + rng.randrange(w)
-                out[k] = self.scalars.add(out[k],
-                                          ring[rng.randrange(len(ring))])
+                out[k] = sums[out[k]][ring[rng.randrange(len(ring))]]
         return IwasawaElement(self, tuple(out))
 
     # -- arithmetic on code tuples ------------------------------------------
 
     def add(self, x: tuple, y: tuple) -> tuple:
-        return tuple(map(self.scalars.add, x, y))
+        sums = self.scalars.sums
+        return tuple([sums[a][b] for a, b in zip(x, y)])
 
     def sub(self, x: tuple, y: tuple) -> tuple:
-        return tuple(map(self.scalars.sub, x, y))
+        diffs = self.scalars.diffs
+        return tuple([diffs[a][b] for a, b in zip(x, y)])
 
     def mul(self, x: tuple, y: tuple) -> tuple:
         """Per tame character, the convolution of the wild components."""
-        add, mul, w = self.scalars.add, self.scalars.mul, self.width
+        sums, prods, w = self.scalars.sums, self.scalars.prods, self.width
         out = [0] * len(x)
         for base in range(0, len(x), w):
-            ys = y[base:base + w]
+            ys = [(j, e) for j, e in enumerate(y[base:base + w]) if e]
             for row, c in zip(self._wild_products, x[base:base + w]):
                 if c:
-                    for j, e in enumerate(ys):
-                        if e:
-                            k = base + row[j]
-                            out[k] = add(out[k], mul(c, e))
+                    pc = prods[c]
+                    for j, e in ys:
+                        k = base + row[j]
+                        out[k] = sums[out[k]][pc[e]]
         return tuple(out)
 
-    def codes(self) -> SimpleNamespace:
-        """The projector's codec, one per level: an element's code is its
-        own tuple."""
-        return self._codec
+    def codes(self) -> ElementCodes:
+        """The level's codec over its elements, one per level for its
+        lifetime: the projector's matrices over the level are coded by it."""
+        return self._codes
 
     def __repr__(self):
         return f"IwasawaLevel({self.place}, m={self.m})"
@@ -220,8 +219,8 @@ class IwasawaElement:
         if isinstance(other, TruncPoly):
             if other.ring is not lv.ring:
                 raise ValueError("scalar of a different ring")
-            s, mul = lv.scalars.encode(other), lv.scalars.mul
-            return IwasawaElement(lv, tuple(mul(c, s) for c in self.codes))
+            times_s = lv.scalars.prods[lv.scalars.encode(other)]
+            return IwasawaElement(lv, tuple([times_s[c] for c in self.codes]))
         return IwasawaElement(lv, lv.mul(self.codes, self._codes_of(other)))
 
     def __rmul__(self, other):
@@ -239,14 +238,14 @@ class IwasawaElement:
         if m > lv.m:
             raise ValueError("cannot raise the level")
         low = iwasawa_level(lv.place, m)
-        out = list(low.zero.codes)
+        out, sums = list(low.zero.codes), low.scalars.sums
         for n, c in enumerate(self.codes):
             if c:
                 chi, i = divmod(n, lv.width)
                 u = low.ring.reduce(lv.wild_group[i])
                 k = chi * low.width + low.wild_index[u]
                 c = low.ring.reduce(lv.scalars.decode(c))
-                out[k] = low.scalars.add(out[k], low.scalars.encode(c))
+                out[k] = sums[out[k]][low.scalars.encode(c)]
         return IwasawaElement(low, tuple(out))
 
     def expand(self) -> dict:
@@ -280,14 +279,14 @@ class IwasawaElement:
 def _expand_codes(x: IwasawaElement) -> dict:
     """`expand` on codes: unit code -> nonzero coefficient code."""
     lv = x.level
-    w, add, mul = lv.width, lv.scalars.add, lv.scalars.mul
+    w, sums, prods = lv.width, lv.scalars.sums, lv.scalars.prods
     units, out = lv._unit_tables[0], {}
     for a, weights in enumerate(lv._expand_weights):
         for i in range(w):
             acc = 0
             for weight, c in zip(weights, x.codes[i::w]):
                 if c:
-                    acc = add(acc, mul(weight, c))
+                    acc = sums[acc][prods[weight][c]]
             if acc:
                 out[units[a * w + i]] = acc
     return out
@@ -295,14 +294,16 @@ def _expand_codes(x: IwasawaElement) -> dict:
 
 def _decompose_codes(level: IwasawaLevel, pairs) -> IwasawaElement:
     """`decompose` on (unit code, coefficient code) pairs."""
-    t, w, codes = level.tame_order, level.width, level.scalars
+    t, w = level.tame_order, level.width
+    sums, prods = level.scalars.sums, level.scalars.prods
     split, teich = level._unit_tables[1], level._teich_codes
     out = list(level.zero.codes)
     for u, c in pairs:
         a, i = split[u]
+        times_c = prods[c]
         for chi in range(t):
             k = chi * w + i
-            out[k] = codes.add(out[k], codes.mul(teich[chi * a % t], c))
+            out[k] = sums[out[k]][times_c[teich[chi * a % t]]]
     return IwasawaElement(level, tuple(out))
 
 
@@ -338,13 +339,13 @@ def specialize(x: IwasawaElement, weight) -> TruncPoly:
     w = weight if isinstance(weight, WeightChar) else WeightChar(weight)
     lv = x.level
     codes = lv.scalars
+    sums, prods = codes.sums, codes.prods
     base = w.tame(lv.tame_order) * lv.width
     acc = 0
     for v, c in zip(lv.wild_group, x.codes[base:base + lv.width]):
         if c:
-            acc = codes.add(acc, codes.mul(c, lv.unit_power(codes.encode(v),
-                                                            w.k)))
-    return lv.scalars.decode(acc)
+            acc = sums[acc][prods[c][lv.unit_power(codes.encode(v), w.k)]]
+    return codes.decode(acc)
 
 
 def iota_eval(x: IwasawaElement, k: int) -> TruncPoly:
@@ -353,10 +354,10 @@ def iota_eval(x: IwasawaElement, k: int) -> TruncPoly:
     with specialize at every integer weight (the two routes are kept
     independent on purpose)."""
     lv = x.level
-    add, mul = lv.scalars.add, lv.scalars.mul
+    sums, prods = lv.scalars.sums, lv.scalars.prods
     acc = 0
     for u, c in _expand_codes(x).items():
-        acc = add(acc, mul(c, lv.unit_power(u, k)))
+        acc = sums[acc][prods[c][lv.unit_power(u, k)]]
     return lv.scalars.decode(acc)
 
 
@@ -365,8 +366,8 @@ def duality_twist(x: IwasawaElement) -> IwasawaElement:
     [u] it returns u^2 [u^{-1}].  Specialization at weight k of the twist
     equals specialization at weight 2 - k, and the twist is an involution."""
     lv = x.level
-    mul, pw = lv.scalars.mul, lv.unit_power
-    return _decompose_codes(lv, ((pw(u, -1), mul(c, pw(u, 2)))
+    prods, pw = lv.scalars.prods, lv.unit_power
+    return _decompose_codes(lv, ((pw(u, -1), prods[c][pw(u, 2)])
                                  for u, c in _expand_codes(x).items()))
 
 
@@ -444,6 +445,7 @@ def _evaluation_rank(lv: IwasawaLevel, matrix) -> int:
     sense refined by valuation: the number of varpi-power pivots found by
     fraction-free elimination (enough for saturation comparison)."""
     m, codes = lv.m, lv.scalars
+    diffs, prods = codes.diffs, codes.prods
     val = cache(lambda c: codes.decode(c).varpi_valuation())
     rows = [list(row) for row in matrix]
     if not rows:
@@ -472,8 +474,8 @@ def _evaluation_rank(lv: IwasawaLevel, matrix) -> int:
             if val(e) < best_val:
                 raise AssertionError("pivot was not minimal")
             eu = codes.decode(e).eps_quotient(best_val)
-            factor = codes.encode(eu * unit_inverse)
-            rows[r] = [codes.sub(a, codes.mul(factor, b))
+            times_factor = prods[codes.encode(eu * unit_inverse)]
+            rows[r] = [diffs[a][times_factor[b]]
                        for a, b in zip(rows[r], rows[rank])]
         rank += 1
         if rank == len(rows):
@@ -493,20 +495,63 @@ class MonomialIdeal(namedtuple("MonomialIdeal", "nvars gens")):
 
     __slots__ = ()
 
+    def packed(self, gens=None) -> "PackedMonomials":
+        """The membership test of the ideal generated by `gens` (by default
+        this ideal's own), with exponents capped one above this ideal's
+        largest; built once for a loop."""
+        cap = max((e for g in self.gens for e in g), default=0) + 1
+        test = PackedMonomials(self.nvars, cap)
+        test.gens.extend(map(test.pack, self.gens if gens is None else gens))
+        return test
+
     def contains_monomial(self, mono: tuple) -> bool:
-        """Some generator divides mono: every exponent is at least the
-        generator's."""
-        return any(all(map(ge, mono, gen)) for gen in self.gens)
+        return mono in self.packed()
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
-        return all(self.contains_monomial(g) for g in other.gens)
+        test = self.packed()
+        return all(g in test for g in other.gens)
 
     def minimal_gens(self) -> tuple:
+        """The generators that no earlier one (in sorted order) divides."""
         out: list = []
+        test = self.packed(())
         for g in sorted(self.gens):
-            if not MonomialIdeal(self.nvars, tuple(out)).contains_monomial(g):
+            if g not in test:
                 out.append(g)
+                test.gens.append(test.pack(g))
         return tuple(out)
+
+
+class PackedMonomials:
+    """Divisibility by a list of generator monomials, on packed exponents.
+    A monomial packs into one int with a field of `cap.bit_length()` bits
+    per variable, each exponent capped at `cap` (which exceeds every
+    generator exponent, so capping keeps divisibility), and a guard bit
+    above each field.  A generator g divides x exactly when no field of
+    (x | guards) - g borrows, that is when every guard bit survives."""
+
+    __slots__ = ("cap", "shifts", "guards", "gens")
+
+    def __init__(self, nvars: int, cap: int):
+        width = cap.bit_length() + 1
+        self.cap = cap
+        self.shifts = range(0, nvars * width, width)
+        self.guards = sum(1 << (s + width - 1) for s in self.shifts)
+        self.gens: list = []  # packed generators
+
+    def pack(self, mono: tuple) -> int:
+        cap, x = self.cap, 0
+        for e, s in zip(mono, self.shifts):
+            x |= (e if e < cap else cap) << s
+        return x
+
+    def __contains__(self, mono: tuple) -> bool:
+        guards = self.guards
+        x = self.pack(mono) | guards
+        for g in self.gens:
+            if (x - g) & guards == guards:
+                return True
+        return False
 
 
 def _monomials_of_degree(nvars: int, deg: int):
@@ -588,9 +633,9 @@ def filtration(s: int, r: int) -> MonomialIdeal:
 def power_containment_degree(I: MonomialIdeal) -> int:
     """Smallest D with every degree-D monomial in I (exists for the chain
     ideals; bounded search)."""
+    test = I.packed()
     for D in range(0, 40):
-        if all(I.contains_monomial(mono)
-               for mono in _monomials_of_degree(I.nvars, D)):
+        if all(mono in test for mono in _monomials_of_degree(I.nvars, D)):
             return D
     raise RuntimeError("no containment degree found")
 
@@ -601,23 +646,21 @@ def quotient_basis(I: MonomialIdeal, J: MonomialIdeal) -> list:
     if not I.contains_ideal(J):
         raise ValueError("J is not contained in I")
     D = power_containment_degree(J)
-    out = []
-    for deg in range(D):
-        for mono in _monomials_of_degree(I.nvars, deg):
-            if I.contains_monomial(mono) and not J.contains_monomial(mono):
-                out.append(mono)
-    return out
+    in_i, in_j = I.packed(), J.packed()
+    return [mono for deg in range(D)
+            for mono in _monomials_of_degree(I.nvars, deg)
+            if mono in in_i and mono not in in_j]
 
 
 def maximal_ideal_kills_quotient(I: MonomialIdeal, J: MonomialIdeal) -> bool:
-    """Whether every variable multiplies the quotient basis into J."""
-    basis = quotient_basis(I, J)
-    for mono in basis:
-        for v in range(I.nvars):
-            shifted = tuple(e + (1 if i == v else 0) for i, e in enumerate(mono))
-            if not J.contains_monomial(shifted):
-                return False
-    return True
+    """Whether the maximal ideal kills I/J, for J inside I: m(I/J) = 0
+    exactly when m I lies in J, so it suffices that every variable
+    multiplies every generator of I into J."""
+    if not I.contains_ideal(J):
+        raise ValueError("J is not contained in I")
+    in_j = J.packed()
+    return all(g[:v] + (g[v] + 1,) + g[v + 1:] in in_j
+               for g in I.gens for v in range(I.nvars))
 
 
 def monomial_str(mono: tuple) -> str:

@@ -4,14 +4,16 @@ projector e(T) = lim T^(n!), with the control-style compatibility checks
 
 Towers hold plain row lists of ring elements; levels of a tower may live
 over different rings connected by entrywise transition maps.  The matrix
-arithmetic works on codes instead: every matrix ring's `codes()` returns
-the ring's own codec (`zero`, `one`, `encode`, `decode`, `add`, `sub`,
-`mul`), the same object on every call and for the ring's lifetime, with
-canonical codes, so `==` on codes is equality of elements.  The three
-entry points below encode their input matrices once, compute on codes,
-and decode only the matrices they report.  Products skip zero codes, so a
-sparse (in the Hecke towers, monomial) matrix costs one codec product per
-pair of nonzero entries that meet.
+arithmetic works on codes instead: every matrix ring (`LocalRing`,
+`FieldExt`, `IwasawaLevel`) returns from `codes()` its one
+`basearith.ElementCodes`, the same object on every call and for the ring's
+lifetime.  Codes are ints with zero at 0 and one at 1, and canonical, so
+`==` on codes is equality of elements, and sums and products are the
+subscripts `sums[a][b]` and `prods[a][b]` of the codec's memo tables.  The
+three entry points below encode their input matrices once, compute on
+codes, and decode only the matrices they report.  Products skip zero
+codes, so a sparse (in the Hecke towers, monomial) matrix costs one table
+lookup per pair of nonzero entries that meet.
 """
 
 from __future__ import annotations
@@ -36,17 +38,20 @@ def mat_identity(codec, n: int):
 def mat_mul(a, b, codec):
     """The product of two coded matrices, row by row (Gustavson's sparse
     product): each nonzero a[i][k] adds a[i][k] * b[k][j] over the nonzero
-    entries of row k of b only, into a row that starts at `codec.zero`."""
-    zero, add, mul = codec.zero, codec.add, codec.mul
+    entries of row k of b only, into a row of zero codes.  Both operations
+    are subscripts of the codec's memo tables: the row `prods[x]` once per
+    nonzero x, then `sums[acc][px[y]]` per pair of entries that meet."""
+    sums, prods = codec.sums, codec.prods
     width = len(b[0]) if b else 0
-    rows_b = [[(j, y) for j, y in enumerate(row) if y != zero] for row in b]
+    rows_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
     for row in a:
-        acc = [zero] * width
+        acc = [0] * width
         for x, row_b in zip(row, rows_b):
-            if x != zero:
+            if x:
+                px = prods[x]
                 for j, y in row_b:
-                    acc[j] = add(acc[j], mul(x, y))
+                    acc[j] = sums[acc[j]][px[y]]
         out.append(acc)
     return out
 

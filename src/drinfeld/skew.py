@@ -12,8 +12,9 @@ and its callers assume without probing:
   FFElement, TruncPoly and APoly;
 * matrix rings (LocalRing, which holds A/(varpi^n) as the ArtinRing
   F_Q[eps]/(eps^n); FieldExt; IwasawaLevel) expose `zero`, `one` and
-  `codes()`, the codec of the projector's matrix arithmetic, which the
-  ring owns for its lifetime;
+  `codes()`, the one `basearith.ElementCodes` of the projector's matrix
+  arithmetic, which the ring owns for its lifetime: int codes with memo
+  tables `sums[a][b]`, `diffs[a][b]` and `prods[a][b]`;
 * every element answers `is_zero()`, and coefficient elements also answer
   `is_unit()` and `inverse()`.
 

@@ -2,10 +2,12 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drinfeld.basearith import poly_T
 from drinfeld.checks import standard_places
-from drinfeld.iwasawa import (J_ideal, WeightChar, alpha, decompose,
+from drinfeld.iwasawa import (J_ideal, MonomialIdeal, WeightChar,
+                              _monomials_of_degree, alpha, decompose,
                               determining_weights, duality_twist, filtration,
                               filtration_index_range, iota_eval,
                               iwasawa_level, maximal_ideal_kills_quotient,
@@ -207,7 +209,6 @@ def test_containment_matches_componentwise_definition():
     # mono lies in a monomial ideal iff mono - gen has no negative exponent
     # for some generator; checked on every monomial up to one degree past
     # the containment degree of every chain ideal
-    from drinfeld.iwasawa import _monomials_of_degree
     seen = set()
     for s in range(1, 5):
         for r in range(filtration_index_range(s) + 1):
@@ -224,6 +225,99 @@ def test_containment_matches_componentwise_definition():
                 I.contains_monomial(mono)
                 for mono in _monomials_of_degree(I.nvars, D - 1))
     assert seen == {True, False}
+
+
+def _divides(gen, mono) -> bool:
+    return all(m >= g for m, g in zip(mono, gen))
+
+
+def _in_ideal(I, mono) -> bool:
+    return any(_divides(gen, mono) for gen in I.gens)
+
+
+def _kills_by_enumeration(I, J) -> bool:
+    """The enumeration route, kept as the oracle: list the monomial basis
+    of I/J up to the degree where J holds every monomial, and multiply each
+    basis monomial by each variable into J, all by componentwise tests."""
+    n, D = I.nvars, 0
+    while not all(_in_ideal(J, mono) for mono in _monomials_of_degree(n, D)):
+        D += 1
+    basis = [mono for deg in range(D) for mono in _monomials_of_degree(n, deg)
+             if _in_ideal(I, mono) and not _in_ideal(J, mono)]
+    return all(_in_ideal(J, mono[:v] + (mono[v] + 1,) + mono[v + 1:])
+               for mono in basis for v in range(I.nvars))
+
+
+def test_kill_test_matches_enumeration_oracle():
+    # every chain pair (r, r+1) for s <= 4, where the quotient is always
+    # killed, and the non-adjacent pairs (r, r+2), where it is not always
+    outcomes = {1: set(), 2: set()}
+    for s in range(1, 5):
+        top = filtration_index_range(s)
+        for step in (1, 2):
+            for r in range(top - step + 1):
+                I, J = filtration(s, r), filtration(s, r + step)
+                want = _kills_by_enumeration(I, J)
+                assert maximal_ideal_kills_quotient(I, J) is want, (s, r, step)
+                outcomes[step].add(want)
+    assert outcomes == {1: {True}, 2: {True, False}}
+
+
+def _ideal_with_powers(gens, powers) -> MonomialIdeal:
+    pure = [tuple(k if i == v else 0 for i in range(3))
+            for v, k in enumerate(powers)]
+    return MonomialIdeal(3, tuple(gens) + tuple(pure))
+
+
+small_monomials = st.lists(st.integers(0, 3), min_size=3,
+                           max_size=3).map(tuple)
+
+
+@settings(max_examples=60)
+@given(st.lists(small_monomials, max_size=4),
+       st.lists(small_monomials, max_size=3),
+       st.lists(st.integers(1, 2), min_size=3, max_size=3))
+def test_kill_test_matches_enumeration_off_the_chain(gens, extra, powers):
+    # J = I * K with K holding a power of every variable, so J lies in I
+    # and holds a power of the maximal ideal; whether m kills I/J then
+    # depends on every variable, varpi included
+    I = _ideal_with_powers(gens, (4, 4, 4))
+    K = _ideal_with_powers(extra, powers)
+    J = MonomialIdeal(3, tuple(tuple(map(sum, zip(g, h)))
+                               for g in I.gens for h in K.gens))
+    assert maximal_ideal_kills_quotient(I, J) is _kills_by_enumeration(I, J)
+
+
+def test_kill_test_rejects_reversed_pairs():
+    strict = 0
+    for s in range(1, 5):
+        for r in range(filtration_index_range(s)):
+            I, J = filtration(s, r), filtration(s, r + 1)
+            if I == J:
+                continue
+            strict += 1
+            with pytest.raises(ValueError, match="not contained"):
+                maximal_ideal_kills_quotient(J, I)
+    assert strict == 18
+
+
+monomials = st.lists(st.integers(0, 5), min_size=3, max_size=3).map(tuple)
+
+
+@settings(max_examples=200)
+@given(st.lists(monomials, max_size=6),
+       st.lists(st.integers(0, 1000), min_size=3, max_size=3).map(tuple))
+def test_packed_membership_matches_componentwise(gens, mono):
+    # exponents of the tested monomial reach far above the packing cap
+    I = MonomialIdeal(3, tuple(gens))
+    assert I.contains_monomial(mono) is _in_ideal(I, mono)
+    test = I.packed()
+    for g in gens:
+        assert g in test
+        for v in range(3):
+            lower = g[:v] + (g[v] - 1,) + g[v + 1:]
+            if g[v]:
+                assert (lower in test) is _in_ideal(I, lower)
 
 
 def test_out_of_range_rejected():
@@ -252,7 +346,6 @@ def test_truncation_collapse_is_harmless():
 
 def test_non_noetherian_witness():
     # (T_1, ..., T_s) grows strictly when a new generator appears
-    from drinfeld.iwasawa import MonomialIdeal
     for s in (1, 2, 3):
         nvars = s + 2  # room for T_{s+1}
         gens = []

@@ -394,9 +394,9 @@ def test_codec_matches_ring_arithmetic(kind, place_index):
         for x, cx in zip(elements, codes):
             assert c.decode(cx) == x
             for y, cy in zip(elements, codes):
-                assert c.decode(c.add(cx, cy)) == x + y
-                assert c.decode(c.sub(cx, cy)) == x - y
-                assert c.decode(c.mul(cx, cy)) == x * y
+                assert c.decode(c.sums[cx][cy]) == x + y
+                assert c.decode(c.diffs[cx][cy]) == x - y
+                assert c.decode(c.prods[cx][cy]) == x * y
 
 
 @pytest.mark.parametrize("place_index", [0, 1])
@@ -405,6 +405,7 @@ def test_codes_are_owned_by_the_ring(place_index):
     for ring in (local_ring(place, 2), ext_field(place, 2),
                  iwasawa_level(place, 2)):
         assert ring.codes() is ring.codes()
+        assert isinstance(ring.codes(), ElementCodes)
     for m in (1, 2, 3):
         assert iwasawa_level(place, m).scalars is local_ring(place, m).codes()
 
@@ -426,12 +427,15 @@ def test_repeated_control_check_builds_no_codec(place_T, monkeypatch):
         init(self, ring)
 
     monkeypatch.setattr(ElementCodes, "__init__", counting_init)
-    memo = {name: len(getattr(lv.scalars, name))
-            for name in ("_sums", "_diffs", "_prods")}
+    def entries():
+        return {(codec, name): sum(map(len, getattr(codec, name).values()))
+                for codec in (lv.codes(), lv.scalars)
+                for name in ("sums", "diffs", "prods")}
+    memo = entries()
     again = run()
     assert built == []
-    # nothing left to refill: every product was filled by the first run
-    assert memo == {name: len(getattr(lv.scalars, name)) for name in memo}
+    # nothing left to refill: every entry was filled by the first run
+    assert memo == entries()
     assert (again.specialized_projector, again.projector_of_specialized,
             again.images_agree) == (first.specialized_projector,
                                     first.projector_of_specialized,
