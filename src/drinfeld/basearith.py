@@ -4,12 +4,14 @@ rings k'[eps]/(eps^n), the truncated completions A/(varpi^n) among them as
 F_Q[eps]/(eps^n), and the series rings over them.
 
 All values are immutable; sharing across tasks is safe.  Field elements are
-discrete-log encoded against a fixed primitive element (Zech logarithms),
-and polynomials are coefficient tuples.  Every truncated ring, A/(varpi^n)
-included, has one element type, TruncPoly, which carries its ring handle
-and shares one coefficient-tuple core, `CoeffTuple`, with the twisted
-polynomials of `skew`.  Everything is exact; there is no floating point
-anywhere.
+discrete-log encoded against a fixed primitive element (Zech logarithms)
+and interned: each field builds its q elements once, every operation
+returns one of them, and equality and hashing are identity.  Polynomials
+are coefficient tuples, so they compare and hash without a Python call per
+coefficient.  Every truncated ring, A/(varpi^n) included, has one element
+type, TruncPoly, which carries its ring handle and shares one
+coefficient-tuple core, `CoeffTuple`, with the twisted polynomials of
+`skew`.  Everything is exact; there is no floating point anywhere.
 
 `ElementCodes` gives the elements of any finite commutative ring int
 codes, for the projector's matrices: arithmetic on codes is a subscript
@@ -209,7 +211,13 @@ class CoeffTuple:
 
 class FFElement:
     """Element of a FiniteField, stored as the discrete log of a fixed
-    primitive element (log = -1 encodes zero)."""
+    primitive element (log = -1 encodes zero).
+
+    Elements are interned: the field builds each of its q elements once,
+    as `field.elems` indexed by log + 1, and every operation returns one of
+    those objects.  Equality and hashing are therefore identity, the
+    object defaults, with no Python frame.  Only `FiniteField.__init__`
+    constructs elements."""
 
     __slots__ = ("field", "log")
 
@@ -233,20 +241,16 @@ class FFElement:
         return self.field.pows[self.log]
 
     def __add__(self, other):
-        other = self.field.coerce(other)
         f = self.field
-        if self.log < 0:
+        if other.__class__ is not FFElement or other.field is not f:
+            other = f.coerce(other)
+        la, lb = self.log, other.log
+        if la < 0:
             return other
-        if other.log < 0:
+        if lb < 0:
             return self
-        if self.log <= other.log:
-            la, lb = self.log, other.log
-        else:
-            la, lb = other.log, self.log
         z = f.zech[(lb - la) % f.order]
-        if z < 0:
-            return f.zero
-        return FFElement(f, (la + z) % f.order)
+        return f.elems[(la + z) % f.order + 1] if z >= 0 else f.zero
 
     __radd__ = __add__
 
@@ -254,45 +258,45 @@ class FFElement:
         f = self.field
         if self.log < 0 or f.p == 2:
             return self
-        return FFElement(f, (self.log + f.order // 2) % f.order)
+        return f.elems[(self.log + f.order // 2) % f.order + 1]
 
     def __sub__(self, other):
-        return self + (-self.field.coerce(other))
+        f = self.field
+        if other.__class__ is not FFElement or other.field is not f:
+            other = f.coerce(other)
+        return self + (-other)
 
     def __rsub__(self, other):
         return self.field.coerce(other) - self
 
     def __mul__(self, other):
-        other = self.field.coerce(other)
+        f = self.field
+        if other.__class__ is not FFElement or other.field is not f:
+            other = f.coerce(other)
         if self.log < 0 or other.log < 0:
-            return self.field.zero
-        return FFElement(self.field, (self.log + other.log) % self.field.order)
+            return f.zero
+        return f.elems[(self.log + other.log) % f.order + 1]
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.log < 0:
             raise ZeroDivisionError("inverse of zero")
-        return FFElement(self.field, (-self.log) % self.field.order)
+        f = self.field
+        return f.elems[-self.log % f.order + 1]
 
     def __truediv__(self, other):
         return self * self.field.coerce(other).inverse()
 
     def __pow__(self, e: int):
+        f = self.field
         if self.log < 0:
             if e > 0:
                 return self
             if e == 0:
-                return self.field.one
+                return f.one
             raise ZeroDivisionError("negative power of zero")
-        return FFElement(self.field, (self.log * e) % self.field.order)
-
-    def __eq__(self, other):
-        return (isinstance(other, FFElement) and other.field is self.field
-                and other.log == self.log)
-
-    def __hash__(self):
-        return hash((id(self.field), self.log))
+        return f.elems[self.log * e % f.order + 1]
 
     def __str__(self):
         vec = self.coeffs()
@@ -304,7 +308,9 @@ class FFElement:
 
 class FiniteField:
     """F_{p^n} with Zech-log tables; the defining polynomial is the first
-    (lexicographically) monic primitive polynomial of degree n over F_p."""
+    (lexicographically) monic primitive polynomial of degree n over F_p.
+    The field owns its q interned elements, `elems`: zero at index 0 and
+    g^k at index k + 1 for the primitive element g, so one at index 1."""
 
     def __init__(self, p: int, n: int):
         if not _is_prime(p):
@@ -317,11 +323,10 @@ class FiniteField:
         self.q = q
         self.order = q - 1  # size of the multiplicative group
         self._build_tables()
-        self.zero = FFElement(self, -1)
-        self.one = FFElement(self, 0)
-        self._int_cache = {0: self.zero}
-        for c in range(1, p):
-            self._int_cache[c] = FFElement(self, self.dlog[self._unit_vec(c)])
+        self.elems = [FFElement(self, log) for log in range(-1, self.order)]
+        self.zero, self.one = self.elems[0], self.elems[1]
+        self._ints = [self.elems[self.dlog.get(self._unit_vec(c), -1) + 1]
+                      for c in range(p)]
         self._embed_cache: dict[int, object] = {}
 
     def _unit_vec(self, c: int) -> tuple[int, ...]:
@@ -382,28 +387,24 @@ class FiniteField:
                 raise ValueError("element of a different field")
             return x
         if isinstance(x, int):
-            return self._int_cache[x % self.p]
+            return self._ints[x % self.p]
         raise TypeError(f"cannot coerce {x!r} into F_{self.q}")
 
     def from_int(self, c: int) -> FFElement:
-        return self._int_cache[c % self.p]
+        return self._ints[c % self.p]
 
     def gen(self) -> FFElement:
-        if self.q == 2:
-            return self.one
-        return FFElement(self, 1)
+        return self.elems[2 if self.q > 2 else 1]
 
     def element(self, log: int) -> FFElement:
-        return self.zero if log < 0 else FFElement(self, log % self.order)
+        return self.zero if log < 0 else self.elems[log % self.order + 1]
 
     def elements(self):
-        yield self.zero
-        for k in range(self.order):
-            yield FFElement(self, k)
+        """Zero, then the units in increasing log order."""
+        return iter(self.elems)
 
     def units(self):
-        for k in range(self.order):
-            yield FFElement(self, k)
+        return iter(self.elems[1:])
 
     def embedding_from(self, sub: "FiniteField"):
         """Field embedding F_{p^m} -> F_{p^n} for m | n, picked
@@ -419,7 +420,7 @@ class FiniteField:
         minpoly = [sub.modulus[i] for i in range(sub.n + 1)]
         root = None
         for r in range(0, self.order, step):
-            cand = FFElement(self, r)
+            cand = self.elems[r + 1]
             acc = self.zero
             for c in reversed(minpoly):
                 acc = acc * cand + self.from_int(c)
@@ -435,7 +436,7 @@ class FiniteField:
                 raise ValueError("element of unexpected field")
             if x.log < 0:
                 return _f.zero
-            return FFElement(_f, (x.log * _rlog) % _f.order)
+            return _f.elems[x.log * _rlog % _f.order + 1]
 
         self._embed_cache[key] = emb
         return emb

@@ -422,9 +422,9 @@ def determining_weights(place: PrimePlace, m: int) -> "DeterminingSet":
     units = [lv.scalars.encode(u) for u in lv.ring.units()]
     doubled = [[lv.unit_power(u, k) for k in range(2 * exponent)]
                for u in units]
-    rank = _evaluation_rank(lv, [row[:exponent] for row in doubled])
+    rank, doubled_rank = _evaluation_ranks(lv, doubled, exponent)
     return DeterminingSet(place, m, tuple(range(exponent)), exponent,
-                          rank, rank == _evaluation_rank(lv, doubled))
+                          rank, rank == doubled_rank)
 
 
 class DeterminingSet(namedtuple(
@@ -440,19 +440,25 @@ class DeterminingSet(namedtuple(
         return self.saturated
 
 
-def _evaluation_rank(lv: IwasawaLevel, matrix) -> int:
-    """Rank of a matrix of scalar codes over A/(varpi^m) in the residue
-    sense refined by valuation: the number of varpi-power pivots found by
-    fraction-free elimination (enough for saturation comparison)."""
+def _evaluation_ranks(lv: IwasawaLevel, matrix, cut: int) -> tuple[int, int]:
+    """Ranks of a matrix of scalar codes over A/(varpi^m), of its first
+    `cut` columns and of all of them, in the residue sense refined by
+    valuation: the number of varpi-power pivots found by fraction-free
+    elimination (enough for saturation comparison).  The elimination runs
+    column by column, so on its way it passes through exactly the state of
+    an elimination of the first `cut` columns alone: one pass gives both."""
     m, codes = lv.m, lv.scalars
     diffs, prods = codes.diffs, codes.prods
     val = cache(lambda c: codes.decode(c).varpi_valuation())
     rows = [list(row) for row in matrix]
     if not rows:
-        return 0
+        return 0, 0
     ncols = len(rows[0])
     rank = 0
+    rank_at_cut = None
     for col in range(ncols):
+        if col == cut:
+            rank_at_cut = rank
         # find the row whose entry at col has minimal valuation
         best, best_val = None, m
         for r in range(rank, len(rows)):
@@ -479,8 +485,8 @@ def _evaluation_rank(lv: IwasawaLevel, matrix) -> int:
                        for a, b in zip(rows[r], rows[rank])]
         rank += 1
         if rank == len(rows):
-            break
-    return rank
+            break  # full row rank: no later column adds a pivot
+    return (rank if rank_at_cut is None else rank_at_cut), rank
 
 
 # ---------------------------------------------------------------------------

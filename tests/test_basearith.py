@@ -1,14 +1,17 @@
+import ast
 import itertools
 import operator
 import random
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from drinfeld.basearith import (TruncPoly, apoly, artin_ring, ext_field,
-                                finite_field, local_ring, make_place, poly_T,
-                                power)
+from drinfeld.basearith import (FFElement, FiniteField, TruncPoly, apoly,
+                                artin_ring, ext_field, finite_field,
+                                local_ring, make_place, poly_T, power)
+import drinfeld
 from drinfeld.carlitz import TruncSeriesRing
 from drinfeld.iwasawa import iwasawa_level
 from drinfeld.projector import mat_identity, mat_mul, mat_pow
@@ -55,6 +58,158 @@ def test_subfield_embedding(F3, F9):
         assert emb(a + b) == emb(a) + emb(b)
         assert emb(a * b) == emb(a) * emb(b)
     assert emb(F3.one) == F9.one
+
+
+# -- interned arithmetic against coordinates ----------------------------------
+
+SMALL_FIELDS = [(p, n) for p in range(2, 82) for n in range(1, 7)
+                if all(p % d for d in range(2, p)) and p ** n <= 81]
+
+
+def _coord_mul(f, u, v):
+    """The product of two coordinate vectors as polynomials in the field
+    generator, reduced by the monic `f.modulus`."""
+    p, n = f.p, f.n
+    prod = [0] * (2 * n - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            prod[i + j] = (prod[i + j] + a * b) % p
+    for k in range(len(prod) - 1, n - 1, -1):
+        c = prod[k]
+        for i in range(n + 1):
+            prod[k - n + i] = (prod[k - n + i] - c * f.modulus[i]) % p
+    return tuple(prod[:n])
+
+
+@pytest.mark.parametrize("p,n", SMALL_FIELDS)
+def test_interned_arithmetic_matches_coordinates(p, n):
+    """Every operation on every pair of elements of F_{p^n}, p^n <= 81,
+    agrees with arithmetic on coordinate vectors and returns the field's
+    own interned element."""
+    f = finite_field(p, n)
+    els = f.elems
+    assert len(els) == f.q and list(f.elements()) == els
+    assert [x.log for x in els] == list(range(-1, f.order))
+    coords = {x: x.coeffs() for x in els}
+    element_at = {v: x for x, v in coords.items()}
+    assert len(element_at) == f.q
+    zero, one = (0,) * n, (1,) + (0,) * (n - 1)
+    assert coords[f.zero] == zero and coords[f.one] == one
+
+    def interned(x):
+        assert x is els[x.log + 1]
+        return coords[x]
+
+    for x in els:
+        u = coords[x]
+        assert interned(-x) == tuple(-a % p for a in u)
+        if x:
+            assert _coord_mul(f, interned(x.inverse()), u) == one
+        for y in els:
+            v = coords[y]
+            assert (x == y) is (x is y) and (x != y) is (x is not y)
+            assert interned(x + y) == tuple((a + b) % p for a, b in zip(u, v))
+            assert interned(x - y) == tuple((a - b) % p for a, b in zip(u, v))
+            assert interned(x * y) == _coord_mul(f, u, v)
+            if y:
+                assert _coord_mul(f, interned(x / y), v) == u
+        # x^e by repeated coordinate products, e = 0..q+1; x^-e inverts it
+        acc = one
+        for e in range(f.q + 2):
+            assert interned(x ** e) == acc
+            if x and e <= 3:
+                assert _coord_mul(f, interned(x ** -e), acc) == one
+            acc = _coord_mul(f, acc, u)
+    with pytest.raises(ZeroDivisionError):
+        f.zero.inverse()
+    for e in (-3, -2, -1):
+        with pytest.raises(ZeroDivisionError):
+            f.zero ** e
+    for k in range(-3, 2 * f.order):
+        assert f.element(k) is (els[k % f.order + 1] if k >= 0 else f.zero)
+    assert list(f.units()) == els[1:]
+    assert f.gen() is (els[2] if f.q > 2 else f.one)
+
+
+def test_interned_elements_use_identity_equality_and_hash():
+    """Equality and hashing are the object defaults, so coefficient tuples
+    compare and hash without a Python frame per element."""
+    assert FFElement.__eq__ is object.__eq__
+    assert FFElement.__hash__ is object.__hash__
+
+
+def _element_constructions(source: str) -> list[tuple[str, int]]:
+    """(enclosing class.function, line) of every `FFElement(...)` call and
+    every `__new__(FFElement, ...)` in a module's source."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", getattr(func, "attr", None))
+            first = node.args[0] if node.args else None
+            if name == "FFElement" or (
+                    name == "__new__" and
+                    getattr(first, "id", getattr(first, "attr", None))
+                    == "FFElement"):
+                found.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_only_the_field_constructs_elements():
+    """Equality of field elements is identity, so an element built anywhere
+    but `FiniteField.__init__` would silently differ from its equal."""
+    strays = []
+    for path in sorted(Path(drinfeld.__file__).parent.glob("*.py")):
+        for scope, line in _element_constructions(path.read_text()):
+            if scope != "FiniteField.__init__" or path.name != "basearith.py":
+                strays.append(f"{path.name}:{line} in {scope or '<module>'}")
+    assert not strays, f"FFElement constructed outside the field: {strays}"
+    # the scan sees the one legitimate construction, and strays of each form
+    basearith = Path(drinfeld.__file__).parent / "basearith.py"
+    assert [scope for scope, _ in _element_constructions(
+        basearith.read_text())] == ["FiniteField.__init__"]
+    stray = ("class FiniteField:\n    def gen(self):\n"
+             "        return FFElement(self, 1)\n"
+             "def f(k):\n    return basearith.FFElement(k, 0)\n"
+             "x = object.__new__(FFElement)\n")
+    assert _element_constructions(stray) == [
+        ("FiniteField.gen", 3), ("f", 5), ("", 6)]
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 3), (5, 2), (79, 1)])
+def test_ints_coerce_mod_p(p, n):
+    f = finite_field(p, n)
+    for c in range(-2 * p, 2 * p + 1):
+        x = f.from_int(c)
+        assert x is f.coerce(c) and x.coeffs() == (c % p,) + (0,) * (n - 1)
+        for y in (f.zero, f.one, f.elems[-1]):
+            assert y + c is y + x and c + y is y + x
+            assert y - c is y - x and c - y is x - y
+            assert y * c is y * x and c * y is y * x
+
+
+def test_mixing_fields_raises():
+    """An element of another field, even one of the same order built
+    separately, is refused; a non-integer of another type too."""
+    f, g = finite_field(3, 2), finite_field(3)
+    twin = FiniteField(3, 2)
+    for other in (g, twin):
+        for op in (operator.add, operator.sub, operator.mul,
+                   operator.truediv):
+            with pytest.raises(ValueError):
+                op(f.one, other.one)
+    with pytest.raises(ValueError):
+        f.embedding_from(g)(twin.one)
+    for bad in (1.0, "1", None):
+        with pytest.raises(TypeError):
+            f.one + bad
 
 
 # -- polynomials --------------------------------------------------------------

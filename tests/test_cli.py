@@ -1,9 +1,12 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drinfeld import cache, cli, projector
 from drinfeld.basearith import finite_field, local_ring, make_place, poly_T
@@ -399,3 +402,111 @@ def test_internal_value_error_exits_one_without_traceback(monkeypatch, capsys):
                              capsys)
     assert code == 1 and out == ""
     assert err == "error: ValueError: internal fault\n"
+
+
+# -- exit codes on arbitrary input ---------------------------------------------
+
+def _mostly(good, bad):
+    """`good` seven times in eight, else `bad`: most inputs get past the
+    first validation and reach the computation."""
+    return st.integers(0, 7).flatmap(lambda i: bad if i == 0 else good)
+
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
+                  st.text(max_size=3))
+_ENTRY = _mostly(st.sampled_from(["0", "1", "2", "T", "T+1", "2*T+1", "T^2",
+                                  "T^2+T", "a"]),
+                 st.text(alphabet="T0123a+*^()/- ", max_size=6))
+_MATRIX = st.integers(1, 3).flatmap(lambda n: _mostly(
+    st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n,
+             max_size=n),
+    st.lists(st.lists(_ENTRY, max_size=3), max_size=3)))
+
+
+def _spoil(obj, key, junk):
+    """obj with `key` dropped (junk None) or set to junk; obj itself when
+    key is None."""
+    obj = dict(obj)
+    if key is not None:
+        if junk is None:
+            del obj[key]
+        else:
+            obj[key] = junk
+    return obj
+
+
+def _tower_obj(keys):
+    """An object with the given keys, now and then one dropped or junk."""
+    return st.builds(_spoil, st.fixed_dictionaries(keys),
+                     _mostly(st.none(), st.sampled_from(list(keys))), _JUNK)
+
+
+_PLACE_KEYS = {"format": _mostly(st.just(1), _JUNK),
+               "q": st.sampled_from([2, 3, 4, 5]),
+               "varpi": st.sampled_from(["T", "T+1", "T^2+T+1", "T^2"])}
+_LEVEL = _tower_obj({"precision": st.integers(-1, 3), "matrix": _MATRIX})
+_TOWER = st.one_of(
+    _tower_obj(_PLACE_KEYS | {"depth": st.integers(-1, 3),
+                              "matrix": _MATRIX}),
+    _tower_obj(_PLACE_KEYS | {"levels": st.lists(_LEVEL, max_size=3)}))
+_TOWER_TEXT = _mostly(_TOWER.map(json.dumps), st.one_of(
+    _JUNK.map(json.dumps), st.text(max_size=20),
+    st.sampled_from(["", "{", "[]", "1e999", "NaN", '{"format": 1'])))
+# places kept small enough for every command to answer in milliseconds
+_PLACE = _mostly(
+    st.sampled_from([("3", "T"), ("2", "T^2+T+1"), ("3", "T^2+1"),
+                     ("4", "T"), ("5", "T+1"), ("2", "T")]),
+    st.tuples(st.sampled_from(["3", "4", "0", "1", "6", "-3", "x", ""]),
+              st.sampled_from(["T", "T^2", "x", "", "T^", "2*T", "T+a"])))
+_M = _mostly(st.sampled_from(["1", "2"]),
+             st.sampled_from(["0", "-1", "x", "", "1.5"]))
+_K = _mostly(st.integers(-10 ** 9, 10 ** 9).map(str),
+             st.sampled_from(["x", "", "1.5", "10**9"]))
+
+
+def _flag(name, values):
+    """The flag with a value, mostly; else no flag or the flag alone."""
+    return _mostly(values.map(lambda v: [name, v]),
+                   st.sampled_from([[], [name]]))
+
+
+def _argv(command, place, **flags):
+    """`command`, the place's --q/--varpi when `place`, then the flags in
+    any order, and now and then a stray token."""
+    pieces = [_flag(f"--{name}", values) for name, values in flags.items()]
+    if place:
+        pieces.append(_PLACE.map(lambda qv: ["--q", qv[0], "--varpi", qv[1]]))
+    extra = _mostly(st.just([]), st.sampled_from([["--help"], ["-x"],
+                                                  ["--q"], ["junk"]]))
+    return st.tuples(st.permutations(pieces).flatmap(lambda ps: st.tuples(
+        *ps)), extra).map(
+        lambda t: command + [tok for piece in t[0] for tok in piece] + t[1])
+
+
+_ARGVS = st.one_of(
+    _argv(["projector", "run"], False, tower=st.just("tower.json")),
+    _argv(["iwasawa", "specialize"], True, m=_M, k=_K, u=_ENTRY),
+    _argv(["hecke", "matrix"], True, m=_M, k=_K,
+          op=_mostly(st.sampled_from(["F", "U", "T"]),
+                     st.sampled_from(["V", ""]))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=_ARGVS, tower=_TOWER_TEXT)
+def test_exit_code_contract_on_arbitrary_input(argv, tower,
+                                               tmp_path_factory):
+    """Every input ends in exit 0, 1 or 2, never in an escaping exception
+    (a traceback in a real process); a usage error says why on stderr and
+    a failure says so on stderr or in the report."""
+    path = tmp_path_factory.mktemp("tower") / "tower.json"
+    path.write_bytes(tower.encode("utf-8", "surrogatepass"))
+    argv = [str(path) if tok == "tower.json" else tok for tok in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert "error: " in err.getvalue()
+    if code == 1:
+        assert err.getvalue() or '"ok": false' in out.getvalue()

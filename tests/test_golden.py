@@ -6,16 +6,24 @@ the commands below runs here in-process through `cli.main`, in a fresh
 working directory holding the files the benchmark writes for it (tower
 descriptions, an empty cache), and must exit 0 and reproduce its digest
 exactly.
+
+`SUITE_DIGESTS` pins the identity battery away from the standard places,
+which the benchmark does not run, and one of those runs is repeated in
+fresh processes under different hash seeds: output must not depend on
+set or dict order of hashed values.
 """
 
 import hashlib
 import json
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import drinfeld
 from drinfeld.cli import main as cli_main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -59,3 +67,30 @@ def test_golden_cached_graph(capsys, tmp_path, monkeypatch):
     for _ in range(2):
         assert _digest_of_run(CACHE_LOOKUP.key, capsys) == DIGESTS[CACHE_LOOKUP.key]
     assert len(list((tmp_path / "cache").iterdir())) == 1
+
+
+SUITE_DIGESTS = {
+    "suite --m 3":
+        "61da500e504cbf63a06d1383419f9ee357a9d1b87409e94400814de6e03b43e7",
+    "suite --q 4 --varpi T":
+        "1df4aedc8c14dda618f45d688580eb0a6b6a00694de6108b72a7a51fb1c97f45",
+}
+
+
+@pytest.mark.parametrize("key", SUITE_DIGESTS)
+def test_suite_beyond_the_standard_places(key, capsys):
+    assert _digest_of_run(key, capsys) == SUITE_DIGESTS[key]
+
+
+def test_suite_output_does_not_depend_on_the_hash_seed():
+    key = "suite --q 4 --varpi T"
+    src = str(Path(drinfeld.__file__).resolve().parent.parent)
+    digests = []
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "drinfeld",
+                               *shlex.split(key)],
+                              capture_output=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        digests.append(hashlib.sha256(proc.stdout).hexdigest())
+    assert digests == [SUITE_DIGESTS[key]] * 2

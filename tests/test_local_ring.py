@@ -13,7 +13,7 @@ import pytest
 
 from drinfeld.basearith import (APoly, field_of_order, local_ring,
                                 make_place, power)
-from drinfeld.iwasawa import (_evaluation_rank, determining_weights,
+from drinfeld.iwasawa import (_evaluation_ranks, determining_weights,
                               iwasawa_level)
 from drinfeld.textenc import parse_apoly
 
@@ -201,7 +201,7 @@ def test_reduce_rejects_raising_precision_and_other_places():
 # -- the evaluation rank against the division route --------------------------
 
 def _ref_rank(rows: list, m: int) -> int:
-    """The elimination of `iwasawa._evaluation_rank` on reference elements,
+    """The elimination of `iwasawa._evaluation_ranks` on reference elements,
     each pivot's unit part found by polynomial division by varpi^v."""
     rows = [list(row) for row in rows]
     varpi = rows[0][0].ring.place.varpi
@@ -234,17 +234,44 @@ def _ref_rank(rows: list, m: int) -> int:
     return rank
 
 
+def _doubled_evaluations(place, m):
+    """The level, its determining set and the evaluation matrix of
+    `determining_weights`: unit codes by rows, weights 0..2*exponent-1."""
+    lv, ds = iwasawa_level(place, m), determining_weights(place, m)
+    codes = lv.scalars
+    return lv, ds, [[lv.unit_power(codes.encode(u), k)
+                     for k in range(2 * ds.exponent)] for u in lv.ring.units()]
+
+
+def _full_rank(lv, matrix):
+    return _evaluation_ranks(lv, matrix, len(matrix[0]))[1]
+
+
 @pytest.mark.parametrize("q,varpi", [(3, "T"), (2, "T^2+T+1"), (4, "T")])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_evaluation_rank_matches_the_division_route(q, varpi, m):
     place = _place(q, varpi)
-    lv, ref = iwasawa_level(place, m), RefLocalRing(place, m)
-    ds = determining_weights(place, m)
-    codes = lv.scalars
-    doubled = [[lv.unit_power(codes.encode(u), k)
-                for k in range(2 * ds.exponent)] for u in lv.ring.units()]
+    lv, ds, doubled = _doubled_evaluations(place, m)
+    ref, codes = RefLocalRing(place, m), lv.scalars
     for matrix in ([row[:ds.exponent] for row in doubled], doubled):
         as_ref = [[ref.from_apoly(lv.ring.to_apoly(codes.decode(c)))
                    for c in row] for row in matrix]
-        assert _evaluation_rank(lv, matrix) == _ref_rank(as_ref, m)
-    assert ds.rank == _evaluation_rank(lv, doubled) and ds.saturated
+        rank = _ref_rank(as_ref, m)
+        assert _evaluation_ranks(lv, matrix, len(matrix[0])) == (rank, rank)
+    assert ds.rank == _full_rank(lv, doubled) and ds.saturated
+
+
+@pytest.mark.parametrize("q,varpi", [(3, "T"), (2, "T^2+T+1")])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_one_elimination_gives_both_determining_ranks(q, varpi, m):
+    """One pass over the doubled matrix reports, at every cut, the rank
+    that a separate elimination of the columns before the cut gives, and
+    the rank of the whole matrix; at the exponent these are the two ranks
+    `determining_weights` compares."""
+    lv, ds, doubled = _doubled_evaluations(_place(q, varpi), m)
+    full = _full_rank(lv, doubled)
+    for cut in range(len(doubled[0]) + 1):
+        alone = _full_rank(lv, [row[:cut] for row in doubled]) if cut else 0
+        assert _evaluation_ranks(lv, doubled, cut) == (alone, full)
+    alone = _full_rank(lv, [row[:ds.exponent] for row in doubled])
+    assert (ds.rank, ds.saturated) == (alone, alone == full)
