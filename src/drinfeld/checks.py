@@ -4,6 +4,12 @@ named checks with stable identifiers, shared between the command line
 
 Check identifiers are stable strings; a failing check reports its
 identifier so a red run maps to the violated identity.
+
+The five checks that read a correspondence share one per configuration
+`(place, m)` for the life of the process, through `_correspondence`.  That
+is safe because a correspondence is never mutated after its build, and
+`functools.cache` keeps no exception: a build that raises is retried by
+the next check, so every dependent check reports the failure itself.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import random
 import time
 from collections import namedtuple
+from functools import cache
 
 from .basearith import (APoly, artin_ring, ext_field, finite_field,
                         local_ring, make_place, poly_T, PrimePlace)
@@ -173,9 +180,17 @@ def assert_orbit_invariance(corr) -> None:
                                      f"at j = {E.j_invariant()}")
 
 
+@cache
+def _correspondence(place: PrimePlace, m: int):
+    """The correspondence at one configuration, built once per process.
+    The build goes through this module's `build_correspondence` binding,
+    so a rebinding of it (a tracer, a test) sees every build."""
+    return build_correspondence(place, m)  # asserts counts + structure
+
+
 def check_correspondence(place: PrimePlace, m: int) -> CheckResult:
     def body():
-        corr = build_correspondence(place, m)  # asserts counts + structure
+        corr = _correspondence(place, m)
         assert_orbit_invariance(corr)
         qd = place.q ** place.d
         f_map = {}
@@ -203,7 +218,7 @@ def check_correspondence(place: PrimePlace, m: int) -> CheckResult:
 def check_weight_homogeneity(place: PrimePlace, m: int,
                              weights=(-2, 0, 2, 3, 5), seed: int = 0) -> CheckResult:
     def body():
-        corr = build_correspondence(place, m)
+        corr = _correspondence(place, m)
         rng = random.Random(seed)
         for k in weights:
             U = operator_matrix(corr, k, "U")
@@ -222,7 +237,7 @@ def check_weight_homogeneity(place: PrimePlace, m: int,
 def check_u_ordinarity(place: PrimePlace, m: int,
                        weights=(-2, 0, 2, 3, 5)) -> CheckResult:
     def body():
-        corr = build_correspondence(place, m)
+        corr = _correspondence(place, m)
         for k in weights:
             U = operator_matrix(corr, k, "U")
             require(not U.determinant().is_zero(), f"U singular at k = {k}")
@@ -240,7 +255,7 @@ def check_u_ordinarity(place: PrimePlace, m: int,
 
 def check_hecke_support(place: PrimePlace, m: int) -> CheckResult:
     def body():
-        corr = build_correspondence(place, m)
+        corr = _correspondence(place, m)
         f_edges = {id(e) for e in corr.edges if e.kind == "F"}
         v_edges = {id(e) for e in corr.edges if e.kind == "V"}
         require(not (f_edges & v_edges), "an edge is both F and V")
@@ -340,7 +355,7 @@ def check_projector_worked_example(place: PrimePlace) -> CheckResult:
 
 def check_projector_hecke_towers(place: PrimePlace, m: int) -> CheckResult:
     def body():
-        corr = build_correspondence(place, m)
+        corr = _correspondence(place, m)
         count = 0
         for which in ("F", "U", "T"):
             M = operator_matrix(corr, 0, which)

@@ -47,6 +47,18 @@ def _read(build, *args):
         raise UsageError(str(exc)) from None
 
 
+def _bound_size(place, n: int, name: str) -> None:
+    """Reject n unless q^(d*n), the size of the field or ring that n
+    selects at the place, is at most MAX_FIELD_SIZE.  Since q >= 2, an
+    exponent of MAX_FIELD_SIZE.bit_length() or more is too large, so no
+    huge power is ever computed; n < 1 is left to the ring's own check."""
+    exponent = place.d * n
+    if (exponent >= MAX_FIELD_SIZE.bit_length()
+            or place.q ** max(exponent, 0) > MAX_FIELD_SIZE):
+        raise UsageError(f"q^(d*{name}) = {place.q}^{exponent} exceeds the "
+                         f"supported size {MAX_FIELD_SIZE}")
+
+
 def _place(args):
     """The place of --q/--varpi, validated together with --m before any
     work starts."""
@@ -56,10 +68,7 @@ def _place(args):
         raise UsageError("extension degree m must be >= 1")
     place = _read(lambda: make_place(parse_apoly(field_of_order(args.q),
                                                  args.varpi)))
-    size = place.q ** (place.d * args.m)
-    if size > MAX_FIELD_SIZE:
-        raise UsageError(f"q^(d*m) = {size} exceeds the supported size "
-                         f"{MAX_FIELD_SIZE}")
+    _bound_size(place, args.m, "m")
     return place
 
 
@@ -247,9 +256,13 @@ def _tower_matrix(obj, where: str = "tower"):
 
 def _load_tower(path: str):
     """(the tower file's JSON, the operator it describes, the precisions of
-    its levels)."""
-    with open(path) as fh:
-        spec_data = json.load(fh)
+    its levels).  A file that cannot be opened, and a depth or precision
+    whose ring would exceed MAX_FIELD_SIZE, are usage errors."""
+    try:
+        with open(path) as fh:
+            spec_data = json.load(fh)
+    except OSError as exc:
+        raise UsageError(str(exc)) from None
     if _tower_key(spec_data, "format", int) != 1:
         raise UsageError("unsupported tower format")
     field = field_of_order(_tower_key(spec_data, "q", int))
@@ -262,6 +275,8 @@ def _load_tower(path: str):
                                                  "tower level"))
         if not levels:
             raise UsageError("tower has no levels")
+        for l in levels:
+            _bound_size(place, l["precision"], "precision")
         rings = [local_ring(place, l["precision"]) for l in levels]
         mats = [[[ring.from_apoly(parse_apoly(field, e)) for e in row]
                  for row in _tower_matrix(l, "tower level")]
@@ -271,6 +286,7 @@ def _load_tower(path: str):
         precisions = [r.n for r in rings]
     else:
         depth = _tower_key(spec_data, "depth", int)
+        _bound_size(place, depth, "depth")
         ring = local_ring(place, depth)
         rows = [[ring.from_apoly(parse_apoly(field, entry)) for entry in row]
                 for row in _tower_matrix(spec_data)]

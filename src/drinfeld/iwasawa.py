@@ -15,6 +15,14 @@ matrices over the level.  Tables built on first use map a unit code to its
 (tame exponent, wild position) and give u^k by code.  Weight
 specialization reads off a single component; the independent evaluation
 route expands the element over the full unit group first.
+
+Results are memoized per process where their inputs are immutable: an
+element keeps its expansion over the full unit group once computed (so
+`iota_eval` at many weights, `duality_twist` and `expand` expand a measure
+once); `filtration` is `functools.cache`d on (s, r), and the predicates
+`MonomialIdeal.contains_ideal` and `maximal_ideal_kills_quotient` on their
+ideals, which compare by value.  A call that raises is not cached, so it
+raises again on every call.
 """
 
 from __future__ import annotations
@@ -187,13 +195,15 @@ class IwasawaElement:
     """Level-m truncated measure: per tame character chi, a map from the
     principal units w_i to level-m scalars, held as the level's tuple of
     scalar codes with c_chi(w_i) at chi * width + i.  Codes are canonical,
-    so equality and hashing compare the tuples."""
+    so equality and hashing compare the tuples.  `_expansion` keeps the
+    element's expansion once `_expand_codes` computes it."""
 
-    __slots__ = ("level", "codes")
+    __slots__ = ("level", "codes", "_expansion")
 
     def __init__(self, level: IwasawaLevel, codes: tuple):
         self.level = level
         self.codes = codes
+        self._expansion = None
 
     def is_zero(self) -> bool:
         return not any(self.codes)
@@ -252,7 +262,7 @@ class IwasawaElement:
         """The element as a measure on the full unit group: coefficient of
         [omega(zeta) * v] is (tame order)^-1 sum_chi chi^-1(zeta) c_chi(v)."""
         decode = self.level.scalars.decode
-        return {decode(u): decode(c) for u, c in _expand_codes(self).items()}
+        return {decode(u): decode(c) for u, c in _expand_codes(self)}
 
     def __eq__(self, other):
         return (isinstance(other, IwasawaElement)
@@ -276,11 +286,14 @@ class IwasawaElement:
         return f"Iwasawa({self.as_record()})"
 
 
-def _expand_codes(x: IwasawaElement) -> dict:
-    """`expand` on codes: unit code -> nonzero coefficient code."""
+def _expand_codes(x: IwasawaElement) -> tuple:
+    """`expand` on codes: (unit code, nonzero coefficient code) pairs,
+    computed on the first call and kept by the element."""
+    if x._expansion is not None:
+        return x._expansion
     lv = x.level
     w, sums, prods = lv.width, lv.scalars.sums, lv.scalars.prods
-    units, out = lv._unit_tables[0], {}
+    units, out = lv._unit_tables[0], []
     for a, weights in enumerate(lv._expand_weights):
         for i in range(w):
             acc = 0
@@ -288,8 +301,9 @@ def _expand_codes(x: IwasawaElement) -> dict:
                 if c:
                     acc = sums[acc][prods[weight][c]]
             if acc:
-                out[units[a * w + i]] = acc
-    return out
+                out.append((units[a * w + i], acc))
+    x._expansion = tuple(out)
+    return x._expansion
 
 
 def _decompose_codes(level: IwasawaLevel, pairs) -> IwasawaElement:
@@ -356,7 +370,7 @@ def iota_eval(x: IwasawaElement, k: int) -> TruncPoly:
     lv = x.level
     sums, prods = lv.scalars.sums, lv.scalars.prods
     acc = 0
-    for u, c in _expand_codes(x).items():
+    for u, c in _expand_codes(x):
         acc = sums[acc][prods[c][lv.unit_power(u, k)]]
     return lv.scalars.decode(acc)
 
@@ -368,7 +382,7 @@ def duality_twist(x: IwasawaElement) -> IwasawaElement:
     lv = x.level
     prods, pw = lv.scalars.prods, lv.unit_power
     return _decompose_codes(lv, ((pw(u, -1), prods[c][pw(u, 2)])
-                                 for u, c in _expand_codes(x).items()))
+                                 for u, c in _expand_codes(x)))
 
 
 def _generated_subgroup(ring, gens) -> set:
@@ -513,7 +527,10 @@ class MonomialIdeal(namedtuple("MonomialIdeal", "nvars gens")):
     def contains_monomial(self, mono: tuple) -> bool:
         return mono in self.packed()
 
+    @cache
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
+        """Whether `other` lies in this ideal.  Memoized: a pure function
+        of two immutable ideals."""
         test = self.packed()
         return all(g in test for g in other.gens)
 
@@ -658,10 +675,12 @@ def quotient_basis(I: MonomialIdeal, J: MonomialIdeal) -> list:
             if mono in in_i and mono not in in_j]
 
 
+@cache
 def maximal_ideal_kills_quotient(I: MonomialIdeal, J: MonomialIdeal) -> bool:
     """Whether the maximal ideal kills I/J, for J inside I: m(I/J) = 0
     exactly when m I lies in J, so it suffices that every variable
-    multiplies every generator of I into J."""
+    multiplies every generator of I into J.  Memoized like
+    `contains_ideal`; the ValueError for J not inside I is not cached."""
     if not I.contains_ideal(J):
         raise ValueError("J is not contained in I")
     in_j = J.packed()

@@ -1,16 +1,27 @@
 """The identity battery cannot pass without checking, even when Python
-strips bare asserts, and its local-ring checks hold, with pinned details,
-at a place of degree 3."""
+strips bare asserts, its local-ring checks hold, with pinned details, at a
+place of degree 3, and its checks share one correspondence per
+configuration without sharing a failed build."""
 
 import os
 import subprocess
 import sys
 
 import drinfeld
+from drinfeld import checks, hecke
 from drinfeld.basearith import field_of_order, make_place
-from drinfeld.checks import (check_determining_weights, check_duality_twist,
-                             check_iwasawa_specialization)
+from drinfeld.checks import (check_correspondence, check_determining_weights,
+                             check_duality_twist, check_hecke_support,
+                             check_iwasawa_specialization,
+                             check_projector_hecke_towers, check_u_ordinarity,
+                             check_weight_homogeneity, standard_places,
+                             suite_checks)
+from drinfeld.modules import DrinfeldModule
 from drinfeld.textenc import parse_apoly
+
+CORRESPONDENCE_CHECKS = (check_correspondence, check_weight_homogeneity,
+                         check_u_ordinarity, check_hecke_support,
+                         check_projector_hecke_towers)
 
 BROKEN_ROUTE = """
 import drinfeld.checks as checks
@@ -44,3 +55,37 @@ def test_local_ring_checks_at_a_cubic_place():
     ]
     for result, detail in details:
         assert result.passed and result.details == detail, result.line()
+
+
+def test_the_battery_builds_one_correspondence_per_configuration(monkeypatch):
+    built = []
+    enumerate_moduli = hecke.enumerate_moduli
+
+    def counted(place, m):
+        built.append((place, m))
+        return enumerate_moduli(place, m)
+
+    monkeypatch.setattr(hecke, "enumerate_moduli", counted)
+    checks._correspondence.cache_clear()
+    for place in standard_places():
+        results = suite_checks(place, 2)
+        assert all(r.passed for r in results), [r.line() for r in results]
+    assert built == [(place, 2) for place in standard_places()]
+
+
+def test_a_failed_build_fails_every_check_that_reads_it(monkeypatch):
+    # a build that raises is not cached: each check repeats it and fails,
+    # and once the fault is gone each check builds and passes
+    def broken(self):
+        raise RuntimeError("injected kernel fault")
+
+    place = standard_places()[0]
+    checks._correspondence.cache_clear()
+    monkeypatch.setattr(DrinfeldModule, "order_qd_kernels", broken)
+    for check in CORRESPONDENCE_CHECKS:
+        result = check(place, 1)
+        assert result.line().startswith(f"[FAIL] {result.check_id}: ")
+        assert result.details == "RuntimeError: injected kernel fault"
+    monkeypatch.undo()
+    for check in CORRESPONDENCE_CHECKS:
+        assert check(place, 1).passed

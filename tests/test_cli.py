@@ -364,6 +364,8 @@ def test_malformed_tower_is_usage_error(spec, named, tmp_path, capsys):
     (["carlitz", "profile", "--q", "6", "--varpi", "T"], "prime power"),
     (["hecke", "graph", "--q", "3", "--varpi", "T", "--m", "11"],
      "supported size"),
+    (["hecke", "graph", "--q", "3", "--varpi", "T", "--m", str(10 ** 30)],
+     "supported size"),
     (["iwasawa", "filtration", "--gens", "1", "--r", "9"], "out of range"),
     (["serre-tate", "check", "--q", "3", "--varpi", "T", "--nilpotency", "1"],
      "nilpotency"),
@@ -385,12 +387,38 @@ def test_invalid_arguments_are_usage_errors(argv, named, capsys):
     (json.dumps(dict(_TOWER, q=6)), "prime power"),
     (json.dumps(dict(_LEVELS, levels=[{"precision": 0, "matrix": [["1"]]}])),
      ">= 1"),
+    (json.dumps(dict(_TOWER, q=2, varpi="T^2+T+1", depth=9)), "2^18 exceeds"),
 ])
 def test_invalid_tower_is_usage_error(text, named, tmp_path, capsys):
     path = tmp_path / "tower.json"
     path.write_text(text)
     code, _, err = run_cli(["projector", "run", "--tower", str(path)], capsys)
     assert code == 2 and named in err
+
+
+@pytest.mark.parametrize("spec,named", [
+    (dict(_TOWER, depth=1000000), "3^1000000 exceeds"),
+    (dict(_LEVELS, levels=[{"precision": 1, "matrix": [["1"]]},
+                           {"precision": 10 ** 30, "matrix": [["1"]]}]),
+     "3^1000000000000000000000000000000 exceeds"),
+])
+def test_oversized_tower_is_rejected_before_any_ring(spec, named, tmp_path):
+    # in a fresh process with a timeout, since building such a ring would
+    # run on for minutes
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(spec))
+    proc = subprocess.run(
+        [sys.executable, "-m", "drinfeld", "projector", "run", "--tower",
+         str(path)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and named in proc.stderr
+
+
+def test_unreadable_tower_is_usage_error(tmp_path, capsys):
+    code, out, err = run_cli(["projector", "run", "--tower", str(tmp_path)],
+                             capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Is a directory" in err
 
 
 def test_internal_value_error_exits_one_without_traceback(monkeypatch, capsys):

@@ -7,6 +7,9 @@ working directory holding the files the benchmark writes for it (tower
 descriptions, an empty cache), and must exit 0 and reproduce its digest
 exactly.
 
+The default battery, `suite` at the standard places, must reproduce its
+recorded digest in-process, after the tests before it have filled every
+per-process cache, and again in a fresh process under `python -O`.
 `SUITE_DIGESTS` pins the identity battery away from the standard places,
 which the benchmark does not run, and one of those runs is repeated in
 fresh processes under different hash seeds: output must not depend on
@@ -82,15 +85,28 @@ def test_suite_beyond_the_standard_places(key, capsys):
     assert _digest_of_run(key, capsys) == SUITE_DIGESTS[key]
 
 
+def _digest_of_fresh_process(key, *flags, **env):
+    """The stdout digest of `python <flags> -m drinfeld <key>` in a new
+    interpreter, which must exit 0."""
+    src = str(Path(drinfeld.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, *flags, "-m", "drinfeld",
+                           *shlex.split(key)], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src, **env),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return hashlib.sha256(proc.stdout).hexdigest()
+
+
 def test_suite_output_does_not_depend_on_the_hash_seed():
     key = "suite --q 4 --varpi T"
-    src = str(Path(drinfeld.__file__).resolve().parent.parent)
-    digests = []
-    for seed in ("0", "12345"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-m", "drinfeld",
-                               *shlex.split(key)],
-                              capture_output=True, env=env, timeout=300)
-        assert proc.returncode == 0, proc.stderr.decode()
-        digests.append(hashlib.sha256(proc.stdout).hexdigest())
+    digests = [_digest_of_fresh_process(key, PYTHONHASHSEED=seed)
+               for seed in ("0", "12345")]
     assert digests == [SUITE_DIGESTS[key]] * 2
+
+
+def test_default_suite_with_warm_caches(capsys):
+    assert _digest_of_run("suite", capsys) == DIGESTS["suite"]
+
+
+def test_default_suite_in_a_fresh_optimized_process():
+    assert _digest_of_fresh_process("suite", "-O") == DIGESTS["suite"]

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from drinfeld.basearith import poly_T
 from drinfeld.checks import standard_places
-from drinfeld.iwasawa import (J_ideal, MonomialIdeal, WeightChar,
-                              _monomials_of_degree, alpha, decompose,
-                              determining_weights, duality_twist, filtration,
+from drinfeld.iwasawa import (IwasawaElement, J_ideal, MonomialIdeal,
+                              WeightChar, _expand_codes, _monomials_of_degree,
+                              alpha, decompose, determining_weights,
+                              duality_twist, filtration,
                               filtration_index_range, iota_eval,
                               iwasawa_level, maximal_ideal_kills_quotient,
                               monomial_str, power_containment_degree,
@@ -250,17 +251,28 @@ def _kills_by_enumeration(I, J) -> bool:
 
 def test_kill_test_matches_enumeration_oracle():
     # every chain pair (r, r+1) for s <= 4, where the quotient is always
-    # killed, and the non-adjacent pairs (r, r+2), where it is not always
-    outcomes = {1: set(), 2: set()}
+    # killed, and the non-adjacent pairs (r, r+2), where it is not always;
+    # both predicates are memoized, so each is asked twice from a cleared
+    # cache and must give its uncached body's answer both times
+    kills, contains = maximal_ideal_kills_quotient, MonomialIdeal.contains_ideal
+    kills.cache_clear()
+    contains.cache_clear()
+    outcomes = {1: set(), 2: set(), "contains": set()}
     for s in range(1, 5):
         top = filtration_index_range(s)
         for step in (1, 2):
             for r in range(top - step + 1):
                 I, J = filtration(s, r), filtration(s, r + step)
                 want = _kills_by_enumeration(I, J)
-                assert maximal_ideal_kills_quotient(I, J) is want, (s, r, step)
+                assert kills.__wrapped__(I, J) is want, (s, r, step)
+                assert kills(I, J) is kills(I, J) is want, (s, r, step)
                 outcomes[step].add(want)
-    assert outcomes == {1: {True}, 2: {True, False}}
+                for a, b in ((I, J), (J, I)):
+                    inside = contains.__wrapped__(a, b)
+                    assert a.contains_ideal(b) is a.contains_ideal(b) is inside
+                    outcomes["contains"].add(inside)
+    assert outcomes == {1: {True}, 2: {True, False},
+                        "contains": {True, False}}
 
 
 def _ideal_with_powers(gens, powers) -> MonomialIdeal:
@@ -296,8 +308,9 @@ def test_kill_test_rejects_reversed_pairs():
             if I == J:
                 continue
             strict += 1
-            with pytest.raises(ValueError, match="not contained"):
-                maximal_ideal_kills_quotient(J, I)
+            for _ in range(2):  # a raising call is not memoized
+                with pytest.raises(ValueError, match="not contained"):
+                    maximal_ideal_kills_quotient(J, I)
     assert strict == 18
 
 
@@ -539,3 +552,33 @@ def test_random_element_draws_as_before(place_index):
                 for i, u in enumerate(lv.wild_group):
                     c = lv.scalars.decode(x.codes[chi * w + i])
                     assert c == comp.get(u, lv.ring.zero)
+
+
+def test_an_element_keeps_its_expansion():
+    rng = random.Random(0)
+    for place in standard_places():
+        for m in (1, 2, 3):
+            lv = iwasawa_level(place, m)
+            x = lv.random_element(rng)
+            first = _expand_codes(x)
+            assert _expand_codes(x) is first
+            assert first == _expand_codes(IwasawaElement(lv, x.codes))
+
+
+def test_iota_eval_expands_a_measure_once(monkeypatch):
+    # every expansion reads the level's weight table once, so counting
+    # reads of that table counts expansions
+    lv = iwasawa_level(standard_places()[0], 2)
+    reads = []
+
+    class CountedTable(tuple):
+        def __iter__(self):
+            reads.append(1)
+            return super().__iter__()
+
+    monkeypatch.setattr(lv, "_expand_weights", CountedTable(lv._expand_weights))
+    x = lv.random_element(random.Random(1))
+    weights = range(-3, 7)
+    values = [iota_eval(x, k) for k in weights]
+    assert len(reads) == 1
+    assert values == [specialize(x, k) for k in weights]
