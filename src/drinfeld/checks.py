@@ -27,7 +27,8 @@ from .hecke import (admissible_weight_values, apply_u_by_table, atkin_lehner,
                     build_correspondence, operator_matrix, support_valuations)
 from .iwasawa import (J_ideal, determining_weights, duality_twist, filtration,
                       filtration_index_range, iota_eval, iwasawa_level,
-                      maximal_ideal_kills_quotient, quotient_basis, specialize)
+                      maximal_ideal_kills_quotient, quotient_basis,
+                      smith_count, specialize)
 from .modules import DrinfeldModule, splitting_degree, stable_order_qd_subgroups
 from .projector import (constant_tower, control_check, factorial_powers_vanish,
                         local_finiteness_report, mat_eq, mat_identity,
@@ -307,12 +308,24 @@ def check_iwasawa_specialization(place: PrimePlace, m_max: int = 3,
                 f"at {place}", body)
 
 
+# the most entries of a full evaluation matrix that the determining-weights
+# check counts directly, against the rank from the wild block
+FULL_EVALUATION_ENTRIES = 4096
+
+
 def check_determining_weights(place: PrimePlace, m_max: int = 3) -> CheckResult:
     def body():
         ranks = []
         for m in range(1, m_max + 1):
             ds = determining_weights(place, m)
-            require(ds.ok, f"level {m}: rank {ds.rank} not saturated")
+            lv = iwasawa_level(place, m)
+            if lv.tame_order * lv.width * ds.exponent <= FULL_EVALUATION_ENTRIES:
+                units = map(lv.scalars.encode, lv.ring.units())
+                full = smith_count(lv.ring, [[lv.unit_power(u, k)
+                                              for k in ds.weights]
+                                             for u in units])
+                require(full == ds.rank, f"level {m}: rank {ds.rank} from "
+                        f"the wild block, {full} from all units")
             ranks.append((m, len(ds.weights), ds.rank))
         return "; ".join(f"level {m}: |K|={k}, rank {r}" for m, k, r in ranks)
     return _run("iwasawa-determining-weights",
@@ -326,9 +339,10 @@ def check_duality_twist(place: PrimePlace, m: int = 2, seed: int = 0) -> CheckRe
         rng = random.Random(seed)
         for _ in range(50):
             x = lv.random_element(rng)
-            require(duality_twist(duality_twist(x)) == x, "not an involution")
+            tx = duality_twist(x)
+            require(duality_twist(tx) == x, "not an involution")
             for k in (-2, 0, 1, 2, 3, 5):
-                require(specialize(duality_twist(x), k) == specialize(x, 2 - k),
+                require(specialize(tx, k) == specialize(x, 2 - k),
                         f"twist does not swap weights {k} and {2 - k}")
         return "involution and weight swap k -> 2-k on 50 random elements"
     return _run("duality-weight-swap",

@@ -1,7 +1,9 @@
 """Truncations of the completed group algebra of the local unit group:
 tame/wild decomposition, weight specializations, the embedding into
-weight-indexed evaluations, the duality twist, and the monomial ideal
-filtration certifying the profinite structure.
+weight-indexed evaluations, determining weight sets (their evaluation rank
+counted by invariant factors over A/(varpi^m), on the wild block), the
+duality twist, and the monomial ideal filtration certifying the profinite
+structure.
 
 A level-m element is stored in its semilocal decomposition, one wild
 group-algebra component per tame character of the residue field units,
@@ -385,46 +387,14 @@ def duality_twist(x: IwasawaElement) -> IwasawaElement:
                                  for u, c in _expand_codes(x)))
 
 
-def _generated_subgroup(ring, gens) -> set:
-    span = {ring.one}
-    frontier = [ring.one]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = x * g
-            if y not in span:
-                span.add(y)
-                frontier.append(y)
-    return span
-
-
-def wild_generators(level: IwasawaLevel) -> list:
-    """The fixed topological generator family for the principal units at
-    this level: 1 + omega^e * varpi^j with omega the Teichmuller generator
-    and e running through a residue basis, taking layers j = 1, 2, ...
-    until the family generates (the first layer suffices at low levels).
-    The abstract wild variables of the ideal filtration correspond to
-    [u_i] - 1 for this family."""
-    ring = level.ring
-    dim = level.place.field.n * level.place.d  # [k(varpi) : F_p]
-    group = set(level.wild_group)
-    gens: list = []
-    for j in range(1, level.m):
-        varpi_j = ring.varpi ** j
-        for e in range(dim):
-            if _generated_subgroup(ring, gens) == group:
-                return gens
-            gens.append(ring.one + level.teich_gen ** e * varpi_j)
-    if _generated_subgroup(ring, gens) != group:
-        raise RuntimeError("generator family does not generate the level")
-    return gens
-
-
 def determining_weights(place: PrimePlace, m: int) -> "DeterminingSet":
     """A finite weight set K whose evaluations determine all integer-weight
-    evaluations at level m: K is a full period of the unit group exponent,
-    so u^k for any k is a column of the K-indexed evaluation matrix; the
-    saturation rank is certified against a doubled weight range."""
+    evaluations at level m: K is a full period of the unit group exponent
+    t * p^s, so u^k for any k is a column of the K-indexed evaluation
+    matrix.  Its rank is t times the rank of the wild block W = (w^j), w a
+    principal unit and j mod p^s: a Fourier transform over the tame
+    characters on the rows and CRT on the columns make the evaluation
+    matrix t copies of t * W, and t is a unit."""
     lv = iwasawa_level(place, m)
     p = place.field.p
     # exponent of the unit group: tame order times the wild exponent
@@ -432,75 +402,47 @@ def determining_weights(place: PrimePlace, m: int) -> "DeterminingSet":
     wild = [lv.scalars.encode(v) for v in lv.wild_group]
     while any(lv.unit_power(v, wild_exp) != 1 for v in wild):
         wild_exp *= p
+    block = [[lv.unit_power(w, j) for j in range(wild_exp)] for w in wild]
     exponent = lv.tame_order * wild_exp
-    units = [lv.scalars.encode(u) for u in lv.ring.units()]
-    doubled = [[lv.unit_power(u, k) for k in range(2 * exponent)]
-               for u in units]
-    rank, doubled_rank = _evaluation_ranks(lv, doubled, exponent)
     return DeterminingSet(place, m, tuple(range(exponent)), exponent,
-                          rank, rank == doubled_rank)
+                          lv.tame_order * smith_count(lv.ring, block))
 
 
 class DeterminingSet(namedtuple(
-        "DeterminingSet", "place m weights exponent rank saturated")):
+        "DeterminingSet", "place m weights exponent rank")):
     """The weights of a determining set at level m, the unit group
-    exponent, the evaluation rank and whether it saturates.  An immutable
-    record."""
+    exponent and the rank of the evaluation matrix.  An immutable record."""
 
     __slots__ = ()
 
-    @property
-    def ok(self) -> bool:
-        return self.saturated
 
-
-def _evaluation_ranks(lv: IwasawaLevel, matrix, cut: int) -> tuple[int, int]:
-    """Ranks of a matrix of scalar codes over A/(varpi^m), of its first
-    `cut` columns and of all of them, in the residue sense refined by
-    valuation: the number of varpi-power pivots found by fraction-free
-    elimination (enough for saturation comparison).  The elimination runs
-    column by column, so on its way it passes through exactly the state of
-    an elimination of the first `cut` columns alone: one pass gives both."""
-    m, codes = lv.m, lv.scalars
+def smith_count(ring, matrix) -> int:
+    """The number of nonzero invariant factors of a matrix of codes over
+    the chain ring A/(varpi^n) (`ring.codes()`), an invariant of its row
+    module.  Each step takes a pivot of least valuation in the whole
+    remaining submatrix, so it divides every entry there; clearing its
+    column below and dropping its row and column leaves the submatrix whose
+    invariant factors are the rest."""
+    codes, n = ring.codes(), ring.N
     diffs, prods = codes.diffs, codes.prods
     val = cache(lambda c: codes.decode(c).varpi_valuation())
     rows = [list(row) for row in matrix]
-    if not rows:
-        return 0, 0
-    ncols = len(rows[0])
-    rank = 0
-    rank_at_cut = None
-    for col in range(ncols):
-        if col == cut:
-            rank_at_cut = rank
-        # find the row whose entry at col has minimal valuation
-        best, best_val = None, m
-        for r in range(rank, len(rows)):
-            v = val(rows[r][col])
-            if v < best_val:
-                best, best_val = r, v
-        if best is None or best_val >= m:
-            continue
-        rows[rank], rows[best] = rows[best], rows[rank]
-        # clear below using exact multiples: entry - (entry/pivot) * pivot,
-        # where entry/pivot divides both by the pivot valuation and then
-        # inverts the unit part of the pivot
-        unit_inverse = codes.decode(rows[rank][col]).eps_quotient(
-            best_val).inverse()
-        for r in range(rank + 1, len(rows)):
-            e = rows[r][col]
-            if val(e) >= m:
-                continue
-            if val(e) < best_val:
-                raise AssertionError("pivot was not minimal")
-            eu = codes.decode(e).eps_quotient(best_val)
-            times_factor = prods[codes.encode(eu * unit_inverse)]
-            rows[r] = [diffs[a][times_factor[b]]
-                       for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break  # full row rank: no later column adds a pivot
-    return (rank if rank_at_cut is None else rank_at_cut), rank
+    count = 0
+    while rows and rows[0]:
+        v, r, c = min((val(x), r, c) for r, row in enumerate(rows)
+                      for c, x in enumerate(row))
+        if v >= n:
+            break
+        pivot = rows.pop(r)
+        unit_inverse = codes.decode(pivot[c]).eps_quotient(v).inverse()
+        for i, row in enumerate(rows):
+            if row[c]:
+                factor = codes.decode(row[c]).eps_quotient(v) * unit_inverse
+                times_f = prods[codes.encode(factor)]
+                row = [diffs[a][times_f[b]] for a, b in zip(row, pivot)]
+            rows[i] = row[:c] + row[c + 1:]
+        count += 1
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +465,6 @@ class MonomialIdeal(namedtuple("MonomialIdeal", "nvars gens")):
         test = PackedMonomials(self.nvars, cap)
         test.gens.extend(map(test.pack, self.gens if gens is None else gens))
         return test
-
-    def contains_monomial(self, mono: tuple) -> bool:
-        return mono in self.packed()
 
     @cache
     def contains_ideal(self, other: "MonomialIdeal") -> bool:

@@ -63,14 +63,6 @@ class DrinfeldModule:
                               c ** (1 - q) * self.g,
                               c ** (1 - q * q) * self.delta)
 
-    def orbit_translate(self, c) -> "DrinfeldModule":
-        """The rescaling-orbit action sigma_c(g, delta) =
-        (c^(q-1) g, c^(q^2-1) delta); equals rescale(1/c)."""
-        q = self.place.q
-        return DrinfeldModule(self.base,
-                              c ** (q - 1) * self.g,
-                              c ** (q * q - 1) * self.delta)
-
     def j_invariant(self):
         """Coarse moduli coordinate g^(q+1)/delta."""
         return self.g ** (self.place.q + 1) * self.delta.inverse()
@@ -288,10 +280,6 @@ class Verschiebung(namedtuple("Verschiebung", "module poly")):
     module; the constant coefficient doubles as the Hasse invariant."""
 
     __slots__ = ()
-
-    def as_isogeny(self) -> Isogeny:
-        return Isogeny(self.module.frob_twist(self.module.place.d),
-                       self.module, self.poly)
 
     @property
     def hasse(self):

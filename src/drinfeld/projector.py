@@ -61,12 +61,6 @@ def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def mat_is_zero(a, codec) -> bool:
-    """Every entry equals `codec.zero` (a codec's, or a ring's for a matrix
-    of elements)."""
-    return all(x == codec.zero for row in a for x in row)
-
-
 def mat_pow(a, e: int, codec):
     return power(a, e, mat_identity(codec, len(a)),
                  lambda x, y: mat_mul(x, y, codec))

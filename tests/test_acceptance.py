@@ -208,6 +208,7 @@ def test_criterion_08_iwasawa():
             assert I.contains_ideal(J)
             assert maximal_ideal_kills_quotient(I, J)
     rng = random.Random(0)
+    ranks = []
     for place in standard_places():
         for m in (1, 2, 3):
             lv = iwasawa_level(place, m)
@@ -215,8 +216,8 @@ def test_criterion_08_iwasawa():
                 x = lv.random_element(rng)
                 for k in range(-3, 7):
                     assert specialize(x, k) == iota_eval(x, k)
-            ds = determining_weights(place, m)
-            assert ds.saturated
+            ranks.append(determining_weights(place, m).rank)
+    assert ranks == [2, 4, 6, 3, 6, 9]
     _report("criterion-8 measure algebra", t0, 30.0,
             "filtration r<=12 s<=4; two evaluation routes; determining sets")
 

@@ -57,6 +57,22 @@ def test_local_ring_checks_at_a_cubic_place():
         assert result.passed and result.details == detail, result.line()
 
 
+def test_determining_weights_fails_on_a_wrong_wild_block_rank(monkeypatch):
+    # the rank from the wild block is compared with the Smith count of the
+    # full evaluation matrix wherever that has at most 4096 entries
+    place = standard_places()[1]
+    right = checks.determining_weights
+
+    def off_by_one(place, m):
+        return right(place, m)._replace(rank=right(place, m).rank - 1)
+
+    monkeypatch.setattr(checks, "determining_weights", off_by_one)
+    result = check_determining_weights(place)
+    assert not result.passed
+    assert result.details == ("AssertionError: level 1: rank 2 from the "
+                              "wild block, 3 from all units")
+
+
 def test_the_battery_builds_one_correspondence_per_configuration(monkeypatch):
     built = []
     enumerate_moduli = hecke.enumerate_moduli

@@ -77,6 +77,8 @@ SUITE_DIGESTS = {
         "61da500e504cbf63a06d1383419f9ee357a9d1b87409e94400814de6e03b43e7",
     "suite --q 4 --varpi T":
         "1df4aedc8c14dda618f45d688580eb0a6b6a00694de6108b72a7a51fb1c97f45",
+    "suite --q 3 --varpi T^2+1":
+        "727915c437bedff0498cc2c96b801a429d2b39f1970030f0981f243c8f5ea486",
 }
 
 

@@ -5,16 +5,20 @@ classes of polynomials modulo varpi^n, inverted by extended Euclid, with a
 division-loop valuation and the Teichmuller lift found by iterating the
 Q-th power.  Every ring with at most 64 elements at the places (3, T),
 (2, T^2+T+1), (4, T) and (2, T^3+T+1) is checked exhaustively.
+
+`iwasawa.smith_count` is checked against the size of M/varpi M for the
+row module M, and on evaluation matrices against the column-pivot
+elimination that it replaced, run on reference elements.
 """
 
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drinfeld.basearith import (APoly, field_of_order, local_ring,
                                 make_place, power)
-from drinfeld.iwasawa import (_evaluation_ranks, determining_weights,
-                              iwasawa_level)
+from drinfeld.iwasawa import determining_weights, iwasawa_level, smith_count
 from drinfeld.textenc import parse_apoly
 
 
@@ -198,11 +202,14 @@ def test_reduce_rejects_raising_precision_and_other_places():
         L1.reduce(local_ring(_place(3, "T+1"), 2).one)
 
 
-# -- the evaluation rank against the division route --------------------------
+# -- the Smith count against the column-pivot route ---------------------------
 
 def _ref_rank(rows: list, m: int) -> int:
-    """The elimination of `iwasawa._evaluation_ranks` on reference elements,
-    each pivot's unit part found by polynomial division by varpi^v."""
+    """The column-by-column elimination that counted the evaluation rank
+    before the Smith count, on reference elements: row operations only, in
+    each column a pivot of least valuation among the remaining rows, its
+    unit part found by polynomial division by varpi^v.  Its count is not an
+    invariant of the row module (see the first test below)."""
     rows = [list(row) for row in rows]
     varpi = rows[0][0].ring.place.varpi
 
@@ -234,44 +241,70 @@ def _ref_rank(rows: list, m: int) -> int:
     return rank
 
 
-def _doubled_evaluations(place, m):
-    """The level, its determining set and the evaluation matrix of
-    `determining_weights`: unit codes by rows, weights 0..2*exponent-1."""
-    lv, ds = iwasawa_level(place, m), determining_weights(place, m)
-    codes = lv.scalars
-    return lv, ds, [[lv.unit_power(codes.encode(u), k)
-                     for k in range(2 * ds.exponent)] for u in lv.ring.units()]
+def _as_codes(ring, matrix):
+    return [[ring.codes().encode(x) for x in row] for row in matrix]
 
 
-def _full_rank(lv, matrix):
-    return _evaluation_ranks(lv, matrix, len(matrix[0]))[1]
+def _as_ref(ring, ref, matrix):
+    return [[ref.from_apoly(ring.to_apoly(x)) for x in row] for row in matrix]
 
 
-@pytest.mark.parametrize("q,varpi", [(3, "T"), (2, "T^2+T+1"), (4, "T")])
-@pytest.mark.parametrize("m", [1, 2, 3])
+def test_smith_count_does_not_depend_on_the_generators():
+    # [[varpi, 1]] and [[varpi, 1], [0, varpi]] have the same row module,
+    # the second row being varpi times the first: one invariant factor
+    place = _place(3, "T")
+    ring = local_ring(place, 2)
+    v, one, zero = ring.varpi, ring.one, ring.zero
+    second = [[v, one], [zero, v]]
+    for matrix in ([[v, one]], second):
+        for cols in (matrix, [row[::-1] for row in matrix]):
+            assert smith_count(ring, _as_codes(ring, cols)) == 1
+    # the column-pivot route finds a pivot in each column of the second
+    assert _ref_rank(_as_ref(ring, RefLocalRing(place, 2), second), 2) == 2
+
+
+def _row_module(ring, rows) -> set:
+    """Every R-linear combination of rows of codes, as tuples of codes."""
+    codes = ring.codes()
+    scalars = [codes.encode(c) for c in ring.elements()]
+    span = {(0,) * len(rows[0])}
+    for row in rows:
+        multiples = {tuple([codes.prods[c][y] for y in row]) for c in scalars}
+        span = {tuple([codes.sums[x][y] for x, y in zip(vec, mult)])
+                for vec in span for mult in multiples}
+    return span
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(2, 3), (3, 2)]), st.data())
+def test_smith_count_counts_generators_of_the_row_module(shape, data):
+    # M = sum R/(varpi^a_i) has M/varpi M = F_Q^(number of nonzero a_i)
+    n, ncols = shape
+    ring = local_ring(_place(3, "T"), n)
+    codes = ring.codes()
+    entry = st.sampled_from([codes.encode(x) for x in ring.elements()])
+    rows = data.draw(st.lists(st.lists(entry, min_size=ncols,
+                                       max_size=ncols),
+                              min_size=1, max_size=4))
+    span = _row_module(ring, rows)
+    times_varpi = codes.prods[codes.encode(ring.varpi)]
+    varpi_span = {tuple([times_varpi[x] for x in vec]) for vec in span}
+    assert len(span) == len(varpi_span) * 3 ** smith_count(ring, rows)
+
+
+@pytest.mark.parametrize("q,varpi,m", [
+    (3, "T", 1), (3, "T", 2), (3, "T", 3),
+    (2, "T^2+T+1", 1), (2, "T^2+T+1", 2), (2, "T^2+T+1", 3),
+    (4, "T", 1), (4, "T", 2), (4, "T", 3),
+    (3, "T^2+1", 1), (3, "T^2+1", 2)])
 def test_evaluation_rank_matches_the_division_route(q, varpi, m):
+    # the rank from the wild block, the Smith count of the full evaluation
+    # matrix (every unit at every weight of the set) and the column-pivot
+    # route on reference elements all agree
     place = _place(q, varpi)
-    lv, ds, doubled = _doubled_evaluations(place, m)
-    ref, codes = RefLocalRing(place, m), lv.scalars
-    for matrix in ([row[:ds.exponent] for row in doubled], doubled):
-        as_ref = [[ref.from_apoly(lv.ring.to_apoly(codes.decode(c)))
-                   for c in row] for row in matrix]
-        rank = _ref_rank(as_ref, m)
-        assert _evaluation_ranks(lv, matrix, len(matrix[0])) == (rank, rank)
-    assert ds.rank == _full_rank(lv, doubled) and ds.saturated
-
-
-@pytest.mark.parametrize("q,varpi", [(3, "T"), (2, "T^2+T+1")])
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_one_elimination_gives_both_determining_ranks(q, varpi, m):
-    """One pass over the doubled matrix reports, at every cut, the rank
-    that a separate elimination of the columns before the cut gives, and
-    the rank of the whole matrix; at the exponent these are the two ranks
-    `determining_weights` compares."""
-    lv, ds, doubled = _doubled_evaluations(_place(q, varpi), m)
-    full = _full_rank(lv, doubled)
-    for cut in range(len(doubled[0]) + 1):
-        alone = _full_rank(lv, [row[:cut] for row in doubled]) if cut else 0
-        assert _evaluation_ranks(lv, doubled, cut) == (alone, full)
-    alone = _full_rank(lv, [row[:ds.exponent] for row in doubled])
-    assert (ds.rank, ds.saturated) == (alone, alone == full)
+    lv, ds = iwasawa_level(place, m), determining_weights(place, m)
+    units = list(lv.ring.units())
+    full = [[u ** k for k in ds.weights] for u in units]
+    ref = RefLocalRing(place, m)
+    assert ds.rank == smith_count(lv.ring, _as_codes(lv.ring, full)) \
+        == _ref_rank(_as_ref(lv.ring, ref, full), m)
