@@ -8,7 +8,9 @@ Q-th power.  Every ring with at most 64 elements at the places (3, T),
 
 `iwasawa.smith_count` is checked against the size of M/varpi M for the
 row module M, and on evaluation matrices against the column-pivot
-elimination that it replaced, run on reference elements.
+elimination that it replaced, run on reference elements, and on the
+evaluations at two periods of weights against the determining rank.  The
+wild block of a level is checked to be the principal unit group.
 """
 
 import itertools
@@ -308,3 +310,35 @@ def test_evaluation_rank_matches_the_division_route(q, varpi, m):
     ref = RefLocalRing(place, m)
     assert ds.rank == smith_count(lv.ring, _as_codes(lv.ring, full)) \
         == _ref_rank(_as_ref(lv.ring, ref, full), m)
+
+
+@pytest.mark.parametrize("q,varpi", [(3, "T"), (2, "T^2+T+1")])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_weights_beyond_the_determining_set_add_no_rank(q, varpi, m):
+    # over the weights 0..2e-1 (e the unit group exponent) the Smith count
+    # of the first `cut` columns never falls as the cut grows, reaches the
+    # determining rank at the cut e and stays there: the second period
+    # repeats the first
+    place = _place(q, varpi)
+    lv, ds = iwasawa_level(place, m), determining_weights(place, m)
+    doubled = _as_codes(lv.ring, [[u ** k for k in range(2 * ds.exponent)]
+                                  for u in lv.ring.units()])
+    counts = [smith_count(lv.ring, [row[:cut] for row in doubled])
+              for cut in range(1, len(doubled[0]) + 1)]
+    assert counts == sorted(counts)
+    assert counts[ds.exponent - 1] == counts[-1] == ds.rank
+
+
+@pytest.mark.parametrize("q,varpi,m", [
+    (3, "T", 1), (3, "T", 2), (3, "T", 3), (2, "T^2+T+1", 2)])
+def test_the_wild_block_is_the_principal_unit_group(q, varpi, m):
+    # Q^(m-1) units congruent to 1, closed under products, and the units
+    # are the tame order times as many
+    place = _place(q, varpi)
+    lv = iwasawa_level(place, m)
+    wild, one = set(lv.wild_group), lv.ring.one
+    Q = q ** place.d
+    assert len(wild) == len(lv.wild_group) == Q ** (m - 1)
+    assert all((w - one).varpi_valuation() >= 1 for w in wild)
+    assert {u * v for u in wild for v in wild} == wild
+    assert len(list(lv.ring.units())) == lv.tame_order * len(wild)
