@@ -12,8 +12,8 @@ import sys
 from drinfeld.basearith import field_of_order, make_place
 from drinfeld.hecke import build_correspondence, operator_matrix
 from drinfeld.iwasawa import iwasawa_level, specialize
-from drinfeld.projector import (constant_tower, control_check, mat_eq,
-                                mat_identity, ordinary_projector)
+from drinfeld.projector import (constant_tower, control_check, mat_identity,
+                                ordinary_projector)
 from drinfeld.textenc import parse_apoly
 
 
@@ -33,8 +33,7 @@ def main(argv=None):
         U = operator_matrix(corr, k, "U")
         det = U.determinant()
         rep = ordinary_projector(constant_tower(U.work_ext, U.rows))
-        is_id = mat_eq(rep.projector.matrices[0],
-                       mat_identity(U.work_ext, U.size))
+        is_id = rep.projector.matrices[0] == mat_identity(U.work_ext, U.size)
         print(f"  weight {k}: det(U) = {det}, projector is identity: {is_id}")
 
     lv = iwasawa_level(place, 2)

@@ -31,7 +31,7 @@ from .iwasawa import (J_ideal, determining_weights, duality_twist, filtration,
                       smith_count, specialize)
 from .modules import DrinfeldModule, splitting_degree, stable_order_qd_subgroups
 from .projector import (constant_tower, control_check, factorial_powers_vanish,
-                        local_finiteness_report, mat_eq, mat_identity,
+                        local_finiteness_report, mat_identity,
                         ordinary_projector, reduction_tower)
 from .serretate import constant_lift, lift_independence_check
 
@@ -205,7 +205,7 @@ def check_correspondence(place: PrimePlace, m: int) -> CheckResult:
         atkin_lehner(corr)
         U0 = operator_matrix(corr, 0, "U", locus="ordinary")
         F0 = operator_matrix(corr, 0, "F", locus="ordinary")
-        require(mat_eq(U0.transpose().rows, F0.rows), "U^T != F in weight 0")
+        require(U0.transpose().rows == F0.rows, "U^T != F in weight 0")
         kinds = {e.kind for e in corr.edges}
         require(kinds <= {"F", "V"}, f"edge kinds {sorted(kinds)}")
         return (f"{len(corr.ordinary)} ordinary, "
@@ -245,8 +245,8 @@ def check_u_ordinarity(place: PrimePlace, m: int,
         U0 = operator_matrix(corr, 0, "U")
         rep = ordinary_projector(constant_tower(U0.work_ext, U0.rows))
         require(rep.ok, "projector of U in weight 0 fails its properties")
-        require(mat_eq(rep.projector.matrices[0],
-                       mat_identity(U0.work_ext, U0.size)),
+        identity = mat_identity(U0.work_ext, U0.size)
+        require(rep.projector.matrices[0] == identity,
                 "projector of U in weight 0 is not the identity")
         return f"invertible for k in {list(weights)}; projector is identity"
     return _run("u-ordinarity",
@@ -358,7 +358,7 @@ def check_projector_worked_example(place: PrimePlace) -> CheckResult:
         rep = ordinary_projector(op)
         require(rep.ok, "worked-example projector fails")
         expected = [[L2.one, L2.one + L2.varpi], [L2.zero, L2.zero]]
-        require(mat_eq(rep.projector.matrices[-1], expected), "wrong projector")
+        require(rep.projector.matrices[-1] == expected, "wrong projector")
         require(factorial_powers_vanish(op, rep), "powers do not vanish")
         lf = local_finiteness_report(op)
         require(all(level["stable"] for level in lf), "not locally finite")

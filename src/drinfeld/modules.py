@@ -344,10 +344,12 @@ def stable_order_qd_subgroups(E: DrinfeldModule) -> list[SubgroupScheme]:
     return [SubgroupScheme(E, u) for u in divisors]
 
 
-def splitting_degree(u: SkewPoly, ext: FieldExt, cap: int = 64) -> int:
+def splitting_degree(u: SkewPoly, ext: FieldExt) -> int:
     """Least r with every root of the separable additive polynomial u
     rational over the degree-r extension of `ext`: certified by
-    x^(Q^r) = x mod u(x) as ordinary polynomials, Q = |ext|."""
+    x^(Q^r) = x mod u(x) as ordinary polynomials, Q = |ext|.  The roots
+    form an F_q-space of dimension n = deg_tau u on which x -> x^Q acts as
+    an element of GL_n(F_q), whose order r is at most q^n - 1."""
     if u.constant().is_zero():
         raise ValueError("u must be separable (nonzero constant coefficient)")
     # represent u as an ordinary polynomial over the big field
@@ -358,8 +360,9 @@ def splitting_degree(u: SkewPoly, ext: FieldExt, cap: int = 64) -> int:
     one = APoly(ext.field, [ext.one])
     x = APoly(ext.field, [ext.zero, ext.one])
     cur = x
-    for r in range(1, cap + 1):
+    bound = ext.q ** u.degree - 1
+    for r in range(1, bound + 1):
         cur = power(cur, ext.size, one, lambda a, b: (a * b) % modulus)
         if cur == x:
             return r
-    raise RuntimeError("splitting degree exceeded the search cap")
+    raise AssertionError(f"splitting degree above the bound q^n - 1 = {bound}")

@@ -18,12 +18,11 @@ lookup per pair of nonzero entries that meet.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 
 from .basearith import LocalRing, local_ring, power
-
-FACTORIAL_STEP_CAP = 64
 
 
 # -- matrix helpers over a codec ------------------------------------------------
@@ -54,11 +53,6 @@ def mat_mul(a, b, codec):
                     acc[j] = sums[acc[j]][px[y]]
         out.append(acc)
     return out
-
-
-def mat_eq(a, b) -> bool:
-    """Entrywise equality, of elements or of canonical codes."""
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def mat_pow(a, e: int, codec):
@@ -100,7 +94,7 @@ def incompatible_level(tower: TowerModule, matrices: list):
     matrix of level i + 1, or None when every adjacent pair commutes."""
     for i in range(tower.depth - 1):
         pushed = mat_map(matrices[i + 1], tower.transition_entry(i))
-        if not mat_eq(pushed, matrices[i]):
+        if pushed != matrices[i]:
             return i
     return None
 
@@ -184,19 +178,20 @@ def _stabilized_factorial_power(mat, codec):
     """The limit of T^(n!) in the finite matrix monoid, on codes: iterate
     S <- S^(n+1) and stop at the first idempotent iterate, which is the
     unique idempotent of the cyclic subsemigroup generated by the matrix
-    and therefore equals every later factorial power.  The square computed
-    for the idempotence test starts the next power:
-    S^(n+1) = (S^2)^((n+1)//2) * S^((n+1)%2).  Returns (limit, stop step)."""
+    and therefore equals every later factorial power.  The loop ends:
+    T^k is idempotent iff k >= index(T) and period(T) | k, and k = s!
+    meets both once s >= max(index, period), both finite in a finite
+    monoid.  The square computed for the idempotence test starts the next
+    power: S^(n+1) = (S^2)^((n+1)//2) * S^((n+1)%2).  Returns (limit,
+    stop step)."""
     cur = mat
-    for step in range(1, FACTORIAL_STEP_CAP + 1):
+    for step in itertools.count(1):
         sq = mat_mul(cur, cur, codec)
-        if mat_eq(sq, cur):
+        if sq == cur:
             return cur, step
         half, odd = divmod(step + 1, 2)
         nxt = mat_pow(sq, half, codec)
         cur = mat_mul(nxt, cur, codec) if odd else nxt
-    raise RuntimeError(
-        f"factorial iteration did not stabilize within {FACTORIAL_STEP_CAP} steps")
 
 
 def ordinary_projector(op: TowerOperator) -> ProjectorReport:
@@ -214,16 +209,16 @@ def ordinary_projector(op: TowerOperator) -> ProjectorReport:
         [st for _, st in limits],
         compatible=incompatible_level(tower, mats) is None)
     for c, T, (e, st) in zip(codecs, coded, limits):
-        if not mat_eq(mat_mul(e, e, c), e):
+        if mat_mul(e, e, c) != e:
             report.idempotent = False
         Te = mat_mul(T, e, c)
-        if not mat_eq(mat_mul(e, T, c), Te):
+        if mat_mul(e, T, c) != Te:
             report.commutes = False
         # T restricted to im(e) is invertible, inverted by P e with
         # P = T^(f-1) as T^f = e: verify the witness (T e)(P e) = e
         f = math.factorial(st + 1)
         P = mat_pow(T, f - 1, c)
-        if not mat_eq(mat_mul(Te, mat_mul(P, e, c), c), e):
+        if mat_mul(Te, mat_mul(P, e, c), c) != e:
             report.invertible_on_image = False
         if not _vanishes_on_kernel(T, P, e, c):
             report.vanishes_on_kernel = False
@@ -235,7 +230,7 @@ def _vanishes_on_kernel(T, P, e, c) -> bool:
     """T^f (1 - e) = 0, tested as T^f e = T^f, for coded T, e and
     P = T^(f-1); T^f = T P comes from T's own powers, never from e."""
     Tf = mat_mul(T, P, c)
-    return mat_eq(mat_mul(Tf, e, c), Tf)
+    return mat_mul(Tf, e, c) == Tf
 
 
 def factorial_powers_vanish(op: TowerOperator, report: ProjectorReport) -> bool:
@@ -254,8 +249,8 @@ def factorial_powers_vanish(op: TowerOperator, report: ProjectorReport) -> bool:
 def image_membership_identities(e1, e2, codec) -> bool:
     """Two coded idempotents have the same image iff each acts as the
     identity on the other's image: e1 e2 = e2 and e2 e1 = e1."""
-    return (mat_eq(mat_mul(e1, e2, codec), e2)
-            and mat_eq(mat_mul(e2, e1, codec), e1))
+    return (mat_mul(e1, e2, codec) == e2
+            and mat_mul(e2, e1, codec) == e1)
 
 
 class ControlReport(namedtuple(

@@ -26,9 +26,8 @@ from drinfeld.iwasawa import (J_ideal, determining_weights, duality_twist,
                               quotient_basis, specialize)
 from drinfeld.modules import DrinfeldModule, stable_order_qd_subgroups
 from drinfeld.projector import (constant_tower, control_check,
-                                factorial_powers_vanish, mat_eq,
-                                mat_identity, ordinary_projector,
-                                reduction_tower)
+                                factorial_powers_vanish, mat_identity,
+                                ordinary_projector, reduction_tower)
 from drinfeld.serretate import constant_lift, lift_independence_check
 
 GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json"
@@ -173,7 +172,7 @@ def test_criterion_06_correspondence_structure():
                 assert pairing[id(pairing[id(e)])] is e
             U0 = operator_matrix(corr, 0, "U", locus="ordinary")
             F0 = operator_matrix(corr, 0, "F", locus="ordinary")
-            assert mat_eq(U0.transpose().rows, F0.rows)
+            assert U0.transpose().rows == F0.rows
             assert {e.kind for e in corr.edges} <= {"F", "V"}
     _report("criterion-6 correspondence structure", t0, 30.0,
             "both places, m up to 3 and 2")
@@ -191,8 +190,7 @@ def test_criterion_07_u_ordinarity():
         U0 = operator_matrix(corr, 0, "U")
         rep = ordinary_projector(constant_tower(U0.work_ext, U0.rows))
         assert rep.ok
-        assert mat_eq(rep.projector.matrices[0],
-                      mat_identity(U0.work_ext, U0.size))
+        assert rep.projector.matrices[0] == mat_identity(U0.work_ext, U0.size)
     _report("criterion-7 etale-part ordinarity", t0, 30.0,
             "determinants exact, projector identity")
 
@@ -232,8 +230,8 @@ def test_criterion_09_projector():
     op = reduction_tower(place, M, 2)
     rep = ordinary_projector(op)
     assert rep.ok
-    assert mat_eq(rep.projector.matrices[-1],
-                  [[L2.one, L2.one + L2.varpi], [L2.zero, L2.zero]])
+    assert rep.projector.matrices[-1] == [[L2.one, L2.one + L2.varpi],
+                                          [L2.zero, L2.zero]]
     assert factorial_powers_vanish(op, rep)
     # (b) towers from every correspondence instance of criterion 6: the
     # three operators at weight zero, and the etale-part operator at the

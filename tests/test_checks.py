@@ -13,7 +13,8 @@ from drinfeld.basearith import field_of_order, make_place
 from drinfeld.checks import (check_correspondence, check_determining_weights,
                              check_duality_twist, check_hecke_support,
                              check_iwasawa_specialization,
-                             check_projector_hecke_towers, check_u_ordinarity,
+                             check_projector_hecke_towers,
+                             check_projector_random, check_u_ordinarity,
                              check_weight_homogeneity, standard_places,
                              suite_checks)
 from drinfeld.modules import DrinfeldModule
@@ -55,6 +56,30 @@ def test_local_ring_checks_at_a_cubic_place():
     ]
     for result, detail in details:
         assert result.passed and result.details == detail, result.line()
+
+
+def test_random_towers_past_64_factorial_steps():
+    # 16^4 - 1 has the prime factor 257, so some towers stabilize late
+    place = make_place(parse_apoly(field_of_order(4), "T^2+T+a"))
+    result = check_projector_random(place, count=25)
+    assert result.passed, result.line()
+
+
+def test_u_ordinarity_fails_on_a_projector_missing_rows(monkeypatch, place_T):
+    # the report keeps only the first row of e, which that row alone
+    # cannot tell from the identity's
+    right = checks.ordinary_projector
+
+    def first_row_only(op):
+        rep = right(op)
+        rep.projector.matrices[0] = rep.projector.matrices[0][:1]
+        return rep
+
+    monkeypatch.setattr(checks, "ordinary_projector", first_row_only)
+    result = check_u_ordinarity(place_T, 1)
+    assert result.line().startswith("[FAIL] u-ordinarity: ")
+    assert result.details == ("AssertionError: projector of U in weight 0 "
+                              "is not the identity")
 
 
 def test_determining_weights_fails_on_a_wrong_wild_block_rank(monkeypatch):

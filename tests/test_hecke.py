@@ -12,7 +12,6 @@ from drinfeld.hecke import (admissible_weight_values, apply_u_by_table,
                             atkin_lehner, build_correspondence,
                             enumerate_moduli, operator_matrix,
                             support_valuations)
-from drinfeld.projector import mat_eq
 from drinfeld.skew import right_divide, tau
 
 
@@ -132,7 +131,7 @@ def test_transpose_u_equals_f_at_weight_zero(place_T, place_TT1):
         corr = build_correspondence(place, m)
         U0 = operator_matrix(corr, 0, "U", locus="ordinary")
         F0 = operator_matrix(corr, 0, "F", locus="ordinary")
-        assert mat_eq(U0.transpose().rows, F0.rows)
+        assert U0.transpose().rows == F0.rows
 
 
 def test_t_is_sum_with_disjoint_edge_support(place_T):

@@ -139,6 +139,7 @@ def test_dichotomy_exhaustive(q):
                     u = etale[0].u
                     assert not u.constant().is_zero()
                     r = splitting_degree(u, ext)
+                    assert (qd - 1) % r == 0
                     if ext.size ** r <= 4096:
                         tor = E.torsion_points(1, ext_field(place, r))
                         assert tor.count == qd and tor.complete

@@ -1,20 +1,21 @@
 import math
 import random
-from itertools import product
+from itertools import count, product
 
 import pytest
 
-from drinfeld.basearith import (APoly, ElementCodes, ext_field, local_ring,
-                                power)
+from drinfeld.basearith import (APoly, ElementCodes, ext_field, field_of_order,
+                                local_ring, make_place, power)
 from drinfeld.checks import standard_places
 from drinfeld.hecke import build_correspondence, operator_matrix
 from drinfeld.iwasawa import decompose, iwasawa_level, specialize
 from drinfeld.projector import (TowerModule, TowerOperator, constant_tower,
                                 control_check, factorial_powers_vanish,
                                 image_membership_identities,
-                                local_finiteness_report, mat_eq, mat_identity,
+                                local_finiteness_report, mat_identity,
                                 mat_map, mat_mul, mat_pow, ordinary_projector,
                                 reduction_tower)
+from drinfeld.textenc import parse_apoly
 
 
 @pytest.fixture()
@@ -52,13 +53,13 @@ def _ref_mat_pow(a, e, ring):
 
 
 def _ref_limit(mat, ring):
-    """(limit, stop step) of S <- S^(n+1) on element matrices."""
+    """(limit, stop step) of S <- S^(n+1) on element matrices, unbounded
+    like the coded iteration."""
     cur = mat
-    for step in range(1, 65):
-        if mat_eq(_ref_mat_mul(cur, cur, ring), cur):
+    for step in count(1):
+        if _ref_mat_mul(cur, cur, ring) == cur:
             return cur, step
         cur = _ref_mat_pow(cur, step + 1, ring)
-    raise AssertionError("reference iteration did not stabilize")
 
 
 def _ref_projector(op):
@@ -74,9 +75,9 @@ def _ref_projector(op):
         one_minus_e = [[x - y for x, y in zip(ri, re)]
                        for ri, re in zip(mat_identity(ring, len(T)), e)]
         witness = mul(_ref_mat_pow(T, f - 1, ring), e)
-        flags = (mat_eq(mul(e, e), e),
-                 mat_eq(mul(e, T), mul(T, e)),
-                 mat_eq(mul(mul(T, e), witness), e),
+        flags = (mul(e, e) == e,
+                 mul(e, T) == mul(T, e),
+                 mul(mul(T, e), witness) == e,
                  all(x.is_zero() for row in mul(_ref_mat_pow(T, f, ring),
                                                 one_minus_e) for x in row))
         out.append((e, st, f, flags))
@@ -87,9 +88,8 @@ def _ref_control(matrix, ring, specialize_entry, target_ring):
     e_first, _ = _ref_limit(matrix, ring)
     e_pushed = mat_map(e_first, specialize_entry)
     e_second, _ = _ref_limit(mat_map(matrix, specialize_entry), target_ring)
-    agree = (mat_eq(_ref_mat_mul(e_pushed, e_second, target_ring), e_second)
-             and mat_eq(_ref_mat_mul(e_second, e_pushed, target_ring),
-                        e_pushed))
+    agree = (_ref_mat_mul(e_pushed, e_second, target_ring) == e_second
+             and _ref_mat_mul(e_second, e_pushed, target_ring) == e_pushed)
     return e_pushed, e_second, agree
 
 
@@ -108,7 +108,7 @@ def _naive_factorial_limit(mat, ring, cap=8):
         nxt = mat
         for _ in range(fact - 1):
             nxt = _ref_mat_mul(nxt, mat, ring)
-        if mat_eq(nxt, prev) and mat_eq(_ref_mat_mul(nxt, nxt, ring), nxt):
+        if nxt == prev and _ref_mat_mul(nxt, nxt, ring) == nxt:
             return nxt
         prev = nxt
     raise AssertionError("oracle did not stabilize")
@@ -119,17 +119,17 @@ def test_worked_example(worked, L2, place_T):
     assert rep.ok
     e = rep.projector.matrices[-1]
     expected = [[L2.one, L2.one + L2.varpi], [L2.zero, L2.zero]]
-    assert mat_eq(e, expected)
+    assert e == expected
     # independent oracle: naive repeated multiplication
     M = [[L2.one, L2.one], [L2.zero, L2.varpi]]
     oracle = _naive_factorial_limit(M, L2)
-    assert mat_eq(oracle, expected)
+    assert oracle == expected
 
 
 def test_identity_projector(L2):
     idm = mat_identity(L2, 3)
     rep = ordinary_projector(constant_tower(L2, idm))
-    assert rep.ok and mat_eq(rep.projector.matrices[0], idm)
+    assert rep.ok and rep.projector.matrices[0] == idm
 
 
 def test_nilpotent_projector(L2):
@@ -137,7 +137,7 @@ def test_nilpotent_projector(L2):
            [L2.zero, L2.zero, L2.one],
            [L2.zero, L2.zero, L2.zero]]
     rep = ordinary_projector(constant_tower(L2, nil))
-    assert rep.ok and mat_eq(rep.projector.matrices[0], [[L2.zero] * 3] * 3)
+    assert rep.ok and rep.projector.matrices[0] == [[L2.zero] * 3] * 3
 
 
 def test_projector_properties(worked):
@@ -146,8 +146,8 @@ def test_projector_properties(worked):
                           rep.projector.matrices):
         c = ring.codes()
         T, e = _coded(T, c), _coded(e, c)
-        assert mat_eq(mat_mul(e, e, c), e)
-        assert mat_eq(mat_mul(e, T, c), mat_mul(T, e, c))
+        assert mat_mul(e, e, c) == e
+        assert mat_mul(e, T, c) == mat_mul(T, e, c)
     assert factorial_powers_vanish(worked, rep)
 
 
@@ -239,6 +239,22 @@ def test_factorial_ladder_product_count(place_index, seed, stop, products,
     _assert_projector_matches_reference(constant_tower(L2, T))
 
 
+def test_iteration_matches_reference_past_64_steps():
+    # the first random tower of the battery at (2, T^3+T+1), seed 0: its
+    # period has the prime factor 73 of 8^3 - 1
+    place = make_place(parse_apoly(field_of_order(2), "T^3+T+1"))
+    rng = random.Random(0)
+    L2 = local_ring(place, 2)
+    field = place.field
+    elems = [L2.from_apoly(APoly(field, [a, b]))
+             for a in field.elements() for b in field.elements()]
+    M = [[elems[rng.randrange(len(elems))] for _ in range(4)]
+         for _ in range(4)]
+    op = reduction_tower(place, M, 2)
+    assert ordinary_projector(op).steps == [73, 73]
+    _assert_projector_matches_reference(op)
+
+
 def test_idempotent_equals_for_powers(worked, place_T, L2):
     rep = ordinary_projector(worked)
     e = rep.projector.matrices[-1]
@@ -247,7 +263,7 @@ def test_idempotent_equals_for_powers(worked, place_T, L2):
     for r in (2, 3):
         Mr = mat_map(mat_pow(_coded(M, c), r, c), c.decode)
         rep_r = ordinary_projector(reduction_tower(place_T, Mr, 2))
-        assert mat_eq(rep_r.projector.matrices[-1], e)
+        assert rep_r.projector.matrices[-1] == e
 
 
 def test_transition_compatibility(worked):
@@ -255,8 +271,8 @@ def test_transition_compatibility(worked):
     tower = worked.tower
     for i in range(tower.depth - 1):
         fn = tower.transition_entry(i)
-        assert mat_eq(mat_map(rep.projector.matrices[i + 1], fn),
-                      rep.projector.matrices[i])
+        assert (mat_map(rep.projector.matrices[i + 1], fn)
+                == rep.projector.matrices[i])
 
 
 def test_exactness_shadow(worked, place_T):
@@ -311,8 +327,7 @@ def test_control_full_module(place_T):
     for k in (0, 2, 3):
         cr = control_check(M, lv, lambda x, kk=k: specialize(x, kk), lv.ring)
         assert cr.ok
-        assert mat_eq(cr.projector_of_specialized,
-                      mat_identity(lv.ring, 2))
+        assert cr.projector_of_specialized == mat_identity(lv.ring, 2)
 
 
 def test_control_rank_one(place_T):
@@ -323,8 +338,8 @@ def test_control_rank_one(place_T):
         assert cr.ok
         e = cr.projector_of_specialized
         zero = [[lv.ring.zero] * 2] * 2
-        assert not mat_eq(e, zero)
-        assert mat_eq([e[1]], zero[1:])  # second row vanishes: rank one
+        assert e != zero
+        assert e[1] == zero[1]  # second row vanishes: rank one
 
 
 def test_control_zero(place_T):
@@ -332,7 +347,7 @@ def test_control_zero(place_T):
     M = [[lv.one * lv.ring.varpi, lv.zero], [lv.zero, lv.zero]]
     cr = control_check(M, lv, lambda x: specialize(x, 2), lv.ring)
     assert cr.ok
-    assert mat_eq(cr.projector_of_specialized, [[lv.ring.zero] * 2] * 2)
+    assert cr.projector_of_specialized == [[lv.ring.zero] * 2] * 2
 
 
 def test_control_random(place_T):
