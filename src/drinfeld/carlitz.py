@@ -13,20 +13,14 @@ from itertools import zip_longest
 
 from .basearith import (APoly, ArtinRing, PrimePlace, TruncPoly, TruncPolyRing,
                         all_monic)
-from .skew import PolyRing, SkewPoly
+from .skew import PolyRing, SkewPoly, action_eval
 
 
 def carlitz_eval(M: APoly, base) -> SkewPoly:
     """The additive polynomial [M](X) over `base` (anything carrying an
     image gamma_T of T): [1] = X, [T] = X^q + gamma_T*X, multiplicative in M
     and F_q-linear.  Twist degree equals deg(M)."""
-    ring = base
-    action = SkewPoly(ring, [ring.gamma_T, ring.one])  # [T]
-    result = SkewPoly(ring, [])
-    embed = ring.embed_fq
-    for c in reversed(M.coeffs):
-        result = result * action + SkewPoly(ring, [embed(c)])
-    return result
+    return action_eval(M, SkewPoly(base, [base.gamma_T, base.one]))  # [T]
 
 
 class CoefficientProfile(namedtuple(

@@ -29,7 +29,8 @@ from .iwasawa import (J_ideal, determining_weights, duality_twist, filtration,
                       filtration_index_range, iota_eval, iwasawa_level,
                       maximal_ideal_kills_quotient, quotient_basis,
                       smith_count, specialize)
-from .modules import DrinfeldModule, splitting_degree, stable_order_qd_subgroups
+from .modules import (DrinfeldModule, all_modules, splitting_degree,
+                      stable_order_qd_subgroups)
 from .projector import (constant_tower, control_check, factorial_powers_vanish,
                         local_finiteness_report, mat_identity,
                         ordinary_projector, reduction_tower)
@@ -82,16 +83,13 @@ def check_carlitz_profile(place: PrimePlace) -> CheckResult:
                 f"action polynomial profile at {place}", body)
 
 
-def check_fv_factorization(place: PrimePlace, exhaustive_m: int = 1) -> CheckResult:
+def check_fv_factorization(place: PrimePlace) -> CheckResult:
     def body():
-        ext = ext_field(place, exhaustive_m)
-        n = 0
-        for g in ext.elements():
-            for delta in ext.field.units():
-                E = DrinfeldModule(ext, g, delta)
-                F, V = E.frobenius_verschiebung()  # asserts vanishing + product
-                n += 1
-        return f"{n} modules over F_{ext.size}"
+        ext = ext_field(place, 1)
+        modules = list(all_modules(ext))
+        for E in modules:
+            E.frobenius_verschiebung()  # asserts vanishing + product
+        return f"{len(modules)} modules over F_{ext.size}"
     return _run("fv-factorization",
                 f"low twist coefficients of phi(varpi) vanish and V*F "
                 f"re-multiplies, at {place}", body)
@@ -101,34 +99,31 @@ def check_torsion_dichotomy(place: PrimePlace) -> CheckResult:
     def body():
         ext = ext_field(place, 1)
         qd = place.q ** place.d
-        checked = 0
-        for g in ext.elements():
-            for delta in ext.field.units():
-                E = DrinfeldModule(ext, g, delta)
-                subs = stable_order_qd_subgroups(E)
-                if E.is_ordinary():
-                    etale = [H for H in subs if H.kind.value == "etale"]
-                    require(len(subs) == 2 and len(etale) == 1,
-                            f"{len(subs)} subgroups at j = {E.j_invariant()}")
-                    u = etale[0].u
-                    require(not u.constant().is_zero(), "inseparable kernel")
-                    r = splitting_degree(u, ext)
-                    if ext.size ** r <= 4096:
-                        big = ext_field(place, ext.m * r)
-                        tor = E.torsion_points(1, big)
-                        require(tor.count == qd and tor.complete,
-                                f"{tor.count} of {qd} torsion points rational")
-                        require(tor.is_cyclic(), "non-cyclic torsion")
-                else:
-                    require(len(subs) == 1,
-                            f"{len(subs)} subgroups at j = {E.j_invariant()}")
-                    pv = E.phi_eval(place.varpi)
-                    require(pv.tau_valuation() == 2 * place.d,
-                            f"twist valuation {pv.tau_valuation()}")
-                    tor = E.torsion_points(1, ext)
-                    require(tor.count == 1, f"{tor.count} torsion points")
-                checked += 1
-        return f"{checked} modules"
+        modules = list(all_modules(ext))
+        for E in modules:
+            subs = stable_order_qd_subgroups(E)
+            if E.is_ordinary():
+                etale = [H for H in subs if H.kind.value == "etale"]
+                require(len(subs) == 2 and len(etale) == 1,
+                        f"{len(subs)} subgroups at j = {E.j_invariant()}")
+                u = etale[0].u
+                require(not u.constant().is_zero(), "inseparable kernel")
+                r = splitting_degree(u, ext)
+                if ext.size ** r <= 4096:
+                    big = ext_field(place, ext.m * r)
+                    tor = E.torsion_points(1, big)
+                    require(tor.count == qd and tor.complete,
+                            f"{tor.count} of {qd} torsion points rational")
+                    require(tor.is_cyclic(), "non-cyclic torsion")
+            else:
+                require(len(subs) == 1,
+                        f"{len(subs)} subgroups at j = {E.j_invariant()}")
+                pv = E.phi_eval(place.varpi)
+                require(pv.tau_valuation() == 2 * place.d,
+                        f"twist valuation {pv.tau_valuation()}")
+                tor = E.torsion_points(1, ext)
+                require(tor.count == 1, f"{tor.count} torsion points")
+        return f"{len(modules)} modules"
     return _run("torsion-dichotomy",
                 f"q^d points iff ordinary, else only zero, at {place}", body)
 
@@ -151,14 +146,14 @@ def check_trace_divisibility(place: PrimePlace) -> CheckResult:
                 body)
 
 
-def check_serre_tate(place: PrimePlace, m: int = 2, nilpotency: int = 2) -> CheckResult:
+def check_serre_tate(place: PrimePlace, m: int = 2) -> CheckResult:
     def body():
         ext = ext_field(place, m)
         E0 = DrinfeldModule(ext, ext.one, ext.one)
         if not E0.is_ordinary():
             E0 = DrinfeldModule(ext, ext.zero, ext.one)
-        R = artin_ring(place, m, nilpotency)
-        datum = constant_lift(E0, R, nilpotency - 1)
+        R = artin_ring(place, m, 2)
+        datum = constant_lift(E0, R, 1)
         rep = lift_independence_check(datum)
         require(rep.ok, f"{len(rep.violations)} lift-independence violations")
         for v in rep.values.values():
@@ -173,12 +168,10 @@ def check_serre_tate(place: PrimePlace, m: int = 2, nilpotency: int = 2) -> Chec
 def assert_orbit_invariance(corr) -> None:
     """Each pair (g, delta) is as ordinary as the point of its orbit."""
     ordinary = {p.j: p.ordinary for p in corr.points}
-    for g in corr.ext.elements():
-        for delta in corr.ext.field.units():
-            E = DrinfeldModule(corr.ext, g, delta)
-            if E.is_ordinary() != ordinary[E.j_invariant()]:
-                raise AssertionError("ordinariness is not orbit-invariant "
-                                     f"at j = {E.j_invariant()}")
+    for E in all_modules(corr.ext):
+        if E.is_ordinary() != ordinary[E.j_invariant()]:
+            raise AssertionError("ordinariness is not orbit-invariant "
+                                 f"at j = {E.j_invariant()}")
 
 
 @cache
@@ -216,12 +209,15 @@ def check_correspondence(place: PrimePlace, m: int) -> CheckResult:
                 f"{place}, m={m}", body)
 
 
-def check_weight_homogeneity(place: PrimePlace, m: int,
-                             weights=(-2, 0, 2, 3, 5), seed: int = 0) -> CheckResult:
+# the weights at which the correspondence checks build and test U
+WEIGHTS = (-2, 0, 2, 3, 5)
+
+
+def check_weight_homogeneity(place: PrimePlace, m: int) -> CheckResult:
     def body():
         corr = _correspondence(place, m)
-        rng = random.Random(seed)
-        for k in weights:
+        rng = random.Random(0)
+        for k in WEIGHTS:
             U = operator_matrix(corr, k, "U")
             for _ in range(3):
                 vals = admissible_weight_values(corr, k, U.work_ext, rng)
@@ -229,17 +225,16 @@ def check_weight_homogeneity(place: PrimePlace, m: int,
                 got = U.apply([vals[p.j] for p in U.index])
                 require(got == [direct[p.j] for p in U.index],
                         f"weight {k}: matrix and table disagree")
-        return f"weights {list(weights)}"
+        return f"weights {list(WEIGHTS)}"
     return _run("weight-homogeneity",
                 f"operator respects weight-k homogeneity at {place}, m={m}",
                 body)
 
 
-def check_u_ordinarity(place: PrimePlace, m: int,
-                       weights=(-2, 0, 2, 3, 5)) -> CheckResult:
+def check_u_ordinarity(place: PrimePlace, m: int) -> CheckResult:
     def body():
         corr = _correspondence(place, m)
-        for k in weights:
+        for k in WEIGHTS:
             U = operator_matrix(corr, k, "U")
             require(not U.determinant().is_zero(), f"U singular at k = {k}")
         U0 = operator_matrix(corr, 0, "U")
@@ -248,7 +243,7 @@ def check_u_ordinarity(place: PrimePlace, m: int,
         identity = mat_identity(U0.work_ext, U0.size)
         require(rep.projector.matrices[0] == identity,
                 "projector of U in weight 0 is not the identity")
-        return f"invertible for k in {list(weights)}; projector is identity"
+        return f"invertible for k in {list(WEIGHTS)}; projector is identity"
     return _run("u-ordinarity",
                 f"etale-part operator invertible on the ordinary locus at "
                 f"{place}, m={m}", body)
@@ -272,27 +267,26 @@ def check_hecke_support(place: PrimePlace, m: int) -> CheckResult:
                 f"{place}, m={m}", body)
 
 
-def check_iwasawa_filtration(s_max: int = 4, r_max: int = 12) -> CheckResult:
+def check_iwasawa_filtration() -> CheckResult:
     def body():
         basis = quotient_basis(J_ideal(3, 2), J_ideal(3, 3))
         require(len(basis) == 11, f"{len(basis)} corner monomials")
-        for s in range(1, s_max + 1):
-            top = min(r_max, filtration_index_range(s) - 1)
+        for s in range(1, 5):
+            top = min(12, filtration_index_range(s) - 1)
             for r in range(top + 1):
                 I, J = filtration(s, r), filtration(s, r + 1)
                 require(I.contains_ideal(J), f"chain breaks at ({s}, {r})")
                 require(maximal_ideal_kills_quotient(I, J), f"({s}, {r}) not killed")
-        return f"chain indices r <= {r_max}, generators s <= {s_max}; " \
+        return "chain indices r <= 12, generators s <= 4; " \
                "corner quotient basis has 11 monomials"
     return _run("iwasawa-filtration",
                 "decreasing ideal chain with quotients killed by the "
                 "maximal ideal", body)
 
 
-def check_iwasawa_specialization(place: PrimePlace, m_max: int = 3,
-                                 seed: int = 0) -> CheckResult:
+def check_iwasawa_specialization(place: PrimePlace, m_max: int = 3) -> CheckResult:
     def body():
-        rng = random.Random(seed)
+        rng = random.Random(0)
         total = 0
         for m in range(1, m_max + 1):
             lv = iwasawa_level(place, m)
@@ -333,10 +327,10 @@ def check_determining_weights(place: PrimePlace, m_max: int = 3) -> CheckResult:
                 f"{place}", body)
 
 
-def check_duality_twist(place: PrimePlace, m: int = 2, seed: int = 0) -> CheckResult:
+def check_duality_twist(place: PrimePlace, m: int = 2) -> CheckResult:
     def body():
         lv = iwasawa_level(place, m)
-        rng = random.Random(seed)
+        rng = random.Random(0)
         for _ in range(50):
             x = lv.random_element(rng)
             tx = duality_twist(x)
@@ -377,7 +371,7 @@ def check_projector_hecke_towers(place: PrimePlace, m: int) -> CheckResult:
             require(rep.ok, f"projector of {which} fails its properties")
             count += 1
             if _residue_entries(M):
-                lifted = _teichmuller_lift(M, place, depth=2)
+                lifted = _teichmuller_lift(M, place)
                 rep2 = ordinary_projector(lifted)
                 require(rep2.ok, f"lifted {which} projector fails")
                 count += 1
@@ -397,36 +391,34 @@ def _residue_entries(M) -> bool:
     return all((x ** qd) == x for row in M.rows for x in row)
 
 
-def _teichmuller_lift(M, place: PrimePlace, depth: int):
-    ring, ext = local_ring(place, depth), M.work_ext
+def _teichmuller_lift(M, place: PrimePlace):
+    ring, ext = local_ring(place, 2), M.work_ext
     rows = [[ring.from_coeff(ext.to_residue(x).residue()) for x in row]
             for row in M.rows]
-    return reduction_tower(place, rows, depth)
+    return reduction_tower(place, rows, 2)
 
 
-def check_projector_random(place: PrimePlace, count: int = 100,
-                           seed: int = 0) -> CheckResult:
+def check_projector_random(place: PrimePlace) -> CheckResult:
     def body():
-        rng = random.Random(seed)
+        rng = random.Random(0)
         L2 = local_ring(place, 2)
         field = place.field
         elems = [L2.from_apoly(APoly(field, [a, b]))
                  for a in field.elements() for b in field.elements()]
-        for _ in range(count):
+        for _ in range(25):
             M = [[elems[rng.randrange(len(elems))] for _ in range(4)]
                  for _ in range(4)]
             rep = ordinary_projector(reduction_tower(place, M, 2))
             require(rep.ok, "a random tower projector fails its properties")
-        return f"{count} random 4x4 depth-2 towers"
+        return "25 random 4x4 depth-2 towers"
     return _run("projector-random-towers",
                 f"projector properties on random towers at {place}", body)
 
 
-def check_projector_control(place: PrimePlace, m: int = 2,
-                            seed: int = 0) -> CheckResult:
+def check_projector_control(place: PrimePlace, m: int = 2) -> CheckResult:
     def body():
         lv = iwasawa_level(place, m)
-        rng = random.Random(seed)
+        rng = random.Random(0)
         cases = 0
         for trial in range(6):
             n = 2 + trial % 2
@@ -463,7 +455,7 @@ def standard_places():
 
 def suite_checks(place: PrimePlace, m: int) -> list:
     """The full battery at one configuration."""
-    out = [
+    return [
         check_carlitz_profile(place),
         check_fv_factorization(place),
         check_torsion_dichotomy(place),
@@ -479,7 +471,6 @@ def suite_checks(place: PrimePlace, m: int) -> list:
         check_duality_twist(place, m=min(m, 2)),
         check_projector_worked_example(place),
         check_projector_hecke_towers(place, m),
-        check_projector_random(place, count=25),
+        check_projector_random(place),
         check_projector_control(place, m=min(m, 2)),
     ]
-    return out

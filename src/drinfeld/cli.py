@@ -29,7 +29,7 @@ from .modules import DrinfeldModule
 from .projector import (TowerModule, TowerOperator, local_finiteness_report,
                         ordinary_projector, reduction_tower)
 from .serretate import constant_lift, lift_independence_check
-from .textenc import ParseError, parse_apoly, parse_ext_element
+from .textenc import ParseError, parse_apoly, parse_fq
 
 CACHE_ENV = "DRINFELD_CACHE_DIR"
 
@@ -47,16 +47,19 @@ def _read(build, *args):
         raise UsageError(str(exc)) from None
 
 
-def _bound_size(place, n: int, name: str) -> None:
-    """Reject n unless q^(d*n), the size of the field or ring that n
-    selects at the place, is at most MAX_FIELD_SIZE.  Since q >= 2, an
-    exponent of MAX_FIELD_SIZE.bit_length() or more is too large, so no
-    huge power is ever computed; n < 1 is left to the ring's own check."""
-    exponent = place.d * n
+def _read_place(q: int, varpi: str, n: int, name: str):
+    """The place of F_q and the text varpi, once q^(d*n), the size of what
+    n (named `name`) selects there, is at most MAX_FIELD_SIZE: bounded on
+    the parsed degree d before make_place's factor search, and on the
+    exponent first, so no huge power is computed.  n < 1 is left to the
+    ring's own check."""
+    varpi = parse_apoly(field_of_order(q), varpi)
+    exponent = varpi.degree * n
     if (exponent >= MAX_FIELD_SIZE.bit_length()
-            or place.q ** max(exponent, 0) > MAX_FIELD_SIZE):
-        raise UsageError(f"q^(d*{name}) = {place.q}^{exponent} exceeds the "
+            or q ** max(exponent, 0) > MAX_FIELD_SIZE):
+        raise UsageError(f"q^(d*{name}) = {q}^{exponent} exceeds the "
                          f"supported size {MAX_FIELD_SIZE}")
+    return make_place(varpi)
 
 
 def _place(args):
@@ -66,10 +69,7 @@ def _place(args):
         raise UsageError("q must be a prime power >= 2")
     if args.m < 1:
         raise UsageError("extension degree m must be >= 1")
-    place = _read(lambda: make_place(parse_apoly(field_of_order(args.q),
-                                                 args.varpi)))
-    _bound_size(place, args.m, "m")
-    return place
+    return _read(_read_place, args.q, args.varpi, args.m, "m")
 
 
 def _nilpotency(args) -> int:
@@ -105,8 +105,8 @@ def cmd_carlitz_profile(args) -> int:
 def cmd_serre_tate(args) -> int:
     place = _place(args)
     ext = ext_field(place, args.m)
-    g = parse_ext_element(ext, args.g)
-    delta = parse_ext_element(ext, args.delta)
+    g = parse_fq(ext.field, args.g)
+    delta = parse_fq(ext.field, args.delta)
     E0 = _read(DrinfeldModule, ext, g, delta)
     if not E0.is_ordinary():
         print("error: base module is supersingular", file=sys.stderr)
@@ -265,8 +265,8 @@ def _load_tower(path: str):
         raise UsageError(str(exc)) from None
     if _tower_key(spec_data, "format", int) != 1:
         raise UsageError("unsupported tower format")
-    field = field_of_order(_tower_key(spec_data, "q", int))
-    place = make_place(parse_apoly(field, _tower_key(spec_data, "varpi", str)))
+    q = _tower_key(spec_data, "q", int)
+    varpi = _tower_key(spec_data, "varpi", str)
     if "levels" in spec_data:
         # explicit per-level matrices; transitions are the canonical
         # reductions and level compatibility is validated
@@ -275,10 +275,9 @@ def _load_tower(path: str):
                                                  "tower level"))
         if not levels:
             raise UsageError("tower has no levels")
-        for l in levels:
-            _bound_size(place, l["precision"], "precision")
+        place = _read_place(q, varpi, levels[-1]["precision"], "precision")
         rings = [local_ring(place, l["precision"]) for l in levels]
-        mats = [[[ring.from_apoly(parse_apoly(field, e)) for e in row]
+        mats = [[[ring.from_apoly(parse_apoly(place.field, e)) for e in row]
                  for row in _tower_matrix(l, "tower level")]
                 for ring, l in zip(rings, levels)]
         tower = TowerModule(rings, len(mats[0]), [r.reduce for r in rings[:-1]])
@@ -286,9 +285,9 @@ def _load_tower(path: str):
         precisions = [r.n for r in rings]
     else:
         depth = _tower_key(spec_data, "depth", int)
-        _bound_size(place, depth, "depth")
+        place = _read_place(q, varpi, depth, "depth")
         ring = local_ring(place, depth)
-        rows = [[ring.from_apoly(parse_apoly(field, entry)) for entry in row]
+        rows = [[ring.from_apoly(parse_apoly(place.field, e)) for e in row]
                 for row in _tower_matrix(spec_data)]
         op = reduction_tower(place, rows, depth)
         precisions = list(range(1, depth + 1))
@@ -315,6 +314,8 @@ def cmd_projector_run(args) -> int:
 
 def cmd_suite(args) -> int:
     if args.q is None:
+        if args.varpi is not None:
+            raise UsageError("--q is required when --varpi is given")
         if args.m < 1:
             raise UsageError("extension degree m must be >= 1")
         configs = [(pl, args.m) for pl in standard_places()]

@@ -273,23 +273,19 @@ def _embed_module(E: DrinfeldModule, ext: FieldExt):
     return emb(E.g), emb(E.delta)
 
 
-def _working_extension(corr: Correspondence, k: int, max_steps: int = 8):
-    """The smallest extension of the point field over which every V-edge
-    weight factor exists."""
-    place, m = corr.place, corr.m
-    for t in range(1, max_steps + 1):
-        ext = ext_field(place, m * t)
+def _working_extension(corr: Correspondence):
+    """The smallest extension of the point field, of degree at most 8 over
+    it, over which every V-edge weight factor exists."""
+    for t in range(1, 9):
+        ext = ext_field(corr.place, corr.m * t)
         scales = {}
-        ok = True
         for e in corr.edges:
-            if e.kind != "V":
-                continue
-            c = orbit_scale(e.dst.rep, e.target_module, ext)
-            if c is None:
-                ok = False
-                break
-            scales[id(e)] = c
-        if ok:
+            if e.kind == "V":
+                c = orbit_scale(e.dst.rep, e.target_module, ext)
+                if c is None:
+                    break
+                scales[id(e)] = c
+        else:
             return ext, scales
     raise RuntimeError("no working extension found for the weight factors")
 
@@ -314,7 +310,7 @@ def operator_matrix(corr: Correspondence, k: int, which: str,
     if which == "F":
         ext, scales = corr.ext, {}
     else:
-        ext, scales = _working_extension(corr, k)
+        ext, scales = _working_extension(corr)
     n = len(points)
     zero = ext.zero
     rows = [[zero] * n for _ in range(n)]

@@ -13,7 +13,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .basearith import APoly, FieldExt, PrimePlace, power
-from .skew import (SkewPoly, kernel_points, right_divide,
+from .skew import (SkewPoly, action_eval, kernel_points, right_divide,
                    stable_right_divisors, tau)
 
 
@@ -40,11 +40,7 @@ class DrinfeldModule:
 
     def phi_eval(self, a: APoly) -> SkewPoly:
         """The action phi(a); twist degree is 2*deg(a)."""
-        result = SkewPoly(self.base, [])
-        action = self.phi_T()
-        for c in reversed(a.coeffs):
-            result = result * action + SkewPoly(self.base, [self.base.embed_fq(c)])
-        return result
+        return action_eval(a, self.phi_T())
 
     def is_char_p(self) -> bool:
         """Whether the base has characteristic the place: gamma(varpi) = 0."""
@@ -330,6 +326,14 @@ def _gamma_compatible_embedding(small: FieldExt, big: FieldExt):
         if emb(small.gamma_T) == big.gamma_T:
             return emb
     raise ValueError("no gamma-compatible embedding")
+
+
+def all_modules(ext: FieldExt):
+    """Every module (g, delta) over ext, g over the field and delta over
+    its units, each in canonical element order."""
+    for g in ext.elements():
+        for delta in ext.field.units():
+            yield DrinfeldModule(ext, g, delta)
 
 
 def stable_order_qd_subgroups(E: DrinfeldModule) -> list[SubgroupScheme]:

@@ -68,8 +68,7 @@ def mat_map(a, fn):
 
 class TowerModule:
     """A tower of finite free modules: per level a coefficient ring handle
-    and a rank, linked by entrywise transition maps level i+1 -> level i
-    (None for a constant tower, meaning the identity)."""
+    and a rank, linked by entrywise transition maps level i+1 -> level i."""
 
     __slots__ = ("rings", "rank", "transitions")
 
@@ -84,16 +83,12 @@ class TowerModule:
     def depth(self) -> int:
         return len(self.rings)
 
-    def transition_entry(self, i: int):
-        t = self.transitions[i]
-        return (lambda x: x) if t is None else t
-
 
 def incompatible_level(tower: TowerModule, matrices: list):
     """The first level i whose matrix is not the transition image of the
     matrix of level i + 1, or None when every adjacent pair commutes."""
     for i in range(tower.depth - 1):
-        pushed = mat_map(matrices[i + 1], tower.transition_entry(i))
+        pushed = mat_map(matrices[i + 1], tower.transitions[i])
         if pushed != matrices[i]:
             return i
     return None
@@ -128,12 +123,9 @@ class TowerOperator:
         return f"TowerOperator(depth={self.tower.depth}, rank={self.tower.rank})"
 
 
-def constant_tower(ring, matrix, depth: int = 1) -> TowerOperator:
-    """The tower with the same matrix at every level and identity
-    transitions."""
-    rank = len(matrix)
-    tower = TowerModule([ring] * depth, rank, [None] * (depth - 1))
-    return TowerOperator(tower, [matrix] * depth)
+def constant_tower(ring, matrix) -> TowerOperator:
+    """The one-level tower holding the matrix over the ring."""
+    return TowerOperator(TowerModule([ring], len(matrix), []), [matrix])
 
 
 def reduction_tower(place, matrix, depth: int) -> TowerOperator:

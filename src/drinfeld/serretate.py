@@ -107,8 +107,7 @@ class LiftIndependenceReport:
                 and self.linearity_ok and self.connected_ok)
 
 
-def lift_independence_check(datum: DeformationDatum,
-                            seed: int = 0) -> LiftIndependenceReport:
+def lift_independence_check(datum: DeformationDatum) -> LiftIndependenceReport:
     """For every torsion point and every lift perturbation in the maximal
     ideal (sampled when the ideal is large), assert the deformation value
     is unchanged; also checks additivity, A-linearity against direct
@@ -121,8 +120,7 @@ def lift_independence_check(datum: DeformationDatum,
 
     ideal = list(datum.R.maximal_ideal())
     if len(ideal) > EXHAUSTIVE_IDEAL_BOUND:
-        rng = random.Random(seed)
-        ideal = rng.sample(ideal, EXHAUSTIVE_IDEAL_BOUND)
+        ideal = random.Random(0).sample(ideal, EXHAUSTIVE_IDEAL_BOUND)
         report.exhaustive = False
 
     for x in torsion.points:

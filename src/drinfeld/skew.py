@@ -132,6 +132,17 @@ class SkewPoly(CoeffTuple):
         return f"Skew({self})"
 
 
+def action_eval(a: APoly, action: SkewPoly) -> SkewPoly:
+    """The action of a in A = F_q[T], given the action of T: Horner's rule
+    on the T-digits of a, so intermediate twist degrees stay linear in
+    deg(a).  The result has twist degree deg(a) * deg(action)."""
+    ring = action.ring
+    result = SkewPoly(ring, [])
+    for c in reversed(a.coeffs):
+        result = result * action + SkewPoly(ring, [ring.embed_fq(c)])
+    return result
+
+
 def tau(ring, e: int = 1) -> SkewPoly:
     """The twist generator t^e."""
     return SkewPoly(ring, [ring.zero] * e + [ring.one])

@@ -413,6 +413,41 @@ def test_oversized_tower_is_rejected_before_any_ring(spec, named, tmp_path):
     assert proc.returncode == 2 and named in proc.stderr
 
 
+_HUGE_PLACE = {"format": 1, "q": 2, "varpi": "T^39+T^4+1", "depth": 1,
+               "matrix": [["1"]]}
+_HUGE_ENTRY = {"format": 1, "q": 3, "varpi": "T", "depth": 1,
+               "matrix": [["T^99999999"]]}
+
+
+@pytest.mark.parametrize("argv,tower,named", [
+    (["carlitz", "profile", "--q", "2", "--varpi", "T^39+T^4+1"], None,
+     "2^39 exceeds"),
+    (["projector", "run", "--tower"], _HUGE_PLACE, "2^39 exceeds"),
+    (["iwasawa", "specialize", "--q", "3", "--varpi", "T", "--m", "2",
+      "--k", "2", "--u", "T^99999999+1"], None, "degree 1 * 99999999"),
+    (["projector", "run", "--tower"], _HUGE_ENTRY, "degree 1 * 99999999"),
+    (["iwasawa", "specialize", "--q", "3", "--varpi", "T", "--m", "2",
+      "--k", "2", "--u", "(T^4096)^4096"], None, "supported degree"),
+    (["iwasawa", "specialize", "--q", "3", "--varpi", "T", "--m", "2",
+      "--k", "2", "--u", "*".join(["(T+1)^1024"] * 64)], None,
+     "product of degree 1024 + 1024"),
+    (["suite", "--varpi", "T"], None, "--q is required"),
+])
+def test_oversized_or_incomplete_input_is_rejected_at_once(argv, tower, named,
+                                                           tmp_path):
+    # in a fresh process with a timeout: the oversized inputs once ran a
+    # factor search or a polynomial power for minutes, and the incomplete
+    # suite ran the whole default battery
+    if tower is not None:
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(tower))
+        argv = argv + [str(path)]
+    proc = subprocess.run([sys.executable, "-m", "drinfeld"] + argv,
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and named in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_unreadable_tower_is_usage_error(tmp_path, capsys):
     code, out, err = run_cli(["projector", "run", "--tower", str(tmp_path)],
                              capsys)

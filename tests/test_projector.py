@@ -270,7 +270,7 @@ def test_transition_compatibility(worked):
     rep = ordinary_projector(worked)
     tower = worked.tower
     for i in range(tower.depth - 1):
-        fn = tower.transition_entry(i)
+        fn = tower.transitions[i]
         assert (mat_map(rep.projector.matrices[i + 1], fn)
                 == rep.projector.matrices[i])
 

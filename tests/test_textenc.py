@@ -3,8 +3,8 @@ from hypothesis import given, strategies as st
 
 from drinfeld.basearith import apoly, finite_field, local_ring
 from drinfeld.skew import SkewPoly
-from drinfeld.textenc import (ParseError, parse_apoly, parse_artin, parse_fq,
-                              parse_local, parse_skew)
+from drinfeld.textenc import (MAX_TEXT_DEGREE, ParseError, parse_apoly,
+                              parse_artin, parse_fq, parse_local, parse_skew)
 
 
 @given(st.integers(0, 8))
@@ -57,6 +57,25 @@ def test_skew_roundtrip(ext9, artin9):
 def test_artin_roundtrip(artin9):
     for x in list(artin9.elements())[:30]:
         assert parse_artin(artin9, str(x)) == x
+
+
+def test_polynomial_text_is_bounded_in_degree(F3, ext9):
+    # the bound is on the degree of each product and power, checked before
+    # it is computed
+    assert parse_apoly(F3, f"T^{MAX_TEXT_DEGREE}").degree == MAX_TEXT_DEGREE
+    assert parse_apoly(F3, "T^1000*T^24").degree == MAX_TEXT_DEGREE
+    with pytest.raises(ParseError, match="product of degree 1024 \\+ 1"):
+        parse_apoly(F3, "(T+1)^1024*(T+1)")
+    with pytest.raises(ParseError, match="supported degree"):
+        parse_apoly(F3, f"T^{MAX_TEXT_DEGREE + 1}")
+    with pytest.raises(ParseError, match="degree 32 \\* 33 exceeds"):
+        parse_apoly(F3, "(T^32)^33")
+    with pytest.raises(ParseError, match="supported degree"):
+        parse_skew(ext9, "t^99999999")
+    # constants and field elements power through logs, at any exponent
+    assert parse_apoly(F3, "2^99999999") == parse_apoly(F3, "2")
+    assert parse_fq(finite_field(3, 2), "a^99999999") == \
+        finite_field(3, 2).gen() ** 99999999
 
 
 def test_parser_rejects_garbage(F3):
