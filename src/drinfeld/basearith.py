@@ -59,60 +59,53 @@ def power(x, e: int, one, mul=operator.mul):
 
 
 class _MemoRow(dict):
-    """One row of a `_MemoTable`, for the element x of its code: a missing
-    entry b is filled once with the code of op(x, element b), computed by
-    the ring's own element arithmetic."""
+    """One row of a `_MemoTable`, for the value x of its code a: a missing
+    entry b is filled once with the code of op(x, value b), computed by the
+    table's own operation; a mirrored table stores the same code at [b][a]
+    too."""
 
-    __slots__ = ("codes", "op", "x")
+    __slots__ = ("table", "a", "x")
 
-    def __init__(self, codes, op, x):
-        self.codes, self.op, self.x = codes, op, x
+    def __init__(self, table, a):
+        self.table, self.a, self.x = table, a, table.codes.decode(a)
 
     def __missing__(self, b: int) -> int:
-        c = self[b] = self.codes.encode(self.op(self.x, self.codes.decode(b)))
+        table = self.table
+        codes = table.codes
+        c = self[b] = codes.encode(table.op(self.x, codes.decode(b)))
+        if table.mirrored:
+            table[b][self.a] = c
         return c
 
 
 class _MemoTable(dict):
     """An int-keyed memo `table[a][b]` of one binary operation on codes:
-    a missing row is created empty, so a hit is two dict subscripts."""
+    a missing row is created empty, so a hit is two dict subscripts.  A
+    commutative operation is `mirrored`: each miss fills both [a][b] and
+    [b][a]."""
 
-    __slots__ = ("codes", "op")
+    __slots__ = ("codes", "op", "mirrored")
 
-    def __init__(self, codes, op):
-        self.codes, self.op = codes, op
+    def __init__(self, codes, op, mirrored: bool = False):
+        self.codes, self.op, self.mirrored = codes, op, mirrored
 
     def __missing__(self, a: int) -> _MemoRow:
-        row = self[a] = _MemoRow(self.codes, self.op, self.codes.decode(a))
+        row = self[a] = _MemoRow(self, a)
         return row
 
 
-class ElementCodes:
-    """Integer codes for the elements of one finite commutative ring: zero
-    is 0, one is 1, and every other element gets the next free int when
-    first encoded.  Codes are canonical: two codes are equal exactly when
-    their elements are.
+class Codes:
+    """Integer codes for the values of one finite structure: zero is 0,
+    one is 1, and every other value gets the next free int when first
+    encoded.  Codes are canonical: two codes are equal exactly when their
+    values are."""
 
-    Arithmetic on codes is table subscripting: `sums[a][b]`, `diffs[a][b]`
-    and `prods[a][b]` are the codes of a + b, a - b and a * b.  The tables
-    are memos, empty at first; a missing entry is filled by the ring's own
-    element arithmetic, so no table is built up front and any ring size
-    works, and a hit costs two dict subscripts and no Python call.
+    __slots__ = ("zero", "one", "_elements", "_index")
 
-    A ring builds one codec, holding only zero and one, and owns it for its
-    lifetime (`ring.codes()`), so every caller shares what earlier ones
-    filled.  Each table holds at most |R|^2 entries."""
-
-    __slots__ = ("zero", "one", "_elements", "_index", "sums", "diffs",
-                 "prods")
-
-    def __init__(self, ring):
+    def __init__(self, zero, one):
         self.zero, self.one = 0, 1
-        self._elements = [ring.zero, ring.one]
-        self._index = {ring.zero: 0, ring.one: 1}
-        self.sums = _MemoTable(self, operator.add)
-        self.diffs = _MemoTable(self, operator.sub)
-        self.prods = _MemoTable(self, operator.mul)
+        self._elements = [zero, one]
+        self._index = {zero: 0, one: 1}
 
     def encode(self, x) -> int:
         code = self._index.get(x)
@@ -123,6 +116,30 @@ class ElementCodes:
 
     def decode(self, code: int):
         return self._elements[code]
+
+
+class ElementCodes(Codes):
+    """The `Codes` of the elements of one finite commutative ring.
+
+    Arithmetic on codes is table subscripting: `sums[a][b]`, `diffs[a][b]`
+    and `prods[a][b]` are the codes of a + b, a - b and a * b.  The tables
+    are memos, empty at first; a missing entry is filled by the ring's own
+    element arithmetic, so no table is built up front and any ring size
+    works, and a hit costs two dict subscripts and no Python call.  Sums
+    and products commute, so their tables are mirrored; differences are
+    not.
+
+    A ring builds one codec, holding only zero and one, and owns it for its
+    lifetime (`ring.codes()`), so every caller shares what earlier ones
+    filled.  Each table holds at most |R|^2 entries."""
+
+    __slots__ = ("sums", "diffs", "prods")
+
+    def __init__(self, ring):
+        super().__init__(ring.zero, ring.one)
+        self.sums = _MemoTable(self, operator.add, mirrored=True)
+        self.diffs = _MemoTable(self, operator.sub)
+        self.prods = _MemoTable(self, operator.mul, mirrored=True)
 
 
 def join_terms(pairs, var: str) -> str:
@@ -740,6 +757,10 @@ class FieldExt:
     def size(self) -> int:
         return self.field.q
 
+    # a field is its own residue field, of composition length 1
+    residue_size = size
+    length = 1
+
     def qpow(self, x: FFElement, e: int = 1) -> FFElement:
         return x ** (self.q ** e)
 
@@ -974,6 +995,17 @@ class ArtinRing(TruncPolyRing):
     @property
     def size(self) -> int:
         return self.coeff_ring.size ** self.N
+
+    @property
+    def residue_size(self) -> int:
+        """The size of the residue field R/(eps)."""
+        return self.coeff_ring.size
+
+    @property
+    def length(self) -> int:
+        """The composition length of R over itself: eps^i R / eps^(i+1) R
+        for i < N."""
+        return self.N
 
 
 def artin_ring(place: PrimePlace, m: int, nilpotency: int) -> ArtinRing:

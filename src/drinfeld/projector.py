@@ -4,16 +4,44 @@ projector e(T) = lim T^(n!), with the control-style compatibility checks
 
 Towers hold plain row lists of ring elements; levels of a tower may live
 over different rings connected by entrywise transition maps.  The matrix
-arithmetic works on codes instead: every matrix ring (`LocalRing`,
-`FieldExt`, `IwasawaLevel`) returns from `codes()` its one
-`basearith.ElementCodes`, the same object on every call and for the ring's
-lifetime.  Codes are ints with zero at 0 and one at 1, and canonical, so
-`==` on codes is equality of elements, and sums and products are the
-subscripts `sums[a][b]` and `prods[a][b]` of the codec's memo tables.  The
-three entry points below encode their input matrices once, compute on
-codes, and decode only the matrices they report.  Products skip zero
-codes, so a sparse (in the Hecke towers, monomial) matrix costs one table
-lookup per pair of nonzero entries that meet.
+arithmetic works on codes instead, in two layers:
+
+- *Entries.*  Every matrix ring (`LocalRing`, `FieldExt`, `IwasawaLevel`)
+  returns from `codes()` its one `basearith.ElementCodes`, for the ring's
+  lifetime: canonical int codes, zero at 0 and one at 1, whose sums and
+  products are the subscripts `sums[a][b]` and `prods[a][b]` of memo
+  tables.
+- *Matrices.*  A `MatrixCodes` interns the r x r matrices over one such
+  codec as int codes too, keyed by their row-sparse form: per row, the
+  `(column, code)` pairs of its nonzero entries in column order.  Products
+  are the subscripts `prods[a][b]` of one more memo table, so each distinct
+  product is computed once; a miss calls the one kernel `mat_mul`,
+  Gustavson's row product on sparse rows, which costs one entry product
+  per pair of nonzero entries that meet (in the Hecke towers, whose rows
+  hold at most two entries, a few per row).
+
+A matrix memo lives for one `ordinary_projector`, `factorial_powers_vanish`
+or `control_check` call: it is created there and passed down, so library
+callers do not accumulate products.  Those calls encode their input
+matrices once, walk on matrix codes, and decode only what they report.
+
+The invertibility witness P = T^(f-1), f = (st+1)!, is computed with a
+shorter exponent h (`_witness_exponent`), still from T's own powers and
+not from the iteration.  Let R be a finite local ring of characteristic p
+with residue field F_Q and length l over itself.  The exponent of GL_r(R)
+divides E = lcm_{i<=r}(Q^i - 1) * p^ceil(log_p r) * p^ceil(log_p l):
+
+- in GL_r(F_Q), a semisimple part has order dividing the lcm, and a
+  unipotent part u has (u-1)^r = 0, so u^(p^a) = 1 once p^a >= r;
+- the kernel of reduction, 1 + M_r(m), is killed by any p^b >= l, as
+  (1+X)^(p^b) = 1 + X^(p^b) and m^l = 0.
+
+`Lambda_m` is a product of such rings, one per tame character, each of
+residue field F_Q and length at most l = m*t*w, so E serves there too.
+On R^r, of length r*l, the kernels of T^k stop growing by k = r*l, so
+T^k (1 - e) = 0 for k >= r*l, and T e + (1 - e) is a unit, so T^E e = e.
+Hence T^(k+E) = T^k for k >= r*l, and any h >= r*l with h = f-1 mod E
+gives T^h = T^(f-1).
 """
 
 from __future__ import annotations
@@ -22,42 +50,77 @@ import itertools
 import math
 from collections import namedtuple
 
-from .basearith import LocalRing, local_ring, power
+from .basearith import Codes, LocalRing, _MemoTable, local_ring, power
 
 
-# -- matrix helpers over a codec ------------------------------------------------
+# -- coded matrices -------------------------------------------------------------
 
-def mat_identity(codec, n: int):
-    """The n x n identity over anything with `zero` and `one`: a codec, or
-    a ring when the identity is wanted as elements."""
-    return [[codec.one if i == j else codec.zero for j in range(n)]
+def mat_identity(ring, n: int):
+    """The n x n identity over a ring, as rows of its elements."""
+    return [[ring.one if i == j else ring.zero for j in range(n)]
             for i in range(n)]
 
 
 def mat_mul(a, b, codec):
-    """The product of two coded matrices, row by row (Gustavson's sparse
-    product): each nonzero a[i][k] adds a[i][k] * b[k][j] over the nonzero
-    entries of row k of b only, into a row of zero codes.  Both operations
-    are subscripts of the codec's memo tables: the row `prods[x]` once per
-    nonzero x, then `sums[acc][px[y]]` per pair of entries that meet."""
+    """The product of two row-sparse matrices over a codec: each row a
+    tuple of (column, nonzero code) pairs in column order.  Row by row
+    (Gustavson's product), each entry x at (i, k) of a adds x * y into
+    column j of row i for the entries y at (k, j) of b only.  Both
+    operations are subscripts of the codec's memo tables: the row
+    `prods[x]` once per entry x, then `sums[acc][px[y]]` per pair of
+    entries that meet.  Returns the product's rows in the same form."""
     sums, prods = codec.sums, codec.prods
-    width = len(b[0]) if b else 0
-    rows_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
     for row in a:
-        acc = [0] * width
-        for x, row_b in zip(row, rows_b):
-            if x:
-                px = prods[x]
-                for j, y in row_b:
-                    acc[j] = sums[acc[j]][px[y]]
-        out.append(acc)
-    return out
+        acc = {}
+        for k, x in row:
+            px = prods[x]
+            for j, y in b[k]:
+                acc[j] = sums[acc.get(j, 0)][px[y]]
+        out.append(tuple(sorted([(j, c) for j, c in acc.items() if c])))
+    return tuple(out)
 
 
-def mat_pow(a, e: int, codec):
-    return power(a, e, mat_identity(codec, len(a)),
-                 lambda x, y: mat_mul(x, y, codec))
+class MatrixCodes(Codes):
+    """The r x r matrices over one ring codec, interned as int codes keyed
+    by their row-sparse form (zero matrix 0, identity 1), with the memo
+    table `prods[a][b]` of their products: a miss multiplies by `mat_mul`
+    once.  Matrix products do not commute, so the table is not
+    mirrored."""
+
+    __slots__ = ("scalars", "rank", "prods")
+
+    def __init__(self, scalars, rank: int):
+        super().__init__(((),) * rank,
+                         tuple(((i, scalars.one),) for i in range(rank)))
+        self.scalars, self.rank = scalars, rank
+        # `mat_mul` is looked up in this module on every miss
+        self.prods = _MemoTable(self, lambda a, b: mat_mul(a, b, scalars))
+
+    def encode_matrix(self, mat) -> int:
+        """The code of a matrix given as rows of ring elements."""
+        encode = self.scalars.encode
+        return self.encode(tuple(
+            tuple([(j, c) for j, c in enumerate(map(encode, row)) if c])
+            for row in mat))
+
+    def decode_matrix(self, code: int) -> list:
+        """The matrix of a code, as rows of ring elements."""
+        decode, zero = self.scalars.decode, self.scalars.decode(0)
+        out = []
+        for row in self.decode(code):
+            dense = [zero] * self.rank
+            for j, c in row:
+                dense[j] = decode(c)
+            out.append(dense)
+        return out
+
+
+def mat_pow(a: int, e: int, ring: MatrixCodes) -> int:
+    """The code of a^e, by square-and-multiply on the ring's product
+    table."""
+    prods = ring.prods
+    return power(a, e, ring.one, lambda x, y: prods[x][y])
 
 
 def mat_map(a, fn):
@@ -166,7 +229,7 @@ class ProjectorReport:
                 and self.vanishes_on_kernel and self.compatible)
 
 
-def _stabilized_factorial_power(mat, codec):
+def _stabilized_factorial_power(mat: int, ring: MatrixCodes):
     """The limit of T^(n!) in the finite matrix monoid, on codes: iterate
     S <- S^(n+1) and stop at the first idempotent iterate, which is the
     unique idempotent of the cyclic subsemigroup generated by the matrix
@@ -176,14 +239,50 @@ def _stabilized_factorial_power(mat, codec):
     monoid.  The square computed for the idempotence test starts the next
     power: S^(n+1) = (S^2)^((n+1)//2) * S^((n+1)%2).  Returns (limit,
     stop step)."""
+    prods = ring.prods
     cur = mat
     for step in itertools.count(1):
-        sq = mat_mul(cur, cur, codec)
+        sq = prods[cur][cur]
         if sq == cur:
             return cur, step
         half, odd = divmod(step + 1, 2)
-        nxt = mat_pow(sq, half, codec)
-        cur = mat_mul(nxt, cur, codec) if odd else nxt
+        nxt = mat_pow(sq, half, ring)
+        cur = prods[nxt][cur] if odd else nxt
+
+
+def _p_power_at_least(p: int, n: int) -> int:
+    """p^ceil(log_p n): the least power of p that is >= n (1 for n <= 1)."""
+    out = 1
+    while out < n:
+        out *= p
+    return out
+
+
+def gl_exponent(ring, rank: int, cap: int) -> int:
+    """A multiple of the exponent of GL_rank over the ring, E =
+    lcm_{i<=rank}(Q^i - 1) * p^ceil(log_p rank) * p^ceil(log_p l) for the
+    residue field size Q, its characteristic p and the length l of the
+    ring (see the module docstring); or, once the lcm under construction
+    passes `cap`, that partial value, a number above `cap` dividing E."""
+    Q = ring.residue_size
+    p = ring.place.field.p
+    out = _p_power_at_least(p, rank) * _p_power_at_least(p, ring.length)
+    for i in range(1, rank + 1):
+        out = math.lcm(out, Q ** i - 1)
+        if out > cap:
+            break
+    return out
+
+
+def _witness_exponent(ring, rank: int, f: int) -> int:
+    """An h <= f - 1 with T^h = T^(f-1) for every rank x rank matrix T
+    over the ring: f - 1 reduced modulo E = `gl_exponent`, then raised by
+    E up to the index bound rank * length.  When E > f, h = f - 1."""
+    E = gl_exponent(ring, rank, f)
+    h = (f - 1) % E
+    while h < rank * ring.length:
+        h += E
+    return min(h, f - 1)
 
 
 def ordinary_projector(op: TowerOperator) -> ProjectorReport:
@@ -192,57 +291,60 @@ def ordinary_projector(op: TowerOperator) -> ProjectorReport:
     the stabilized factorial power vanishes on the kernel of e, and the
     levels are transition-compatible."""
     tower = op.tower
-    codecs = [ring.codes() for ring in tower.rings]
-    coded = [mat_map(T, c.encode) for c, T in zip(codecs, op.matrices)]
-    limits = [_stabilized_factorial_power(T, c) for c, T in zip(codecs, coded)]
-    mats = [mat_map(e, c.decode) for c, (e, _) in zip(codecs, limits)]
+    mrings = [MatrixCodes(ring.codes(), tower.rank) for ring in tower.rings]
+    coded = [m.encode_matrix(T) for m, T in zip(mrings, op.matrices)]
+    limits = [_stabilized_factorial_power(T, m) for m, T in zip(mrings, coded)]
+    mats = [m.decode_matrix(e) for m, (e, _) in zip(mrings, limits)]
     report = ProjectorReport(
         op, TowerOperator.unchecked(tower, mats),
         [st for _, st in limits],
         compatible=incompatible_level(tower, mats) is None)
-    for c, T, (e, st) in zip(codecs, coded, limits):
-        if mat_mul(e, e, c) != e:
+    for ring, m, T, (e, st) in zip(tower.rings, mrings, coded, limits):
+        prods = m.prods
+        if prods[e][e] != e:
             report.idempotent = False
-        Te = mat_mul(T, e, c)
-        if mat_mul(e, T, c) != Te:
+        Te = prods[T][e]
+        if prods[e][T] != Te:
             report.commutes = False
         # T restricted to im(e) is invertible, inverted by P e with
         # P = T^(f-1) as T^f = e: verify the witness (T e)(P e) = e
         f = math.factorial(st + 1)
-        P = mat_pow(T, f - 1, c)
-        if mat_mul(Te, mat_mul(P, e, c), c) != e:
+        P = mat_pow(T, _witness_exponent(ring, tower.rank, f), m)
+        if prods[Te][prods[P][e]] != e:
             report.invertible_on_image = False
-        if not _vanishes_on_kernel(T, P, e, c):
+        if not _vanishes_on_kernel(T, P, e, m):
             report.vanishes_on_kernel = False
         report.invertibility_order.append(f)
     return report
 
 
-def _vanishes_on_kernel(T, P, e, c) -> bool:
-    """T^f (1 - e) = 0, tested as T^f e = T^f, for coded T, e and
+def _vanishes_on_kernel(T: int, P: int, e: int, ring: MatrixCodes) -> bool:
+    """T^f (1 - e) = 0, tested as T^f e = T^f, for the codes of T, e and
     P = T^(f-1); T^f = T P comes from T's own powers, never from e."""
-    Tf = mat_mul(T, P, c)
-    return mat_mul(Tf, e, c) == Tf
+    Tf = ring.prods[T][P]
+    return ring.prods[Tf][e] == Tf
 
 
 def factorial_powers_vanish(op: TowerOperator, report: ProjectorReport) -> bool:
     """T^(n!) (1 - e) goes to zero entrywise as n grows through the
     stabilized range: at stabilization it equals e(1 - e) = 0 exactly."""
+    rank = op.tower.rank
     for ring, T, e, st in zip(op.tower.rings, op.matrices,
                               report.projector.matrices, report.steps):
-        c = ring.codes()
-        T = mat_map(T, c.encode)
-        P = mat_pow(T, math.factorial(st + 1) - 1, c)
-        if not _vanishes_on_kernel(T, P, mat_map(e, c.encode), c):
+        m = MatrixCodes(ring.codes(), rank)
+        T = m.encode_matrix(T)
+        f = math.factorial(st + 1)
+        P = mat_pow(T, _witness_exponent(ring, rank, f), m)
+        if not _vanishes_on_kernel(T, P, m.encode_matrix(e), m):
             return False
     return True
 
 
-def image_membership_identities(e1, e2, codec) -> bool:
+def image_membership_identities(e1: int, e2: int, ring: MatrixCodes) -> bool:
     """Two coded idempotents have the same image iff each acts as the
     identity on the other's image: e1 e2 = e2 and e2 e1 = e1."""
-    return (mat_mul(e1, e2, codec) == e2
-            and mat_mul(e2, e1, codec) == e1)
+    prods = ring.prods
+    return prods[e1][e2] == e2 and prods[e2][e1] == e1
 
 
 class ControlReport(namedtuple(
@@ -261,15 +363,16 @@ class ControlReport(namedtuple(
 def control_check(matrix, ring, specialize_entry, target_ring) -> ControlReport:
     """Base change of the idempotent commutes with specialization: comparing
     the image of f_k(e(T)) with the image of e(f_k(T)) over the target."""
-    source, target = ring.codes(), target_ring.codes()
-    e_first, _ = _stabilized_factorial_power(mat_map(matrix, source.encode),
+    source = MatrixCodes(ring.codes(), len(matrix))
+    target = MatrixCodes(target_ring.codes(), len(matrix))
+    e_first, _ = _stabilized_factorial_power(source.encode_matrix(matrix),
                                              source)
-    e_pushed = mat_map(mat_map(e_first, source.decode), specialize_entry)
-    specialized = mat_map(mat_map(matrix, specialize_entry), target.encode)
+    e_pushed = mat_map(source.decode_matrix(e_first), specialize_entry)
+    specialized = target.encode_matrix(mat_map(matrix, specialize_entry))
     e_second, _ = _stabilized_factorial_power(specialized, target)
-    agree = image_membership_identities(mat_map(e_pushed, target.encode),
+    agree = image_membership_identities(target.encode_matrix(e_pushed),
                                         e_second, target)
-    return ControlReport(e_pushed, mat_map(e_second, target.decode), agree)
+    return ControlReport(e_pushed, target.decode_matrix(e_second), agree)
 
 
 def local_finiteness_report(op: TowerOperator) -> list:

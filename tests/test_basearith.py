@@ -14,7 +14,7 @@ from drinfeld.basearith import (FFElement, FiniteField, TruncPoly, apoly,
 import drinfeld
 from drinfeld.carlitz import TruncSeriesRing
 from drinfeld.iwasawa import iwasawa_level
-from drinfeld.projector import mat_identity, mat_mul, mat_pow
+from drinfeld.projector import MatrixCodes, mat_pow
 from drinfeld.skew import SkewPoly
 
 
@@ -463,9 +463,9 @@ def _power_cases(place_T, ext9, artin9):
     series = TruncSeriesRing(artin9, 10)
     lv = iwasawa_level(place_T, 2)
     a9 = artin9.from_fq(ext9.field.gen())
-    codes = L2.codes()
-    mat = [[codes.encode(L2.from_apoly(apoly(F3, [i + j, 1, i * j])))
-            for j in range(3)] for i in range(3)]
+    mats = MatrixCodes(L2.codes(), 3)
+    mat = mats.encode_matrix([[L2.from_apoly(apoly(F3, [i + j, 1, i * j]))
+                               for j in range(3)] for i in range(3)])
     elements = [
         (apoly(F3, [1, 2, 1]), apoly(F3, [1])),
         (L3.from_apoly(apoly(F3, [1, 1, 2])), L3.one),
@@ -475,8 +475,8 @@ def _power_cases(place_T, ext9, artin9):
         (TruncPoly(series, [artin9.one, artin9.eps, a9]), series.one),
     ]
     return [(x, one, operator.mul, operator.pow) for x, one in elements] + [
-        (mat, mat_identity(codes, 3), lambda x, y: mat_mul(x, y, codes),
-         lambda x, e: mat_pow(x, e, codes))]
+        (mat, mats.one, lambda x, y: mats.prods[x][y],
+         lambda x, e: mat_pow(x, e, mats))]
 
 
 def test_power_matches_repeated_product(place_T, ext9, artin9):

@@ -258,11 +258,11 @@ def test_projector_run_reports_incompatible_projector(tmp_path, capsys,
     real = projector._stabilized_factorial_power
     calls = []
 
-    def limit(mat, codec):
+    def limit(mat, ring):
         calls.append(mat)
-        e, step = real(mat, codec)
+        e, step = real(mat, ring)
         if len(calls) % 2 == 0:
-            e = projector.mat_identity(codec, len(mat))
+            e = ring.one  # the code of the identity matrix
         return e, step
 
     monkeypatch.setattr(projector, "_stabilized_factorial_power", limit)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from itertools import count, product
 
 import pytest
@@ -9,9 +10,10 @@ from drinfeld.basearith import (APoly, ElementCodes, ext_field, field_of_order,
 from drinfeld.checks import standard_places
 from drinfeld.hecke import build_correspondence, operator_matrix
 from drinfeld.iwasawa import decompose, iwasawa_level, specialize
-from drinfeld.projector import (TowerModule, TowerOperator, constant_tower,
+from drinfeld.projector import (MatrixCodes, TowerModule, TowerOperator,
+                                _witness_exponent, constant_tower,
                                 control_check, factorial_powers_vanish,
-                                image_membership_identities,
+                                gl_exponent, image_membership_identities,
                                 local_finiteness_report, mat_identity,
                                 mat_map, mat_mul, mat_pow, ordinary_projector,
                                 reduction_tower)
@@ -63,9 +65,9 @@ def _ref_limit(mat, ring):
 
 
 def _ref_projector(op):
-    """Per level of the tower: the limit, its step, the order (st+1)! and
-    the four per-level properties ordinary_projector reports, all on
-    element matrices."""
+    """Per level of the tower: the limit, its step, the order (st+1)!, the
+    four per-level properties ordinary_projector reports and the witness
+    power T^(f-1) on the full exponent, all on element matrices."""
     out = []
     for ring, T in zip(op.tower.rings, op.matrices):
         def mul(a, b, ring=ring):
@@ -74,13 +76,13 @@ def _ref_projector(op):
         f = math.factorial(st + 1)
         one_minus_e = [[x - y for x, y in zip(ri, re)]
                        for ri, re in zip(mat_identity(ring, len(T)), e)]
-        witness = mul(_ref_mat_pow(T, f - 1, ring), e)
+        P = _ref_mat_pow(T, f - 1, ring)
         flags = (mul(e, e) == e,
                  mul(e, T) == mul(T, e),
-                 mul(mul(T, e), witness) == e,
-                 all(x.is_zero() for row in mul(_ref_mat_pow(T, f, ring),
-                                                one_minus_e) for x in row))
-        out.append((e, st, f, flags))
+                 mul(mul(T, e), mul(P, e)) == e,
+                 all(x.is_zero() for row in mul(mul(T, P), one_minus_e)
+                     for x in row))
+        out.append((e, st, f, flags, P))
     return out
 
 
@@ -93,8 +95,21 @@ def _ref_control(matrix, ring, specialize_entry, target_ring):
     return e_pushed, e_second, agree
 
 
-def _coded(mat, codec):
-    return mat_map(mat, codec.encode)
+def _sparse(mat, codec):
+    """The row-sparse form `mat_mul` takes: per row, the (column, code)
+    pairs of the nonzero entries."""
+    return tuple(tuple((j, c) for j, c in enumerate(map(codec.encode, row))
+                       if c) for row in mat)
+
+
+def _dense(rows, width, codec):
+    out = []
+    for row in rows:
+        dense = [codec.decode(0)] * width
+        for j, c in row:
+            dense[j] = codec.decode(c)
+        out.append(dense)
+    return out
 
 
 def _naive_factorial_limit(mat, ring, cap=8):
@@ -144,15 +159,16 @@ def test_projector_properties(worked):
     rep = ordinary_projector(worked)
     for ring, T, e in zip(worked.tower.rings, worked.matrices,
                           rep.projector.matrices):
-        c = ring.codes()
-        T, e = _coded(T, c), _coded(e, c)
-        assert mat_mul(e, e, c) == e
-        assert mat_mul(e, T, c) == mat_mul(T, e, c)
+        m = MatrixCodes(ring.codes(), len(T))
+        T, e = m.encode_matrix(T), m.encode_matrix(e)
+        assert m.prods[e][e] == e
+        assert m.prods[e][T] == m.prods[T][e]
     assert factorial_powers_vanish(worked, rep)
 
 
 def _counted_products(monkeypatch):
-    """A list that grows by one per call of projector.mat_mul."""
+    """A list that grows by one per call of projector.mat_mul, the kernel
+    that fills a missing entry of a product table."""
     from drinfeld import projector
     calls = []
 
@@ -164,14 +180,38 @@ def _counted_products(monkeypatch):
     return calls
 
 
+class _CountedTable:
+    """A product table standing in for `ring.prods` that counts the
+    products requested from it: each request is one subscript
+    `prods[a][b]`, so one row subscript."""
+
+    def __init__(self, table):
+        self.table, self.requests = table, 0
+
+    def __getitem__(self, a):
+        self.requests += 1
+        return self.table[a]
+
+
+def _counted_ring(codec, rank):
+    ring = MatrixCodes(codec, rank)
+    ring.prods = _CountedTable(ring.prods)
+    return ring
+
+
 @pytest.mark.parametrize("e", range(20))
 def test_mat_pow_product_count(e, L2, monkeypatch):
     calls = _counted_products(monkeypatch)
-    c = L2.codes()
-    M = _coded([[L2.one, L2.one], [L2.zero, L2.varpi]], c)
-    mat_pow(M, e, c)
+    ring = _counted_ring(L2.codes(), 2)
+    M = ring.encode_matrix([[L2.one, L2.one], [L2.zero, L2.varpi]])
+    mat_pow(M, e, ring)
     expected = (e.bit_length() - 1) + (bin(e).count("1") - 1) if e else 0
-    assert len(calls) == expected
+    assert ring.prods.requests == expected
+    assert len(calls) == _entries(ring.prods.table) <= expected
+
+
+def _entries(table) -> int:
+    return sum(map(len, table.values()))
 
 
 def _matrix_rings(place):
@@ -214,13 +254,16 @@ def test_sparse_product_matches_reference(place_index, density):
                         row[-1] = ring.zero
                     for row in b:
                         row[0] = ring.zero
-                got = mat_mul(_coded(a, c), _coded(b, c), c)
-                assert mat_map(got, c.decode) == _ref_mat_mul(a, b, ring)
+                got = mat_mul(_sparse(a, c), _sparse(b, c), c)
+                assert all(list(row) == sorted(row) and all(x for _, x in row)
+                           for row in got)
+                assert _dense(got, m, c) == _ref_mat_mul(a, b, ring)
 
 
-# (place, seed, stop step, products): a non-final step n costs the square
-# of the idempotence test plus the ladder for (n+1)//2 on it, and one more
-# product when n+1 is odd; the stop step costs its square alone
+# (place, seed, stop step, products requested): a non-final step n costs
+# the square of the idempotence test plus the ladder for (n+1)//2 on it,
+# and one more product when n+1 is odd; the stop step costs its square
+# alone.  The kernel runs once per distinct product, so at most as often.
 @pytest.mark.parametrize("place_index,seed,stop,products",
                          [(0, 9, 2, 2), (0, 2, 3, 4), (0, 7, 4, 6),
                           (0, 6, 6, 12), (1, 1, 7, 16), (0, 0, 13, 41)])
@@ -232,10 +275,11 @@ def test_factorial_ladder_product_count(place_index, seed, stop, products,
     elems = list(L2.elements())
     rng = random.Random(seed)
     T = [[rng.choice(elems) for _ in range(3)] for _ in range(3)]
-    c = L2.codes()
+    ring = _counted_ring(L2.codes(), 3)
     calls = _counted_products(monkeypatch)
-    _, step = _stabilized_factorial_power(_coded(T, c), c)
-    assert (step, len(calls)) == (stop, products)
+    _, step = _stabilized_factorial_power(ring.encode_matrix(T), ring)
+    assert (step, ring.prods.requests) == (stop, products)
+    assert len(calls) == _entries(ring.prods.table) <= products
     _assert_projector_matches_reference(constant_tower(L2, T))
 
 
@@ -259,9 +303,9 @@ def test_idempotent_equals_for_powers(worked, place_T, L2):
     rep = ordinary_projector(worked)
     e = rep.projector.matrices[-1]
     M = [[L2.one, L2.one], [L2.zero, L2.varpi]]
-    c = L2.codes()
+    ring = MatrixCodes(L2.codes(), 2)
     for r in (2, 3):
-        Mr = mat_map(mat_pow(_coded(M, c), r, c), c.decode)
+        Mr = ring.decode_matrix(mat_pow(ring.encode_matrix(M), r, ring))
         rep_r = ordinary_projector(reduction_tower(place_T, Mr, 2))
         assert rep_r.projector.matrices[-1] == e
 
@@ -363,13 +407,13 @@ def test_control_random(place_T):
 
 
 def test_image_identity_criterion(L2):
-    c = L2.codes()
-    e1 = _coded([[L2.one, L2.zero], [L2.zero, L2.zero]], c)
-    e2 = _coded([[L2.one, L2.one], [L2.zero, L2.zero]], c)
+    ring = MatrixCodes(L2.codes(), 2)
+    e1 = ring.encode_matrix([[L2.one, L2.zero], [L2.zero, L2.zero]])
+    e2 = ring.encode_matrix([[L2.one, L2.one], [L2.zero, L2.zero]])
     # same column space over the ring
-    assert image_membership_identities(e1, e2, c)
-    e3 = _coded([[L2.zero, L2.zero], [L2.zero, L2.one]], c)
-    assert not image_membership_identities(e1, e3, c)
+    assert image_membership_identities(e1, e2, ring)
+    e3 = ring.encode_matrix([[L2.zero, L2.zero], [L2.zero, L2.one]])
+    assert not image_membership_identities(e1, e3, ring)
 
 
 # -- codecs against the object rings -------------------------------------------
@@ -434,7 +478,10 @@ def test_repeated_control_check_builds_no_codec(place_T, monkeypatch):
 
     def run():
         return control_check(M, lv, lambda x: specialize(x, 3), lv.ring)
-    first = run()
+
+    def project():
+        return ordinary_projector(constant_tower(lv, M))
+    first, first_rep = run(), project()
     built = []
     init = ElementCodes.__init__
 
@@ -448,7 +495,7 @@ def test_repeated_control_check_builds_no_codec(place_T, monkeypatch):
                 for codec in (lv.codes(), lv.scalars)
                 for name in ("sums", "diffs", "prods")}
     memo = entries()
-    again = run()
+    again, again_rep = run(), project()
     assert built == []
     # nothing left to refill: every entry was filled by the first run
     assert memo == entries()
@@ -456,25 +503,209 @@ def test_repeated_control_check_builds_no_codec(place_T, monkeypatch):
             again.images_agree) == (first.specialized_projector,
                                     first.projector_of_specialized,
                                     first.images_agree)
+    assert (again_rep.projector.matrices, again_rep.steps) \
+        == (first_rep.projector.matrices, first_rep.steps)
+
+
+def test_only_commutative_tables_are_mirrored(L2):
+    codec = ElementCodes(L2)  # a codec of its own: nothing filled yet
+    xs = [codec.encode(x) for x in L2.elements()]
+    for a in xs:
+        for b in xs[:3]:
+            codec.sums[a][b], codec.diffs[a][b], codec.prods[a][b]
+    for table in (codec.sums, codec.prods):
+        for a, row in table.items():
+            for b, c in row.items():
+                assert table.get(b, {}).get(a) == c
+    # a difference fills its own entry only
+    assert all(set(row) == set(xs[:3]) for row in codec.diffs.values())
+    ring = MatrixCodes(L2.codes(), 2)
+    x = ring.encode_matrix([[L2.one, L2.one], [L2.zero, L2.varpi]])
+    y = ring.encode_matrix([[L2.zero, L2.one], [L2.one, L2.zero]])
+    assert ring.prods[x][y] != ring.prods[y][x]
+    z = ring.encode_matrix([[L2.one, L2.zero], [L2.one, L2.zero]])
+    ring.prods[x][z]
+    assert x not in ring.prods.get(z, {})
+
+
+def test_traced_kernel_runs_once_per_product_entry(worked, place_T,
+                                                   monkeypatch):
+    # rebind projector.mat_mul at every module binding, as a tracer does
+    # from outside the library: the product tables must reach the kernel
+    # through the module, once per entry they fill
+    from drinfeld import projector
+    original, calls = projector.mat_mul, []
+
+    def traced(*args):
+        calls.append(1)
+        return original(*args)
+
+    for name, module in sorted(sys.modules.items()):
+        if module is not None and (name == "drinfeld"
+                                   or name.startswith("drinfeld.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, traced)
+    rings, init = [], MatrixCodes.__init__
+
+    def keep(self, scalars, rank):
+        init(self, scalars, rank)
+        rings.append(self)
+
+    monkeypatch.setattr(MatrixCodes, "__init__", keep)
+    rep = ordinary_projector(worked)
+    assert factorial_powers_vanish(worked, rep)
+    lv = iwasawa_level(place_T, 2)
+    M = [[lv.one, lv.one], [lv.zero, lv.one * lv.ring.varpi]]
+    assert control_check(M, lv, lambda x: specialize(x, 2), lv.ring).ok
+    assert len(rings) == 6
+    assert calls and len(calls) == sum(_entries(r.prods) for r in rings)
+
+
+# -- the witness exponent against brute-force periods ----------------------------
+
+def _dense_mul(a, b, r, codec):
+    """The product of two r x r matrices held as flat tuples of codes, on
+    the codec's entry tables alone (no matrix codes, no `mat_mul`)."""
+    sums, prods = codec.sums, codec.prods
+    out = []
+    for i in range(0, r * r, r):
+        for j in range(r):
+            acc = 0
+            for k in range(r):
+                acc = sums[acc][prods[a[i + k]][b[k * r + j]]]
+            out.append(acc)
+    return tuple(out)
+
+
+def _index_and_period(T, r, codec):
+    """The least i >= 1 and p >= 1 with T^(i+p) = T^i, from the list of
+    the powers of T."""
+    seen, cur = {}, T
+    for k in count(1):
+        if cur in seen:
+            return seen[cur], k - seen[cur]
+        seen[cur] = k
+        cur = _dense_mul(cur, T, r, codec)
+
+
+def _assert_exponent_bound(ring, r, matrices, tight):
+    """Every matrix's period divides E and its index is at most r * l;
+    `tight` when the matrices are all of them, and some index is r * l."""
+    E = gl_exponent(ring, r, math.inf)
+    bound = r * ring.length
+    top = 0
+    for T in matrices:
+        index, period = _index_and_period(T, r, ring.codes())
+        assert E % period == 0 and index <= bound, (ring, T, index, period)
+        top = max(top, index)
+    assert top == bound or not tight
+
+
+# every r x r matrix while there are at most this many, else a sample
+_EXHAUSTIVE = 6561
+_SAMPLED = 400
+
+
+@pytest.mark.parametrize("q,varpi,r,n", [
+    (2, "T", 2, 1), (2, "T", 2, 2), (2, "T", 2, 3),
+    (3, "T", 2, 1), (3, "T", 2, 2), (3, "T", 2, 3),
+    (2, "T^2+T+1", 2, 1), (2, "T^2+T+1", 2, 2), (2, "T^2+T+1", 2, 3),
+    (2, "T", 3, 1), (3, "T", 3, 1)])
+def test_witness_exponent_bounds_every_period(q, varpi, r, n):
+    # over F_Q[eps]/(eps^n) = A/(varpi^n): E is a multiple of every period
+    # and r * n bounds every index
+    ring = local_ring(make_place(parse_apoly(field_of_order(q), varpi)), n)
+    codes = [ring.codes().encode(x) for x in ring.elements()]
+    if len(codes) ** (r * r) <= _EXHAUSTIVE or r == 3:
+        matrices, tight = product(codes, repeat=r * r), True
+    else:
+        rng = random.Random(29)
+        matrices = [tuple(rng.choice(codes) for _ in range(r * r))
+                    for _ in range(_SAMPLED)]
+        tight = False
+    _assert_exponent_bound(ring, r, matrices, tight)
+
+
+@pytest.mark.parametrize("place_index", [0, 1])
+@pytest.mark.parametrize("m", [1, 2])
+def test_witness_exponent_bounds_iwasawa_periods(place_index, m):
+    lv = iwasawa_level(standard_places()[place_index], m)
+    rng = random.Random(31)
+    encode = lv.codes().encode
+
+    def draw():
+        return encode(lv.zero if rng.random() < 0.25
+                      else lv.random_element(rng, support=2))
+    matrices = [tuple(draw() for _ in range(4)) for _ in range(60)]
+    _assert_exponent_bound(lv, 2, matrices, tight=False)
+
+
+def test_witness_exponent_stays_past_the_index(place_T):
+    # over F_3[eps]/(eps^3), [[0, 1], [eps, 0]] is nilpotent of index
+    # 6 = r * l: an exponent reduced below that, even to one of the right
+    # class modulo E = 72, gives a nonzero power where T^(f-1) is zero
+    ring = local_ring(place_T, 3)
+    one, zero, eps = ring.one, ring.zero, ring.varpi
+    rng = random.Random(37)
+    elems = list(ring.elements())
+    mats = [[[zero, one], [eps, zero]], [[one, one], [zero, one]],
+            [[eps, one], [zero, one + eps]]]
+    mats += [[[rng.choice(elems) for _ in range(2)] for _ in range(2)]
+             for _ in range(3)]
+    m = MatrixCodes(ring.codes(), 2)
+    for T in mats:
+        powers = [mat_identity(ring, 2)]
+        for _ in range(300):
+            powers.append(_ref_mat_mul(powers[-1], T, ring))
+        for f in range(1, 301):
+            h = _witness_exponent(ring, 2, f)
+            assert h <= f - 1
+            assert m.decode_matrix(mat_pow(m.encode_matrix(T), h, m)) \
+                == powers[f - 1], (T, f, h)
+
+
+def test_witness_exponent_reduces_the_ladder():
+    # (3, T), 4 x 4 over A/(T^2) at step 13: f - 1 = 14! - 1 has 37 bits,
+    # E = lcm(2, 8, 26, 80) * 9 * 3
+    ring = local_ring(standard_places()[0], 2)
+    f = math.factorial(14)
+    E = gl_exponent(ring, 4, f)
+    assert E == 1040 * 27
+    h = _witness_exponent(ring, 4, f)
+    assert h == (f - 1) % E and 8 <= h < E
+    # a cap below E stops the lcm early, and the exponent stays f - 1
+    assert gl_exponent(ring, 4, 100) > 100
+    assert _witness_exponent(ring, 4, 24) == 23
 
 
 def _assert_projector_matches_reference(op):
     rep = ordinary_projector(op)
     ref = _ref_projector(op)
-    assert rep.projector.matrices == [e for e, _, _, _ in ref]
-    assert rep.steps == [st for _, st, _, _ in ref]
-    assert rep.invertibility_order == [f for _, _, f, _ in ref]
+    assert rep.projector.matrices == [e for e, _, _, _, _ in ref]
+    assert rep.steps == [st for _, st, _, _, _ in ref]
+    assert rep.invertibility_order == [f for _, _, f, _, _ in ref]
     flags = [all(level[3][i] for level in ref) for i in range(4)]
     assert [rep.idempotent, rep.commutes, rep.invertible_on_image,
             rep.vanishes_on_kernel] == flags
+    # the reduced witness exponent gives the full-ladder power T^(f-1)
+    rank = op.tower.rank
+    for ring, T, (_, _, f, _, P) in zip(op.tower.rings, op.matrices, ref):
+        m = MatrixCodes(ring.codes(), rank)
+        h = _witness_exponent(ring, rank, f)
+        assert h <= f - 1
+        assert m.decode_matrix(mat_pow(m.encode_matrix(T), h, m)) == P
 
 
 def _assert_kernels_match_reference(a, b, ring, exponents):
     c = ring.codes()
-    ca, cb = _coded(a, c), _coded(b, c)
-    assert mat_map(mat_mul(ca, cb, c), c.decode) == _ref_mat_mul(a, b, ring)
+    width = len(b[0])
+    assert _dense(mat_mul(_sparse(a, c), _sparse(b, c), c), width, c) \
+        == _ref_mat_mul(a, b, ring)
+    m = MatrixCodes(c, len(a))
     for e in exponents:
-        assert mat_map(mat_pow(ca, e, c), c.decode) == _ref_mat_pow(a, e, ring)
+        assert m.decode_matrix(mat_pow(m.encode_matrix(a), e, m)) \
+            == _ref_mat_pow(a, e, ring)
 
 
 @pytest.mark.parametrize("place_index", [0, 1])
@@ -500,6 +731,12 @@ def test_coded_projector_matches_reference_iwasawa(place_index):
                  for _ in range(3)] for _ in range(2))
         _assert_kernels_match_reference(a, b, lv, range(5))
         _assert_projector_matches_reference(constant_tower(lv, a))
+        # the tower Lambda_1 <- Lambda_2 of the same operator
+        def down(x):
+            return x.reduce_to(1)
+        tower = TowerModule([iwasawa_level(place, 1), lv], 3, [down])
+        _assert_projector_matches_reference(
+            TowerOperator(tower, [mat_map(a, down), a]))
         for k in (0, 3):
             def spec(x, k=k):
                 return specialize(x, k)
