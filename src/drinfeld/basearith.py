@@ -59,38 +59,31 @@ def power(x, e: int, one, mul=operator.mul):
 
 
 class _MemoRow(dict):
-    """One row of a `_MemoTable`, for the value x of its code a: a missing
+    """One row of a `_MemoTable`, for the value x of its code: a missing
     entry b is filled once with the code of op(x, value b), computed by the
-    table's own operation; a mirrored table stores the same code at [b][a]
-    too."""
+    table's own operation."""
 
-    __slots__ = ("table", "a", "x")
+    __slots__ = ("codes", "op", "x")
 
-    def __init__(self, table, a):
-        self.table, self.a, self.x = table, a, table.codes.decode(a)
+    def __init__(self, codes, op, x):
+        self.codes, self.op, self.x = codes, op, x
 
     def __missing__(self, b: int) -> int:
-        table = self.table
-        codes = table.codes
-        c = self[b] = codes.encode(table.op(self.x, codes.decode(b)))
-        if table.mirrored:
-            table[b][self.a] = c
+        c = self[b] = self.codes.encode(self.op(self.x, self.codes.decode(b)))
         return c
 
 
 class _MemoTable(dict):
     """An int-keyed memo `table[a][b]` of one binary operation on codes:
-    a missing row is created empty, so a hit is two dict subscripts.  A
-    commutative operation is `mirrored`: each miss fills both [a][b] and
-    [b][a]."""
+    a missing row is created empty, so a hit is two dict subscripts."""
 
-    __slots__ = ("codes", "op", "mirrored")
+    __slots__ = ("codes", "op")
 
-    def __init__(self, codes, op, mirrored: bool = False):
-        self.codes, self.op, self.mirrored = codes, op, mirrored
+    def __init__(self, codes, op):
+        self.codes, self.op = codes, op
 
     def __missing__(self, a: int) -> _MemoRow:
-        row = self[a] = _MemoRow(self, a)
+        row = self[a] = _MemoRow(self.codes, self.op, self.codes.decode(a))
         return row
 
 
@@ -125,9 +118,7 @@ class ElementCodes(Codes):
     and `prods[a][b]` are the codes of a + b, a - b and a * b.  The tables
     are memos, empty at first; a missing entry is filled by the ring's own
     element arithmetic, so no table is built up front and any ring size
-    works, and a hit costs two dict subscripts and no Python call.  Sums
-    and products commute, so their tables are mirrored; differences are
-    not.
+    works, and a hit costs two dict subscripts and no Python call.
 
     A ring builds one codec, holding only zero and one, and owns it for its
     lifetime (`ring.codes()`), so every caller shares what earlier ones
@@ -137,9 +128,9 @@ class ElementCodes(Codes):
 
     def __init__(self, ring):
         super().__init__(ring.zero, ring.one)
-        self.sums = _MemoTable(self, operator.add, mirrored=True)
+        self.sums = _MemoTable(self, operator.add)
         self.diffs = _MemoTable(self, operator.sub)
-        self.prods = _MemoTable(self, operator.mul, mirrored=True)
+        self.prods = _MemoTable(self, operator.mul)
 
 
 def join_terms(pairs, var: str) -> str:

@@ -53,9 +53,10 @@ class IwasawaLevel:
         self.wild_index = {u: i for i, u in enumerate(self.wild_group)}
         self.width = len(self.wild_group)
         # one local factor R[W] per tame character, each of residue field
-        # F_Q and length m * width over itself
+        # F_Q and length m * width over itself; the witness exponent of the
+        # projector takes these per factor
         self.residue_size = self.ring.residue_size
-        self.length = m * self.tame_order * self.width
+        self.length = m * self.width
         # tame structure: a generator of the Teichmuller lifts and the
         # character table chi_i(zeta^a) = omega(zeta)^(i*a)
         self.teich_gen = self._find_teich_generator()

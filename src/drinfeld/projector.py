@@ -36,8 +36,11 @@ divides E = lcm_{i<=r}(Q^i - 1) * p^ceil(log_p r) * p^ceil(log_p l):
 - the kernel of reduction, 1 + M_r(m), is killed by any p^b >= l, as
   (1+X)^(p^b) = 1 + X^(p^b) and m^l = 0.
 
-`Lambda_m` is a product of such rings, one per tame character, each of
-residue field F_Q and length at most l = m*t*w, so E serves there too.
+`Lambda_m` is a product of such rings R[W], one per tame character, each
+of residue field F_Q and length l = m*w (W the wild group, of order w).
+GL_r of a product is the product of the GL_r of the factors, and a matrix
+over it is the tuple of its factor matrices, so E and the index bound
+below, taken for one factor, serve for the product too.
 On R^r, of length r*l, the kernels of T^k stop growing by k = r*l, so
 T^k (1 - e) = 0 for k >= r*l, and T e + (1 - e) is a unit, so T^E e = e.
 Hence T^(k+E) = T^k for k >= r*l, and any h >= r*l with h = f-1 mod E
@@ -85,8 +88,7 @@ class MatrixCodes(Codes):
     """The r x r matrices over one ring codec, interned as int codes keyed
     by their row-sparse form (zero matrix 0, identity 1), with the memo
     table `prods[a][b]` of their products: a miss multiplies by `mat_mul`
-    once.  Matrix products do not commute, so the table is not
-    mirrored."""
+    once."""
 
     __slots__ = ("scalars", "rank", "prods")
 

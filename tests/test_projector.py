@@ -507,27 +507,6 @@ def test_repeated_control_check_builds_no_codec(place_T, monkeypatch):
         == (first_rep.projector.matrices, first_rep.steps)
 
 
-def test_only_commutative_tables_are_mirrored(L2):
-    codec = ElementCodes(L2)  # a codec of its own: nothing filled yet
-    xs = [codec.encode(x) for x in L2.elements()]
-    for a in xs:
-        for b in xs[:3]:
-            codec.sums[a][b], codec.diffs[a][b], codec.prods[a][b]
-    for table in (codec.sums, codec.prods):
-        for a, row in table.items():
-            for b, c in row.items():
-                assert table.get(b, {}).get(a) == c
-    # a difference fills its own entry only
-    assert all(set(row) == set(xs[:3]) for row in codec.diffs.values())
-    ring = MatrixCodes(L2.codes(), 2)
-    x = ring.encode_matrix([[L2.one, L2.one], [L2.zero, L2.varpi]])
-    y = ring.encode_matrix([[L2.zero, L2.one], [L2.one, L2.zero]])
-    assert ring.prods[x][y] != ring.prods[y][x]
-    z = ring.encode_matrix([[L2.one, L2.zero], [L2.one, L2.zero]])
-    ring.prods[x][z]
-    assert x not in ring.prods.get(z, {})
-
-
 def test_traced_kernel_runs_once_per_product_entry(worked, place_T,
                                                    monkeypatch):
     # rebind projector.mat_mul at every module binding, as a tracer does
