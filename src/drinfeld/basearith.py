@@ -13,6 +13,14 @@ type, TruncPoly, which carries its ring handle and shares one
 coefficient-tuple core, `CoeffTuple`, with the twisted polynomials of
 `skew`.  Everything is exact; there is no floating point anywhere.
 
+Sums, negatives, products and divisions of polynomials over a field are
+kernels of `FiniteField` on coefficient tuples: integer arithmetic on the
+logs and the Zech table, with no Python call per coefficient.  `APoly`
+calls them on its field, and `TruncPoly` and `SkewPoly` on their
+coefficient ring, which for a `FieldExt` is its field's kernels; rings
+whose elements are polynomials themselves (`ArtinRing`, `PolyRing`)
+loop over their elements in `ElementwiseKernels`.
+
 `ElementCodes` gives the elements of any finite commutative ring int
 codes, for the projector's matrices: arithmetic on codes is a subscript
 of int-keyed memo tables, `sums[a][b]`, `diffs[a][b]` and `prods[a][b]`,
@@ -150,21 +158,85 @@ def join_terms(pairs, var: str) -> str:
     return "+".join(terms) or "0"
 
 
+def _trimmed(out: list) -> tuple:
+    """The list as a coefficient tuple with trailing zeros trimmed."""
+    while out and out[-1].is_zero():
+        out.pop()
+    return tuple(out)
+
+
+class ElementwiseKernels:
+    """The coefficient kernels of a ring whose elements are not field
+    elements (ArtinRing, PolyRing): loops over the elements' own
+    operators, with the signatures of the Zech-log kernels of
+    `FiniteField` that field coefficients use instead.  Inputs and
+    outputs are trimmed coefficient tuples, low degree first."""
+
+    def add_coeffs(self, a, b) -> tuple:
+        if len(a) < len(b):
+            a, b = b, a
+        return _trimmed([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+
+    def neg_coeffs(self, a) -> tuple:
+        return tuple(-x for x in a)
+
+    def mul_coeffs(self, a, b, n=None, twist=1) -> tuple:
+        """The product sum(a_i b_j^(twist^i) x^(i+j)), cut at x^n."""
+        if not a or not b:
+            return ()
+        size = len(a) + len(b) - 1 if n is None else min(n, len(a) + len(b) - 1)
+        out = [self.zero] * size
+        for i, x in enumerate(a[:size]):
+            if x.is_zero():
+                continue
+            for j, y in enumerate(b[:size - i]):
+                out[i + j] = out[i + j] + x * (y if twist == 1 else y ** twist ** i)
+        return _trimmed(out)
+
+    def divmod_coeffs(self, u, v, twist=1) -> tuple:
+        """(quot, rem) with u = quot*v + rem and deg rem < deg v, the
+        product twisted as in `mul_coeffs`; v has a unit leading
+        coefficient."""
+        dv = len(v) - 1
+        dq = len(u) - 1 - dv
+        if dq < 0:
+            return (), tuple(u)
+        lc_inv = v[-1].inverse()
+        rem = list(u)
+        quot = [self.zero] * (dq + 1)
+        for k in range(dq, -1, -1):
+            e = twist ** k
+            c = rem[k + dv] * lc_inv ** e
+            quot[k] = c
+            if c.is_zero():
+                continue
+            for j, b in enumerate(v):
+                rem[k + j] = rem[k + j] - c * b ** e
+        return _trimmed(quot), _trimmed(rem[:dv])
+
+
 class CoeffTuple:
     """The shared core of polynomial-like elements stored as a coefficient
     tuple, low degree first, with trailing zeros trimmed (the zero element
     has no coefficients and degree -1).  Subclasses supply `_coerce` (the
-    other operand as an element of the same ring, or None), `_coeff_zero`,
-    the variable name `var` and their own product."""
+    other operand as an element of the same ring, or None),
+    `_coeff_ring` (the ring of the coefficients, whose kernels
+    `add_coeffs` and `neg_coeffs` give sums and negatives), the variable
+    name `var` and their own product."""
 
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs):
-        elems = list(coeffs)
-        while elems and elems[-1].is_zero():
-            elems.pop()
         self.ring = ring
-        self.coeffs = tuple(elems)
+        self.coeffs = _trimmed(list(coeffs))
+
+    @classmethod
+    def _raw(cls, ring, coeffs: tuple):
+        """The element with an already trimmed coefficient tuple."""
+        self = object.__new__(cls)
+        self.ring = ring
+        self.coeffs = coeffs
+        return self
 
     @property
     def degree(self) -> int:
@@ -177,27 +249,25 @@ class CoeffTuple:
         return bool(self.coeffs)
 
     def coefficient(self, i: int):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self._coeff_zero
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self._coeff_ring.zero
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return type(self)(self.ring, [x + y for x, y in zip(a, b)] + list(a[len(b):]))
+        return self._raw(self.ring, self._coeff_ring.add_coeffs(self.coeffs, o.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)(self.ring, [-c for c in self.coeffs])
+        return self._raw(self.ring, self._coeff_ring.neg_coeffs(self.coeffs))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        cr = self._coeff_ring
+        return self._raw(self.ring, cr.add_coeffs(self.coeffs, cr.neg_coeffs(o.coeffs)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -307,8 +377,13 @@ class FFElement:
         return f.elems[self.log * e % f.order + 1]
 
     def __str__(self):
-        vec = self.coeffs()
-        return join_terms(((i, str(vec[i])) for i in reversed(range(len(vec)))), "a")
+        texts = self.field.texts
+        text = texts[self.log + 1]
+        if text is None:
+            vec = self.coeffs()
+            text = texts[self.log + 1] = join_terms(
+                ((i, str(vec[i])) for i in reversed(range(len(vec)))), "a")
+        return text
 
     def __repr__(self):
         return f"FF({self.field.p}^{self.field.n}|{self})"
@@ -318,7 +393,17 @@ class FiniteField:
     """F_{p^n} with Zech-log tables; the defining polynomial is the first
     (lexicographically) monic primitive polynomial of degree n over F_p.
     The field owns its q interned elements, `elems`: zero at index 0 and
-    g^k at index k + 1 for the primitive element g, so one at index 1."""
+    g^k at index k + 1 for the primitive element g, so one at index 1,
+    and their printed texts, `texts`, filled as elements are printed.
+
+    Its kernels on coefficient tuples (low degree first, trailing zeros
+    trimmed) compute on logs: a product adds logs, and a sum adds the
+    Zech logarithm `zech[k] = log(1 + g^k)`, g^a + g^b = g^(a + zech[b-a])
+    (K. Huber, "Some comments on Zech's logarithms", IEEE Trans. Inf.
+    Theory 36(4), 1990).  Each returns a trimmed tuple of the interned
+    elements.  A twist e raises the i-th shift of the right factor to the
+    e^i power, the twisted product t^i * c = c^(e^i) * t^i; e = 1 is the
+    ordinary product."""
 
     def __init__(self, p: int, n: int):
         if not _is_prime(p):
@@ -333,6 +418,7 @@ class FiniteField:
         self._build_tables()
         self.elems = [FFElement(self, log) for log in range(-1, self.order)]
         self.zero, self.one = self.elems[0], self.elems[1]
+        self.texts = [None] * q
         self._ints = [self.elems[self.dlog.get(self._unit_vec(c), -1) + 1]
                       for c in range(p)]
         self._embed_cache: dict[int, object] = {}
@@ -400,6 +486,110 @@ class FiniteField:
 
     def from_int(self, c: int) -> FFElement:
         return self._ints[c % self.p]
+
+    def add_coeffs(self, a, b) -> tuple:
+        """The coefficientwise sum of two coefficient tuples."""
+        if len(a) < len(b):
+            a, b = b, a
+        order, zech, elems = self.order, self.zech, self.elems
+        out = list(a)
+        i = 0
+        for y in b:
+            lb = y.log
+            if lb >= 0:
+                la = out[i].log
+                if la < 0:
+                    out[i] = y
+                else:
+                    z = zech[(lb - la) % order]
+                    out[i] = elems[(la + z) % order + 1] if z >= 0 else elems[0]
+            i += 1
+        while out and out[-1].log < 0:
+            out.pop()
+        return tuple(out)
+
+    def neg_coeffs(self, a) -> tuple:
+        """The coefficientwise negative: -1 = g^(order/2) in odd
+        characteristic."""
+        if self.p == 2:
+            return tuple(a)
+        half, order, elems = self.order // 2, self.order, self.elems
+        return tuple([elems[(x.log + half) % order + 1] if x.log >= 0 else x
+                      for x in a])
+
+    def mul_coeffs(self, a, b, n=None, twist=1) -> tuple:
+        """The product sum(a_i b_j^(twist^i) x^(i+j)), cut at x^n: the
+        convolution, or the twisted product for a twist q."""
+        if not a or not b:
+            return ()
+        order, zech, elems = self.order, self.zech, self.elems
+        zero = elems[0]
+        size = len(a) + len(b) - 1
+        if n is not None and n < size:
+            size = n
+        acc = [zero] * size
+        i = 0
+        for x in a:
+            if i == size:
+                break
+            la = x.log
+            if la >= 0:
+                e = 1 if twist == 1 else pow(twist, i, order)
+                k = i
+                for y in b:
+                    if k == size:
+                        break
+                    lb = y.log
+                    if lb >= 0:
+                        c = acc[k].log
+                        if c < 0:
+                            acc[k] = elems[(la + lb * e) % order + 1]
+                        else:
+                            z = zech[(la + lb * e - c) % order]
+                            acc[k] = elems[(c + z) % order + 1] if z >= 0 else zero
+                    k += 1
+            i += 1
+        while acc and acc[-1].log < 0:
+            acc.pop()
+        return tuple(acc)
+
+    def divmod_coeffs(self, u, v, twist=1) -> tuple:
+        """(quot, rem) with u = quot*v + rem and deg rem < deg v, the
+        product twisted by `twist` as in `mul_coeffs`; v is nonzero."""
+        dv = len(v) - 1
+        dq = len(u) - 1 - dv
+        if dq < 0:
+            return (), tuple(u)
+        order, zech, elems = self.order, self.zech, self.elems
+        zero = elems[0]
+        minus = 0 if self.p == 2 else order // 2  # the log of -1
+        inv = -v[dv].log  # the log of the inverse of the leading coefficient
+        low = v[:dv]
+        rem = list(u)
+        quot = [zero] * (dq + 1)
+        for k in range(dq, -1, -1):
+            r = rem[k + dv].log
+            if r < 0:
+                continue
+            e = 1 if twist == 1 else pow(twist, k, order)
+            c = (r + inv * e) % order
+            quot[k] = elems[c + 1]
+            c += minus
+            j = k
+            for y in low:
+                lb = y.log
+                if lb >= 0:
+                    x = rem[j].log
+                    if x < 0:
+                        rem[j] = elems[(c + lb * e) % order + 1]
+                    else:
+                        z = zech[(c + lb * e - x) % order]
+                        rem[j] = elems[(x + z) % order + 1] if z >= 0 else zero
+                j += 1
+        del rem[dv:]
+        while rem and rem[-1].log < 0:
+            rem.pop()
+        return tuple(quot), tuple(rem)
 
     def gen(self) -> FFElement:
         return self.elems[2 if self.q > 2 else 1]
@@ -490,20 +680,15 @@ class APoly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: FiniteField, coeffs):
-        elems = [field.coerce(c) for c in coeffs]
-        while elems and elems[-1].is_zero():
-            elems.pop()
         self.field = field
-        self.coeffs = tuple(elems)
+        self.coeffs = _trimmed([field.coerce(c) for c in coeffs])
 
     @classmethod
-    def _raw(cls, field: FiniteField, elems: list) -> "APoly":
-        """Internal constructor for already-coerced coefficient lists."""
-        while elems and elems[-1].log < 0:
-            elems.pop()
+    def _raw(cls, field: FiniteField, coeffs: tuple) -> "APoly":
+        """Internal constructor for an already trimmed tuple of elements."""
         self = object.__new__(cls)
         self.field = field
-        self.coeffs = tuple(elems)
+        self.coeffs = coeffs
         return self
 
     @property
@@ -526,49 +711,33 @@ class APoly:
     def inverse(self) -> "APoly":
         if not self.is_unit():
             raise ZeroDivisionError(f"{self} is not a unit of A")
-        return APoly._raw(self.field, [self.coeffs[0].inverse()])
-
-    def lc(self) -> FFElement:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return APoly._raw(self.field, (self.coeffs[0].inverse(),))
 
     def coefficient(self, i: int) -> FFElement:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero
 
     def __add__(self, other):
-        other = self._coerce(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = [x + y for x, y in zip(a, b)]
-        out.extend(a[len(b):])
-        return APoly._raw(self.field, out)
+        return APoly._raw(self.field,
+                          self.field.add_coeffs(self.coeffs, self._coerce(other).coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return APoly._raw(self.field, [-c for c in self.coeffs])
+        return APoly._raw(self.field, self.field.neg_coeffs(self.coeffs))
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        f = self.field
+        return APoly._raw(f, f.add_coeffs(self.coeffs,
+                                          f.neg_coeffs(self._coerce(other).coeffs)))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if not self.coeffs or not other.coeffs:
-            return APoly._raw(self.field, [])
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.log < 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return APoly._raw(self.field, out)
+        return APoly._raw(self.field,
+                          self.field.mul_coeffs(self.coeffs, self._coerce(other).coeffs))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        return power(self, e, APoly._raw(self.field, [self.field.one]))
+        return power(self, e, APoly._raw(self.field, (self.field.one,)))
 
     def qpow(self, qe: int) -> "APoly":
         """Fast q-power map: (sum c_i T^i)^qe = sum c_i^qe T^(i*qe) when qe
@@ -584,18 +753,7 @@ class APoly:
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        inv_lc = other.lc().inverse()
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return APoly._raw(self.field, []), self
-        quot = [self.field.zero] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] * inv_lc
-            quot[k] = c
-            if c.log >= 0:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * b
+        quot, rem = self.field.divmod_coeffs(self.coeffs, other.coeffs)
         return APoly._raw(self.field, quot), APoly._raw(self.field, rem)
 
     def __mod__(self, other):
@@ -741,6 +899,10 @@ class FieldExt:
                             if place.varpi.eval_in(x, self.embed_fq).is_zero())
         self.zero = self.field.zero
         self.one = self.field.one
+        self.add_coeffs = self.field.add_coeffs
+        self.neg_coeffs = self.field.neg_coeffs
+        self.mul_coeffs = self.field.mul_coeffs
+        self.divmod_coeffs = self.field.divmod_coeffs
         self._residue_iso = None
         self._codes = ElementCodes(self)
 
@@ -812,8 +974,8 @@ class TruncPoly(CoeffTuple):
         return self.ring.var
 
     @property
-    def _coeff_zero(self):
-        return self.ring.coeff_ring.zero
+    def _coeff_ring(self):
+        return self.ring.coeff_ring
 
     def _coerce(self, other):
         """Elements of this ring, ints, and constants from the coefficient
@@ -834,15 +996,8 @@ class TruncPoly(CoeffTuple):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        N = self.ring.N
-        a, b = self.coeffs, o.coeffs
-        out = [self._coeff_zero] * min(N, len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(b[:N - i]):
-                out[i + j] = out[i + j] + x * y
-        return TruncPoly(self.ring, out)
+        ring = self.ring
+        return TruncPoly._raw(ring, ring.coeff_ring.mul_coeffs(self.coeffs, o.coeffs, ring.N))
 
     __rmul__ = __mul__
 
@@ -904,9 +1059,11 @@ class TruncPoly(CoeffTuple):
         return f"Trunc({self})"
 
 
-class TruncPolyRing:
+class TruncPolyRing(ElementwiseKernels):
     """R[var]/(var^N) over a coefficient ring R.  The generator is the
-    attribute named after the variable (`R.eps`, `S.X`)."""
+    attribute named after the variable (`R.eps`, `S.X`).  As the
+    coefficient ring of polynomials over it, it has the element-by-element
+    kernels."""
 
     var = "x"
 
@@ -1058,7 +1215,10 @@ class LocalRing(ArtinRing):
         truncation."""
         if x.ring.coeff_ring is not self.coeff_ring or x.ring.N < self.N:
             raise ValueError(f"cannot reduce {x!r} into {self!r}")
-        return TruncPoly(self, x.coeffs)
+        coeffs = x.coeffs
+        if len(coeffs) > self.N:
+            coeffs = _trimmed(list(coeffs[:self.N]))
+        return TruncPoly._raw(self, coeffs)
 
     @cached_property
     def _lifts(self) -> list:

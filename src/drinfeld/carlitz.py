@@ -9,10 +9,8 @@ in deg(M) instead of exponential.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import zip_longest
 
-from .basearith import (APoly, ArtinRing, PrimePlace, TruncPoly, TruncPolyRing,
-                        all_monic)
+from .basearith import APoly, PrimePlace, TruncPoly, TruncPolyRing, all_monic
 from .skew import PolyRing, SkewPoly, action_eval
 
 
@@ -130,12 +128,12 @@ def trace_of_carlitz_pullback(place: PrimePlace, ring: TruncSeriesRing) -> Trace
         if top:
             # X^(q^d) = y - sum_{j<d} c_j X^(q^j)
             shifted = [R.zero] + list(top)           # times y
-            comps[0] = _poly_add(comps[0], shifted, R)
+            comps[0] = R.add_coeffs(comps[0], shifted)
             for j in range(place.d):
                 if c[j].is_zero():
                     continue
-                comps[place.q ** j] = _poly_add(
-                    comps[place.q ** j], [-(c[j]) * t for t in top], R)
+                comps[place.q ** j] = R.add_coeffs(
+                    comps[place.q ** j], [-(c[j]) * t for t in top])
         return comps
 
     # multiplication matrix of X^s: columns are X^s * X^i in the basis
@@ -149,7 +147,7 @@ def trace_of_carlitz_pullback(place: PrimePlace, ring: TruncSeriesRing) -> Trace
             basis_images = [mult_by_X(v) for v in basis_images]
         tr_poly = []
         for i in range(qd):
-            tr_poly = _poly_add(tr_poly, basis_images[i][i], R)
+            tr_poly = R.add_coeffs(tr_poly, basis_images[i][i])
         trace = _substitute(ring, tr_poly, pull_series)
         if not trace.eps_divisible():
             raise AssertionError(
@@ -159,10 +157,6 @@ def trace_of_carlitz_pullback(place: PrimePlace, ring: TruncSeriesRing) -> Trace
     generates = any(q.is_unit() for q in quotients)
     return TraceReport(place, ring, _substitute(ring, [R.zero, R.one], pull_series),
                        tuple(traces), tuple(quotients), generates)
-
-
-def _poly_add(a: list, b: list, R: ArtinRing) -> list:
-    return [x + y for x, y in zip_longest(a, b, fillvalue=R.zero)]
 
 
 def _substitution_powers(ring: TruncSeriesRing, pull: SkewPoly, qd: int):

@@ -18,7 +18,11 @@ from .skew import (SkewPoly, action_eval, kernel_points, right_divide,
 
 
 class DrinfeldModule:
-    __slots__ = ("base", "g", "delta")
+    """`_actions` holds each phi(a) this instance has computed, keyed by a:
+    it lives and dies with the instance, so no sweep over modules grows
+    a process-wide table."""
+
+    __slots__ = ("base", "g", "delta", "_actions")
 
     def __init__(self, base, g, delta):
         if not delta.is_unit():
@@ -26,6 +30,7 @@ class DrinfeldModule:
         self.base = base
         self.g = g
         self.delta = delta
+        self._actions = {}
 
     @property
     def place(self) -> PrimePlace:
@@ -39,8 +44,12 @@ class DrinfeldModule:
         return SkewPoly(self.base, [self.gamma_T, self.g, self.delta])
 
     def phi_eval(self, a: APoly) -> SkewPoly:
-        """The action phi(a); twist degree is 2*deg(a)."""
-        return action_eval(a, self.phi_T())
+        """The action phi(a); twist degree is 2*deg(a).  Computed once per
+        instance and a."""
+        action = self._actions.get(a)
+        if action is None:
+            action = self._actions[a] = action_eval(a, self.phi_T())
+        return action
 
     def is_char_p(self) -> bool:
         """Whether the base has characteristic the place: gamma(varpi) = 0."""

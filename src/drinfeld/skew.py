@@ -10,6 +10,16 @@ and its callers assume without probing:
   `q`, `qpow(x, e)`, `from_int(c)`, `embed_fq(c)` (F_q -> R), `gamma_T`
   and `gamma_eval(a)` (the structure map A -> R); their elements are
   FFElement, TruncPoly and APoly;
+* coefficient rings also expose the kernels on trimmed coefficient tuples
+  that every SkewPoly and TruncPoly sum, negative, product and right
+  division calls: `add_coeffs(a, b)`, `neg_coeffs(a)`,
+  `mul_coeffs(a, b, n, twist)` (cut at x^n unless n is None; the right
+  factor's coefficient b_j in the i-th row raised to twist^i, so
+  twist = q is the product of R{t} and twist = 1 the ordinary one) and
+  `divmod_coeffs(u, v, twist)` (v with a unit leading coefficient).
+  FieldExt delegates them to the Zech-log kernels of its FiniteField;
+  ArtinRing and PolyRing, whose elements are TruncPoly and APoly, loop
+  element by element through `basearith.ElementwiseKernels`;
 * matrix rings (LocalRing, which holds A/(varpi^n) as the ArtinRing
   F_Q[eps]/(eps^n); FieldExt; IwasawaLevel) expose `zero`, `one` and
   `codes()`, the one `basearith.ElementCodes` of the projector's matrix
@@ -20,17 +30,19 @@ and its callers assume without probing:
 
 SkewPoly shares its coefficient-tuple core (trimming, `coefficient`, `+`,
 `-`, `==`, hash, printing) with TruncPoly through `basearith.CoeffTuple`;
-only the twisted product is its own.
+only the twisted product is its own, the coefficient ring's `mul_coeffs`
+with twist q.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .basearith import APoly, CoeffTuple, FiniteField, FieldExt, power
+from .basearith import (APoly, CoeffTuple, ElementwiseKernels, FiniteField,
+                        FieldExt, power)
 
 
-class PolyRing:
+class PolyRing(ElementwiseKernels):
     """Adapter making A = F_q[T] usable as a twisted-coefficient ring (for
     symbolic computations); gamma_T is the tautological image T."""
 
@@ -65,8 +77,8 @@ class SkewPoly(CoeffTuple):
     var = "t"
 
     @property
-    def _coeff_zero(self):
-        return self.ring.zero
+    def _coeff_ring(self):
+        return self.ring
 
     def constant(self):
         return self.coefficient(0)
@@ -91,19 +103,9 @@ class SkewPoly(CoeffTuple):
         return SkewPoly(self.ring, [other])
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
-            return SkewPoly(self.ring, [])
         ring = self.ring
-        out = [ring.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * ring.qpow(b, i)
-        return SkewPoly(ring, out)
+        return SkewPoly._raw(ring, ring.mul_coeffs(self.coeffs, self._coerce(other).coeffs,
+                                                   None, ring.q))
 
     def __rmul__(self, other):
         return self._coerce(other) * self
@@ -156,24 +158,10 @@ def right_divide(u: SkewPoly, v: SkewPoly) -> tuple[SkewPoly, SkewPoly]:
     ring = u.ring
     if v.ring is not ring:
         raise ValueError("twisted polynomials over different rings")
-    lc = v.coeffs[-1]
-    if not lc.is_unit():
+    if not v.coeffs[-1].is_unit():
         raise ValueError("leading coefficient is not a unit")
-    lc_inv = lc.inverse()
-    rem = list(u.coeffs)
-    dv = v.degree
-    dq = len(rem) - 1 - dv
-    if dq < 0:
-        return SkewPoly(ring, []), u
-    quot = [ring.zero] * (dq + 1)
-    for k in range(dq, -1, -1):
-        c = rem[k + dv] * ring.qpow(lc_inv, k)
-        quot[k] = c
-        if c.is_zero():
-            continue
-        for j, b in enumerate(v.coeffs):
-            rem[k + j] = rem[k + j] - c * ring.qpow(b, k)
-    return SkewPoly(ring, quot), SkewPoly(ring, rem[:dv])
+    quot, rem = ring.divmod_coeffs(u.coeffs, v.coeffs, ring.q)
+    return SkewPoly._raw(ring, quot), SkewPoly._raw(ring, rem)
 
 
 def kernel_points(u: SkewPoly, ext: FieldExt):
