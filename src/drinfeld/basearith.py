@@ -8,10 +8,11 @@ discrete-log encoded against a fixed primitive element (Zech logarithms)
 and interned: each field builds its q elements once, every operation
 returns one of them, and equality and hashing are identity.  Polynomials
 are coefficient tuples, so they compare and hash without a Python call per
-coefficient.  Every truncated ring, A/(varpi^n) included, has one element
-type, TruncPoly, which carries its ring handle and shares one
-coefficient-tuple core, `CoeffTuple`, with the twisted polynomials of
-`skew`.  Everything is exact; there is no floating point anywhere.
+coefficient.  Every polynomial type is one coefficient-tuple core,
+`CoeffTuple`, with its ring handle: `APoly` over its `FiniteField`;
+TruncPoly, the one element type of every truncated ring, A/(varpi^n)
+included; and the twisted polynomials of `skew`.  Everything is exact;
+there is no floating point anywhere.
 
 Sums, negatives, products and divisions of polynomials over a field are
 kernels of `FiniteField` on coefficient tuples: integer arithmetic on the
@@ -218,11 +219,13 @@ class ElementwiseKernels:
 class CoeffTuple:
     """The shared core of polynomial-like elements stored as a coefficient
     tuple, low degree first, with trailing zeros trimmed (the zero element
-    has no coefficients and degree -1).  Subclasses supply `_coerce` (the
-    other operand as an element of the same ring, or None),
+    has no coefficients and degree -1): `APoly` over a `FiniteField`,
+    `TruncPoly` and the twisted `skew.SkewPoly`.  Subclasses supply
+    `_coerce` (the other operand as an element of the same ring, or None),
     `_coeff_ring` (the ring of the coefficients, whose kernels
-    `add_coeffs` and `neg_coeffs` give sums and negatives), the variable
-    name `var` and their own product."""
+    `add_coeffs` and `neg_coeffs` give sums and negatives and whose `one`
+    makes an element monic), the variable name `var` and their own
+    product."""
 
     __slots__ = ("ring", "coeffs")
 
@@ -250,6 +253,9 @@ class CoeffTuple:
 
     def coefficient(self, i: int):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self._coeff_ring.zero
+
+    def is_monic(self) -> bool:
+        return bool(self.coeffs) and self.coeffs[-1] == self._coeff_ring.one
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -673,36 +679,16 @@ def field_of_order(q: int) -> FiniteField:
 # polynomials over F_q (the ring A = F_q[T])
 # ---------------------------------------------------------------------------
 
-class APoly:
-    """Polynomial in T over F_q, normalized with no trailing zeros.
-    The zero polynomial has empty coefficients and degree -1 (sentinel)."""
+class APoly(CoeffTuple):
+    """Polynomial in T over F_q: a coefficient tuple whose ring handle is
+    its FiniteField, which is also its coefficient ring."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ()
+    # one slot, the field, read as `ring`, `field` and `_coeff_ring`
+    field = _coeff_ring = CoeffTuple.ring
 
     def __init__(self, field: FiniteField, coeffs):
-        self.field = field
-        self.coeffs = _trimmed([field.coerce(c) for c in coeffs])
-
-    @classmethod
-    def _raw(cls, field: FiniteField, coeffs: tuple) -> "APoly":
-        """Internal constructor for an already trimmed tuple of elements."""
-        self = object.__new__(cls)
-        self.field = field
-        self.coeffs = coeffs
-        return self
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
+        super().__init__(field, map(field.coerce, coeffs))
 
     def is_unit(self) -> bool:
         """The units of A are the nonzero constants."""
@@ -712,23 +698,6 @@ class APoly:
         if not self.is_unit():
             raise ZeroDivisionError(f"{self} is not a unit of A")
         return APoly._raw(self.field, (self.coeffs[0].inverse(),))
-
-    def coefficient(self, i: int) -> FFElement:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero
-
-    def __add__(self, other):
-        return APoly._raw(self.field,
-                          self.field.add_coeffs(self.coeffs, self._coerce(other).coeffs))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return APoly._raw(self.field, self.field.neg_coeffs(self.coeffs))
-
-    def __sub__(self, other):
-        f = self.field
-        return APoly._raw(f, f.add_coeffs(self.coeffs,
-                                          f.neg_coeffs(self._coerce(other).coeffs)))
 
     def __mul__(self, other):
         return APoly._raw(self.field,
@@ -780,18 +749,13 @@ class APoly:
                      [self.field.from_int(i) * c for i, c in enumerate(self.coeffs)][1:])
 
     def _coerce(self, other) -> "APoly":
+        """Polynomials over the same field, ints and field elements;
+        TypeError for anything else."""
         if isinstance(other, APoly):
             if other.field is not self.field:
                 raise ValueError("polynomial over a different field")
             return other
         return APoly(self.field, [self.field.coerce(other)])
-
-    def __eq__(self, other):
-        return (isinstance(other, APoly) and other.field is self.field
-                and other.coeffs == self.coeffs)
-
-    def __hash__(self):
-        return hash((id(self.field), self.coeffs))
 
     def __str__(self):
         return join_terms(((i, str(self.coeffs[i]))

@@ -339,7 +339,7 @@ def cmd_suite(args) -> int:
 def cmd_carlitz_trace(args) -> int:
     place = _place(args)
     qd = place.q ** place.d
-    N = args.truncation or qd * qd + 1
+    N = qd * qd + 1 if args.truncation is None else args.truncation
     if N < qd * qd:
         raise UsageError(f"truncation must be >= q^(2d) = {qd * qd}")
     R = artin_ring(place, 1, _nilpotency(args))

@@ -537,18 +537,20 @@ def _power_ideal_gens(nvars: int, upto_var: int, degree: int):
         yield mono + (0,) * (nvars - upto_var - 1)
 
 
+def _chain_ideal(nvars: int, gens: list, first_unit: int) -> MonomialIdeal:
+    """The ideal generated by gens and by the variables first_unit ..
+    nvars - 1, held by its (sorted) minimal generators."""
+    units = [(0,) * v + (1,) + (0,) * (nvars - v - 1) for v in range(first_unit, nvars)]
+    return MonomialIdeal(nvars, MonomialIdeal(nvars, tuple(gens + units)).minimal_gens())
+
+
 def J_ideal(s: int, n: int) -> MonomialIdeal:
     """The n-th corner of the filtration at s wild generators: the degree-n
     power of the ideal on the first min(n, s) wild variables plus every
     later variable (later variables beyond s are dropped at truncation)."""
     nvars = s + 1
     upto = min(n, s)
-    gens = list(_power_ideal_gens(nvars, upto, n))
-    for extra in range(upto + 1, s + 1):
-        e = [0] * nvars
-        e[extra] = 1
-        gens.append(tuple(e))
-    return MonomialIdeal(nvars, MonomialIdeal(nvars, tuple(gens)).minimal_gens())
+    return _chain_ideal(nvars, list(_power_ideal_gens(nvars, upto, n)), upto + 1)
 
 
 def filtration_index_range(s: int) -> int:
@@ -590,11 +592,7 @@ def filtration(s: int, r: int) -> MonomialIdeal:
         for mono in _monomials_of_degree(nxt + 1, j):
             if mono[nxt] >= 1:
                 gens.append(mono + (0,) * (nvars - nxt - 1))
-    for extra in range(nxt + 1, s + 1):
-        e = [0] * nvars
-        e[extra] = 1
-        gens.append(tuple(e))
-    return MonomialIdeal(nvars, MonomialIdeal(nvars, tuple(gens)).minimal_gens())
+    return _chain_ideal(nvars, gens, nxt + 1)
 
 
 def power_containment_degree(I: MonomialIdeal) -> int:

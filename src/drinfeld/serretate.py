@@ -14,7 +14,7 @@ import itertools
 import random
 from collections import namedtuple
 
-from .basearith import APoly, ArtinRing, FieldExt, PrimePlace
+from .basearith import APoly, ArtinRing, FieldExt, PrimePlace, TruncPoly
 from .modules import DrinfeldModule
 from .skew import tau
 
@@ -107,6 +107,20 @@ class LiftIndependenceReport:
                 and self.linearity_ok and self.connected_ok)
 
 
+def _sampled_ideal(R: ArtinRing, size: int) -> list:
+    """A seeded sample of EXHAUSTIVE_IDEAL_BOUND of the `size` elements of
+    the maximal ideal (eps), drawn by index without listing the ideal.
+    Index i is the element whose coefficients of eps^1 ... eps^(N-1) are
+    the base-|k'| digits of i over `coeff_ring.elements()`, most
+    significant first: its position in the ideal listed in the product
+    order of `TruncPolyRing.elements()`, so the sample is that list's."""
+    digits = list(R.coeff_ring.elements())
+    b = len(digits)
+    return [TruncPoly(R, [R.coeff_ring.zero]
+                      + [digits[i // b ** k % b] for k in range(R.N - 2, -1, -1)])
+            for i in random.Random(0).sample(range(size), EXHAUSTIVE_IDEAL_BOUND)]
+
+
 def lift_independence_check(datum: DeformationDatum) -> LiftIndependenceReport:
     """For every torsion point and every lift perturbation in the maximal
     ideal (sampled when the ideal is large), assert the deformation value
@@ -118,10 +132,10 @@ def lift_independence_check(datum: DeformationDatum) -> LiftIndependenceReport:
     torsion = datum.E0.torsion_points(datum.n, E0base)
     report = LiftIndependenceReport(datum, torsion.count)
 
-    ideal = list(datum.R.maximal_ideal())
-    if len(ideal) > EXHAUSTIVE_IDEAL_BOUND:
-        ideal = random.Random(0).sample(ideal, EXHAUSTIVE_IDEAL_BOUND)
-        report.exhaustive = False
+    R = datum.R
+    size = R.size // R.residue_size
+    report.exhaustive = size <= EXHAUSTIVE_IDEAL_BOUND
+    ideal = list(R.maximal_ideal()) if report.exhaustive else _sampled_ideal(R, size)
 
     for x in torsion.points:
         base_val = phi_deformation_value(datum, x)

@@ -28,10 +28,10 @@ and its callers assume without probing:
 * every element answers `is_zero()`, and coefficient elements also answer
   `is_unit()` and `inverse()`.
 
-SkewPoly shares its coefficient-tuple core (trimming, `coefficient`, `+`,
-`-`, `==`, hash, printing) with TruncPoly through `basearith.CoeffTuple`;
-only the twisted product is its own, the coefficient ring's `mul_coeffs`
-with twist q.
+SkewPoly shares its coefficient-tuple core (trimming, `coefficient`,
+`is_monic`, `+`, `-`, `==`, hash, printing) with APoly and TruncPoly
+through `basearith.CoeffTuple`; only the twisted product is its own, the
+coefficient ring's `mul_coeffs` with twist q.
 """
 
 from __future__ import annotations
@@ -75,16 +75,10 @@ class SkewPoly(CoeffTuple):
 
     __slots__ = ()
     var = "t"
-
-    @property
-    def _coeff_ring(self):
-        return self.ring
+    _coeff_ring = CoeffTuple.ring
 
     def constant(self):
         return self.coefficient(0)
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.ring.one
 
     def tau_valuation(self) -> int:
         """Index of the lowest nonzero coefficient (-1 for the zero map)."""

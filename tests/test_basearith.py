@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from drinfeld.basearith import (FFElement, FiniteField, TruncPoly, apoly,
-                                artin_ring, ext_field, finite_field,
-                                local_ring, make_place, poly_T, power)
+from drinfeld.basearith import (APoly, CoeffTuple, FFElement, FiniteField,
+                                TruncPoly, apoly, artin_ring, ext_field,
+                                finite_field, local_ring, make_place, poly_T,
+                                power)
 import drinfeld
 from drinfeld.carlitz import TruncSeriesRing
 from drinfeld.iwasawa import iwasawa_level
@@ -217,13 +218,50 @@ def test_mixing_fields_raises():
 coeff_lists = st.lists(st.integers(0, 2), min_size=0, max_size=6)
 
 
-@given(coeff_lists, coeff_lists, coeff_lists)
-def test_apoly_ring_axioms(a, b, c):
+@given(coeff_lists, coeff_lists, coeff_lists, st.integers(-4, 4))
+def test_apoly_ring_axioms(a, b, c, k):
     F3 = finite_field(3)
     pa, pb, pc = (apoly(F3, x) for x in (a, b, c))
     assert (pa + pb) * pc == pa * pc + pb * pc
     assert (pa * pb) * pc == pa * (pb * pc)
     assert pa + pb == pb + pa
+    assert (pa - pb) + pb == pa and pa - pa == apoly(F3, [])
+    assert k - pa == apoly(F3, [k]) - pa == -(pa - k) and k + pa == pa + k
+    assert hash(pa) == hash((id(F3), pa.coeffs))
+
+
+_CORE_MEMBERS = ("_raw", "degree", "is_zero", "__bool__", "coefficient",
+                 "is_monic", "__add__", "__radd__", "__neg__", "__sub__",
+                 "__rsub__", "__eq__", "__hash__")
+
+
+def test_polynomials_share_one_coefficient_tuple_core():
+    """A = F_q[T], the truncated rings and R{t} have one set of sums,
+    negatives, comparisons and hashes: none of their classes copies it."""
+    for cls in (APoly, TruncPoly, SkewPoly):
+        assert issubclass(cls, CoeffTuple)
+        assert not set(_CORE_MEMBERS) & set(cls.__dict__), cls
+    assert APoly.__add__ is CoeffTuple.__add__
+    assert SkewPoly.is_monic is CoeffTuple.is_monic
+    F3 = finite_field(3)
+    T = poly_T(F3)
+    assert T.field is F3 and 3 - T == 2 * T and (T + 1).is_monic()
+
+
+def test_apoly_equality_and_mixing(place_T):
+    """APolys are equal only over the same field object; mixed with a
+    truncated-ring element or a string they raise TypeError either way."""
+    F3 = finite_field(3)
+    T, twin = poly_T(F3), poly_T(FiniteField(3, 1))
+    assert T == place_T.varpi and T != twin and apoly(F3, [1]) != 1
+    with pytest.raises(ValueError):
+        T + twin
+    x = local_ring(place_T, 2).one
+    assert T != x and x != T
+    for op in (operator.add, operator.sub, operator.mul):
+        for left, right in ((T, x), (x, T), (T, "x")):
+            with pytest.raises(TypeError):
+                op(left, right)
 
 
 @given(coeff_lists, coeff_lists)

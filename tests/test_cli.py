@@ -375,6 +375,8 @@ def test_malformed_tower_is_usage_error(spec, named, tmp_path, capsys):
      "nilpotency"),
     (["carlitz", "trace", "--q", "3", "--varpi", "T", "--truncation", "5"],
      "truncation"),
+    (["carlitz", "trace", "--q", "3", "--varpi", "T", "--truncation", "0"],
+     "truncation"),
 ])
 def test_invalid_arguments_are_usage_errors(argv, named, capsys):
     code, _, err = run_cli(argv, capsys)

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from drinfeld import serretate
 from drinfeld.basearith import artin_ring, ext_field
 from drinfeld.modules import DrinfeldModule
 from drinfeld.serretate import (DeformationDatum, constant_lift,
@@ -64,6 +67,33 @@ def test_full_report(datum9):
     assert rep.exhaustive and rep.perturbations_checked == 27
     assert rep.additivity_ok and rep.linearity_ok and rep.connected_ok
     assert rep.frobenius_kernel_trivial
+
+
+def test_sampled_report_draws_the_listed_sample(place_T, ext9, monkeypatch):
+    # 9^3 = 729 ideal elements: the sample is drawn by index, and is the
+    # seeded sample of the listed ideal, which is never listed
+    R = artin_ring(place_T, 2, 4)
+    expected = random.Random(0).sample(list(R.maximal_ideal()),
+                                       serretate.EXHAUSTIVE_IDEAL_BOUND)
+    datum = constant_lift(DrinfeldModule(ext9, ext9.one, ext9.one), R, 3)
+    drawn = {}
+    value = serretate.phi_deformation_value
+
+    def recording(datum, x_n, lift_perturbation=None):
+        if lift_perturbation is not None:
+            drawn.setdefault(x_n, []).append(lift_perturbation)
+        return value(datum, x_n, lift_perturbation)
+
+    def unlisted():
+        raise AssertionError("the maximal ideal was listed")
+
+    monkeypatch.setattr(serretate, "phi_deformation_value", recording)
+    monkeypatch.setattr(R, "maximal_ideal", unlisted)
+    rep = lift_independence_check(datum)
+    assert not rep.exhaustive and rep.ok
+    assert rep.perturbations_checked == rep.torsion_count * 256
+    assert len(drawn) == rep.torsion_count
+    assert all(sample == expected for sample in drawn.values())
 
 
 def test_depth_beyond_nilpotency_rejected(ext9, artin9):
