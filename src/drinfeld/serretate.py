@@ -107,18 +107,16 @@ class LiftIndependenceReport:
                 and self.linearity_ok and self.connected_ok)
 
 
-def _sampled_ideal(R: ArtinRing, size: int) -> list:
-    """A seeded sample of EXHAUSTIVE_IDEAL_BOUND of the `size` elements of
-    the maximal ideal (eps), drawn by index without listing the ideal.
-    Index i is the element whose coefficients of eps^1 ... eps^(N-1) are
-    the base-|k'| digits of i over `coeff_ring.elements()`, most
-    significant first: its position in the ideal listed in the product
-    order of `TruncPolyRing.elements()`, so the sample is that list's."""
+def _ideal_elements(R: ArtinRing, indices) -> list:
+    """The elements of the maximal ideal (eps) at the given indices: index
+    i has the base-|k'| digits of i over `coeff_ring.elements()`, most
+    significant first, as its coefficients of eps^1 ... eps^(N-1), so it is
+    the i-th element listed by `ArtinRing.maximal_ideal` (product order)."""
     digits = list(R.coeff_ring.elements())
     b = len(digits)
     return [TruncPoly(R, [R.coeff_ring.zero]
                       + [digits[i // b ** k % b] for k in range(R.N - 2, -1, -1)])
-            for i in random.Random(0).sample(range(size), EXHAUSTIVE_IDEAL_BOUND)]
+            for i in indices]
 
 
 def lift_independence_check(datum: DeformationDatum) -> LiftIndependenceReport:
@@ -135,7 +133,9 @@ def lift_independence_check(datum: DeformationDatum) -> LiftIndependenceReport:
     R = datum.R
     size = R.size // R.residue_size
     report.exhaustive = size <= EXHAUSTIVE_IDEAL_BOUND
-    ideal = list(R.maximal_ideal()) if report.exhaustive else _sampled_ideal(R, size)
+    indices = (range(size) if report.exhaustive else
+               random.Random(0).sample(range(size), EXHAUSTIVE_IDEAL_BOUND))
+    ideal = _ideal_elements(R, indices)
 
     for x in torsion.points:
         base_val = phi_deformation_value(datum, x)

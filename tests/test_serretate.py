@@ -69,13 +69,19 @@ def test_full_report(datum9):
     assert rep.frobenius_kernel_trivial
 
 
-def test_sampled_report_draws_the_listed_sample(place_T, ext9, monkeypatch):
-    # 9^3 = 729 ideal elements: the sample is drawn by index, and is the
-    # seeded sample of the listed ideal, which is never listed
-    R = artin_ring(place_T, 2, 4)
-    expected = random.Random(0).sample(list(R.maximal_ideal()),
-                                       serretate.EXHAUSTIVE_IDEAL_BOUND)
-    datum = constant_lift(DrinfeldModule(ext9, ext9.one, ext9.one), R, 3)
+@pytest.mark.parametrize("nilpotency", [3, 4])
+def test_report_draws_its_perturbations_from_the_listed_ideal(
+        place_T, ext9, nilpotency, monkeypatch):
+    # 9^2 = 81 ideal elements are all checked in listed order; of 9^3 = 729
+    # the seeded sample of the listed ideal is checked; the ideal is built
+    # by index and never listed
+    R = artin_ring(place_T, 2, nilpotency)
+    listed = list(R.maximal_ideal())
+    bound = serretate.EXHAUSTIVE_IDEAL_BOUND
+    exhaustive = len(listed) <= bound
+    expected = listed if exhaustive else random.Random(0).sample(listed, bound)
+    datum = constant_lift(DrinfeldModule(ext9, ext9.one, ext9.one), R,
+                          nilpotency - 1)
     drawn = {}
     value = serretate.phi_deformation_value
 
@@ -90,8 +96,8 @@ def test_sampled_report_draws_the_listed_sample(place_T, ext9, monkeypatch):
     monkeypatch.setattr(serretate, "phi_deformation_value", recording)
     monkeypatch.setattr(R, "maximal_ideal", unlisted)
     rep = lift_independence_check(datum)
-    assert not rep.exhaustive and rep.ok
-    assert rep.perturbations_checked == rep.torsion_count * 256
+    assert rep.exhaustive == exhaustive and rep.ok
+    assert rep.perturbations_checked == rep.torsion_count * len(expected)
     assert len(drawn) == rep.torsion_count
     assert all(sample == expected for sample in drawn.values())
 
