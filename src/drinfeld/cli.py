@@ -6,6 +6,13 @@ All output is deterministic for a fixed configuration: canonical orderings
 everywhere, sorted JSON keys, no timestamps.  Exit codes: 0 success,
 1 violated identity (the report names the check) or an internal error,
 2 usage error.
+
+`main(argv)` returns the exit code, for tests and library callers.  The
+`drinfeld` process enters through `run()`, which calls `main`, flushes
+stdout and stderr and then ends the process without interpreter
+finalization: module teardown, the final garbage collection and the
+freeing of every memo table cost a one-shot command a few milliseconds
+and change nothing it prints.
 """
 
 from __future__ import annotations
@@ -32,6 +39,9 @@ from .serretate import constant_lift, lift_independence_check
 from .textenc import ParseError, parse_apoly, parse_fq
 
 CACHE_ENV = "DRINFELD_CACHE_DIR"
+# the chain's generator lists grow combinatorially with the number of wild
+# generators: at the top index, 6 take about 0.9 s and 7 about 12 s
+MAX_WILD_GENERATORS = 6
 
 
 class UsageError(ValueError):
@@ -214,6 +224,9 @@ def cmd_iwasawa_specialize(args) -> int:
 def cmd_iwasawa_filtration(args) -> int:
     if args.gens < 1:
         raise UsageError("need at least one wild generator")
+    if args.gens > MAX_WILD_GENERATORS:
+        raise UsageError(f"--gens {args.gens} exceeds the supported "
+                         f"{MAX_WILD_GENERATORS} wild generators")
     I, J = (_read(filtration, args.gens, r) for r in (args.r, args.r + 1))
     basis = quotient_basis(I, J)
     killed = maximal_ideal_kills_quotient(I, J)
@@ -421,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     spec.set_defaults(fn=cmd_iwasawa_specialize)
     filt = isub.add_parser("filtration")
     filt.add_argument("--gens", type=int, required=True,
-                      help="number of wild generators")
+                      help="number of wild generators, at most "
+                           f"{MAX_WILD_GENERATORS}")
     filt.add_argument("--r", type=int, required=True, help="chain index")
     filt.set_defaults(fn=cmd_iwasawa_filtration)
 
@@ -442,6 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command `argv` (default: the process arguments) and return
+    its exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -460,5 +476,23 @@ def main(argv=None) -> int:
         return 1
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run():
+    """The process entry of `python -m drinfeld` and of the installed
+    `drinfeld` command: `main()` on the process arguments, then flush
+    stdout and stderr and end the process with `os._exit`, skipping
+    interpreter finalization.  Does not return.
+
+    This relies on every file the command opened for writing being closed
+    before `main` returns, so that the two standard streams are the only
+    buffers left to flush: the cache writes its record through `mkstemp`
+    and `os.replace` inside a `with` block.  A flush that fails because a
+    reader closed the pipe exits 1 with one `error:` line, as `main` does
+    when the pipe breaks mid-command."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        code = 1
+    sys.stderr.flush()
+    os._exit(code)

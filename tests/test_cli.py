@@ -1,9 +1,11 @@
+import ast
 import io
 import json
 import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,13 +221,133 @@ def test_suite_rejects_m_zero(capsys):
     assert code == 2 and "m must be >= 1" in err
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "drinfeld", "carlitz", "profile", "--q", "2",
-         "--varpi", "T^2+T+1"],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["ok"]
+# -- the process entry: `run` ends the process without finalization -----------
+
+_PROFILE = ["carlitz", "profile", "--q", "3", "--varpi", "T"]
+# 73,602 bytes of JSON, more than a pipe holds
+_LARGE = ["hecke", "matrix", "--q", "3", "--varpi", "T", "--m", "4", "--op", "U",
+          "--k", "3"]
+
+# the children write through a buffered stdout, as they do by default, so
+# what reaches the pipe is what the process entry flushes
+_BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+_INCOMPATIBLE_PROJECTOR = """
+from drinfeld import projector
+real = projector._stabilized_factorial_power
+calls = []
+def limit(mat, ring):
+    calls.append(mat)
+    e, step = real(mat, ring)
+    return (ring.one if len(calls) % 2 == 0 else e), step
+projector._stabilized_factorial_power = limit
+"""
+_INTERNAL_FAULT = """
+from drinfeld import cli
+def broken(place):
+    raise ValueError("internal fault")
+cli.carlitz_coefficient_profile = broken
+"""
+
+
+def test_process_exits_without_finalization(capsys):
+    # an atexit handler runs during interpreter finalization, which the
+    # process entry skips once the output is flushed
+    script = ("import atexit, runpy, sys\n"
+              "atexit.register(lambda: print('finalized', file=sys.stderr))\n"
+              f"sys.argv = ['drinfeld'] + {_PROFILE!r}\n"
+              "runpy.run_module('drinfeld', run_name='__main__')\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=_BUFFERED)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run_cli(_PROFILE, capsys)[1]
+
+
+def test_large_output_reaches_a_pipe_whole(capsys):
+    proc = subprocess.run([sys.executable, "-m", "drinfeld"] + _LARGE,
+                          capture_output=True, timeout=120, env=_BUFFERED)
+    _, out, _ = run_cli(_LARGE, capsys)
+    assert proc.returncode == 0 and len(proc.stdout) > 65536
+    assert proc.stdout == out.encode()
+
+
+@pytest.mark.parametrize("patch,argv,code,out,err", [
+    ("", ["carlitz", "profile", "--q", "2", "--varpi", "T^2+T+1"], 0,
+     '"ok": true', ""),
+    (_INCOMPATIBLE_PROJECTOR, ["projector", "run", "--tower", "tower.json"], 1,
+     '"ok": false', ""),
+    (_INTERNAL_FAULT, _PROFILE, 1, "", "error: ValueError: internal fault\n"),
+    ("", ["carlitz", "profile", "--q", "3", "--varpi", "T^2"], 2, "",
+     "error: varpi = T^2 is reducible: divisible by T\n"),
+], ids=["pass", "failed-identity", "internal-error", "usage-error"])
+def test_module_entry_point(patch, argv, code, out, err, tmp_path):
+    """The process exit code is main's, and the output of every code
+    reaches its stream."""
+    tower = tmp_path / "tower.json"
+    tower.write_text(json.dumps({"format": 1, "q": 3, "varpi": "T", "depth": 2,
+                                 "matrix": [["1", "1"], ["0", "T"]]}))
+    argv = [str(tower) if tok == "tower.json" else tok for tok in argv]
+    script = (patch + "import sys\nfrom drinfeld.cli import run\n"
+              f"sys.argv = ['drinfeld'] + {argv!r}\nrun()\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=_BUFFERED)
+    assert proc.returncode == code
+    assert out in proc.stdout if out else proc.stdout == ""
+    assert proc.stderr == err
+
+
+def test_cache_record_is_read_back_by_a_second_process(tmp_path):
+    argv = [sys.executable, "-m", "drinfeld", "hecke", "graph", "--q", "3",
+            "--varpi", "T", "--m", "2", "--cache", str(tmp_path)]
+    first = subprocess.run(argv, capture_output=True, timeout=120,
+                           env=_BUFFERED)
+    [record] = tmp_path.glob("*.json")
+    config = {"q": 3, "varpi": "T", "m": 2}
+    assert cache.load_record(str(record), config) == json.loads(first.stdout)
+    written = record.stat()
+    second = subprocess.run(argv, capture_output=True, timeout=120,
+                            env=_BUFFERED)
+    assert first.returncode == second.returncode == 0
+    assert second.stdout == first.stdout and second.stderr == b""
+    # a hit only reads; a miss would rename a new file over the record
+    again = record.stat()
+    assert (again.st_ino, again.st_mtime_ns) == (written.st_ino,
+                                                 written.st_mtime_ns)
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("argv,head", [(_PROFILE, 0), (_LARGE, 10)],
+                         ids=["at-the-final-flush", "mid-command"])
+def test_closed_pipe_exits_one_with_one_error_line(argv, head):
+    """`drinfeld ... | head -c N`: the reader leaves after N bytes.  The
+    profile is still buffered then and breaks the pipe at the final flush;
+    the matrix outgrows the pipe and breaks it mid-command."""
+    reader, writer = os.pipe()
+    if not head:
+        os.close(reader)
+    proc = subprocess.Popen([sys.executable, "-m", "drinfeld"] + argv,
+                            stdout=writer, stderr=subprocess.PIPE,
+                            env=_BUFFERED)
+    os.close(writer)
+    if head:
+        os.read(reader, head)
+        os.close(reader)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err == b"error: BrokenPipeError: [Errno 32] Broken pipe\n"
+
+
+def test_installed_command_enters_where_the_module_does():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        script = tomllib.load(fh)["project"]["scripts"]["drinfeld"]
+    tree = ast.parse(Path(cli.__file__).with_name("__main__.py").read_text())
+    imported = {alias.asname or alias.name: f"drinfeld.{node.module}:{alias.name}"
+                for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    [call] = [node.value for node in tree.body if isinstance(node, ast.Expr)]
+    assert script == imported[call.func.id] == "drinfeld.cli:run"
 
 
 def test_projector_run_explicit_levels(tmp_path, capsys):
@@ -434,6 +556,8 @@ _HUGE_ENTRY = {"format": 1, "q": 3, "varpi": "T", "depth": 1,
       "--k", "2", "--u", "*".join(["(T+1)^1024"] * 64)], None,
      "product of degree 1024 + 1024"),
     (["suite", "--varpi", "T"], None, "--q is required"),
+    (["iwasawa", "filtration", "--gens", "7", "--r", "34"], None,
+     "--gens 7 exceeds the supported 6"),
 ])
 def test_oversized_or_incomplete_input_is_rejected_at_once(argv, tower, named,
                                                            tmp_path):
