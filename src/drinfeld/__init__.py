@@ -4,9 +4,9 @@ points in residue characteristic, truncated measure algebras with weight
 specializations, and ordinary projectors on towers of finite modules."""
 
 from .basearith import (APoly, ArtinRing, FFElement, FieldExt, FiniteField,
-                        LocalRing, PrimePlace, TruncPoly, apoly, artin_ring,
-                        ext_field, field_of_order, finite_field, local_ring,
-                        make_place, poly_T)
+                        LocalRing, PrimePlace, TruncPoly, ext_field,
+                        field_of_order, finite_field, local_ring, make_place,
+                        poly_T)
 from .carlitz import (TruncSeriesRing, carlitz_coefficient_profile,
                       carlitz_eval, trace_of_carlitz_pullback)
 from .hecke import (CorrEdge, Correspondence, HeckeMatrix, ModuliPoint,

@@ -20,7 +20,7 @@ logs and the Zech table, with no Python call per coefficient.  `APoly`
 calls them on its field, and `TruncPoly` and `SkewPoly` on their
 coefficient ring, which for a `FieldExt` is its field's kernels; rings
 whose elements are polynomials themselves (`ArtinRing`, `PolyRing`)
-loop over their elements in `ElementwiseKernels`.
+loop over their elements in `ElementwiseKernels`, which cannot divide.
 
 `ElementCodes` gives the elements of any finite commutative ring int
 codes, for the projector's matrices: arithmetic on codes is a subscript
@@ -167,11 +167,11 @@ def _trimmed(out: list) -> tuple:
 
 
 class ElementwiseKernels:
-    """The coefficient kernels of a ring whose elements are not field
-    elements (ArtinRing, PolyRing): loops over the elements' own
+    """The sum, negative and product kernels of a ring whose elements are
+    not field elements (ArtinRing, PolyRing): loops over the elements' own
     operators, with the signatures of the Zech-log kernels of
-    `FiniteField` that field coefficients use instead.  Inputs and
-    outputs are trimmed coefficient tuples, low degree first."""
+    `FiniteField` that field coefficients use instead; only fields divide.
+    Inputs and outputs are trimmed coefficient tuples, low degree first."""
 
     def add_coeffs(self, a, b) -> tuple:
         if len(a) < len(b):
@@ -193,27 +193,6 @@ class ElementwiseKernels:
             for j, y in enumerate(b[:size - i]):
                 out[i + j] = out[i + j] + x * (y if twist == 1 else y ** twist ** i)
         return _trimmed(out)
-
-    def divmod_coeffs(self, u, v, twist=1) -> tuple:
-        """(quot, rem) with u = quot*v + rem and deg rem < deg v, the
-        product twisted as in `mul_coeffs`; v has a unit leading
-        coefficient."""
-        dv = len(v) - 1
-        dq = len(u) - 1 - dv
-        if dq < 0:
-            return (), tuple(u)
-        lc_inv = v[-1].inverse()
-        rem = list(u)
-        quot = [self.zero] * (dq + 1)
-        for k in range(dq, -1, -1):
-            e = twist ** k
-            c = rem[k + dv] * lc_inv ** e
-            quot[k] = c
-            if c.is_zero():
-                continue
-            for j, b in enumerate(v):
-                rem[k + j] = rem[k + j] - c * b ** e
-        return _trimmed(quot), _trimmed(rem[:dv])
 
 
 class CoeffTuple:
@@ -690,15 +669,6 @@ class APoly(CoeffTuple):
     def __init__(self, field: FiniteField, coeffs):
         super().__init__(field, map(field.coerce, coeffs))
 
-    def is_unit(self) -> bool:
-        """The units of A are the nonzero constants."""
-        return self.degree == 0
-
-    def inverse(self) -> "APoly":
-        if not self.is_unit():
-            raise ZeroDivisionError(f"{self} is not a unit of A")
-        return APoly._raw(self.field, (self.coeffs[0].inverse(),))
-
     def __mul__(self, other):
         return APoly._raw(self.field,
                           self.field.mul_coeffs(self.coeffs, self._coerce(other).coeffs))
@@ -727,9 +697,6 @@ class APoly(CoeffTuple):
 
     def __mod__(self, other):
         return self.divmod(other)[1]
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
 
     def eval_in(self, x, embed=None):
         """Evaluate at x in any commutative ring; embed maps F_q into that
@@ -763,11 +730,6 @@ class APoly(CoeffTuple):
 
     def __repr__(self):
         return f"APoly({self})"
-
-
-def apoly(field: FiniteField, coeffs) -> APoly:
-    """Polynomial from a low-to-high coefficient list (ints or elements)."""
-    return APoly(field, coeffs)
 
 
 def poly_T(field: FiniteField) -> APoly:
@@ -1016,9 +978,6 @@ class TruncPoly(CoeffTuple):
             return TruncPoly(self.ring, self.coeffs[k:])
         return TruncPoly(self.ring, [c.eps_quotient(k) for c in self.coeffs])
 
-    def __str__(self):
-        return self.ring.format(self)
-
     def __repr__(self):
         return f"Trunc({self})"
 
@@ -1050,10 +1009,6 @@ class TruncPolyRing(ElementwiseKernels):
         for coeffs in product(self.coeff_ring.elements(), repeat=self.N):
             yield TruncPoly(self, coeffs)
 
-    def format(self, x: TruncPoly) -> str:
-        """The text of an element: its terms in the ring variable."""
-        return CoeffTuple.__str__(x)
-
     def __repr__(self):
         return f"{self.coeff_ring!r}[{self.var}]/({self.var}^{self.N})"
 
@@ -1071,10 +1026,6 @@ class ArtinRing(TruncPolyRing):
         self.place = place
         self.q = place.q
         self.gamma_T = self._hensel_gamma()
-
-    def from_fq(self, c: FFElement) -> TruncPoly:
-        """The residue-field element c as a constant."""
-        return self.from_coeff(c)
 
     def embed_fq(self, c) -> TruncPoly:
         """F_q -> R through the residue field."""
@@ -1120,10 +1071,6 @@ class ArtinRing(TruncPolyRing):
         return self.N
 
 
-def artin_ring(place: PrimePlace, m: int, nilpotency: int) -> ArtinRing:
-    return ArtinRing(place, m, nilpotency)
-
-
 # ---------------------------------------------------------------------------
 # the truncated local rings A/(varpi^n)
 # ---------------------------------------------------------------------------
@@ -1134,8 +1081,8 @@ class LocalRing(ArtinRing):
     here to the constants (the Teichmuller lifts), and eps is the image of
     varpi.  Elements are the ring's TruncPoly.  A polynomial appears only
     at the boundary: `from_apoly` (gamma) reads one, and `to_apoly` gives
-    the representative of degree < n*d that the element prints as.  One
-    ring per (place, n), built by `local_ring`."""
+    the representative of degree < n*d that commands print.  One ring
+    per (place, n), built by `local_ring`."""
 
     def __init__(self, place: PrimePlace, n: int):
         super().__init__(place, 1, n)
@@ -1210,14 +1157,6 @@ class LocalRing(ArtinRing):
         mod varpi^n over the coefficients c_i of x."""
         return sum((lift[c] for lift, c in zip(self._lifts, x.coeffs)),
                    APoly(self.place.field, []))
-
-    def format(self, x: TruncPoly) -> str:
-        """The text `textenc.parse_local` reads: "<to_apoly> mod (varpi)^n",
-        the power left out at n = 1."""
-        mod = f"({self.place.varpi})"
-        if self.n != 1:
-            mod += f"^{self.n}"
-        return f"{self.to_apoly(x)} mod {mod}"
 
     def __repr__(self):
         return f"A/({self.place.varpi})^{self.n}"

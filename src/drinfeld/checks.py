@@ -19,7 +19,7 @@ import time
 from collections import namedtuple
 from functools import cache
 
-from .basearith import (APoly, artin_ring, ext_field, finite_field,
+from .basearith import (APoly, ArtinRing, ext_field, finite_field,
                         local_ring, make_place, poly_T, PrimePlace)
 from .carlitz import (TruncSeriesRing, carlitz_coefficient_profile,
                       trace_of_carlitz_pullback)
@@ -131,7 +131,7 @@ def check_torsion_dichotomy(place: PrimePlace) -> CheckResult:
 def check_trace_divisibility(place: PrimePlace) -> CheckResult:
     def body():
         qd = place.q ** place.d
-        R = artin_ring(place, 1, 2)
+        R = ArtinRing(place, 1, 2)
         S = TruncSeriesRing(R, qd * qd + 1)
         rep = trace_of_carlitz_pullback(place, S)
         require(rep.ok, "a basis trace is not divisible by varpi")
@@ -152,7 +152,7 @@ def check_serre_tate(place: PrimePlace, m: int = 2) -> CheckResult:
         E0 = DrinfeldModule(ext, ext.one, ext.one)
         if not E0.is_ordinary():
             E0 = DrinfeldModule(ext, ext.zero, ext.one)
-        R = artin_ring(place, m, 2)
+        R = ArtinRing(place, m, 2)
         datum = constant_lift(E0, R, 1)
         rep = lift_independence_check(datum)
         require(rep.ok, f"{len(rep.violations)} lift-independence violations")

@@ -23,7 +23,7 @@ import os
 import sys
 
 from . import cache as cachemod
-from .basearith import (MAX_FIELD_SIZE, artin_ring, ext_field,
+from .basearith import (MAX_FIELD_SIZE, ArtinRing, ext_field,
                         field_of_order, local_ring, make_place)
 from .carlitz import TruncSeriesRing, carlitz_coefficient_profile, \
     trace_of_carlitz_pullback
@@ -121,7 +121,7 @@ def cmd_serre_tate(args) -> int:
     if not E0.is_ordinary():
         print("error: base module is supersingular", file=sys.stderr)
         return 2
-    R = artin_ring(place, args.m, _nilpotency(args))
+    R = ArtinRing(place, args.m, _nilpotency(args))
     datum = constant_lift(E0, R, args.nilpotency - 1)
     rep = lift_independence_check(datum)
     _emit({
@@ -355,7 +355,7 @@ def cmd_carlitz_trace(args) -> int:
     N = qd * qd + 1 if args.truncation is None else args.truncation
     if N < qd * qd:
         raise UsageError(f"truncation must be >= q^(2d) = {qd * qd}")
-    R = artin_ring(place, 1, _nilpotency(args))
+    R = ArtinRing(place, 1, _nilpotency(args))
     rep = trace_of_carlitz_pullback(place, TruncSeriesRing(R, N))
     _emit({
         "format": 1,

@@ -191,9 +191,6 @@ class HeckeMatrix:
         self.semilinear = semilinear
         self.norm_exponent = norm_exponent
 
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
-
     @property
     def size(self) -> int:
         return len(self.index)

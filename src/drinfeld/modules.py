@@ -1,7 +1,7 @@
 """Rank-2 Drinfeld modules over extensions of the residue field or over
 Artinian test rings: the action phi, the factorization phi(varpi) = V * F in
-characteristic the place, Hasse invariant, torsion, canonical subgroups, and
-quotient isogenies.
+characteristic the place, Hasse invariant, torsion, the A-stable order-q^d
+subgroups, and quotient isogenies.
 
 A module is the data (base, g, delta) with delta a unit; the action of T is
 gamma_T + g*t + delta*t^2.
@@ -60,14 +60,6 @@ class DrinfeldModule:
         qe = self.place.q ** e
         return DrinfeldModule(self.base, self.g ** qe, self.delta ** qe)
 
-    def rescale(self, c) -> "DrinfeldModule":
-        """The isomorphic module in the coordinate y = c*x, i.e. the action
-        conjugated by c: coefficients pick up c^(1 - q^i)."""
-        q = self.place.q
-        return DrinfeldModule(self.base,
-                              c ** (1 - q) * self.g,
-                              c ** (1 - q * q) * self.delta)
-
     def j_invariant(self):
         """Coarse moduli coordinate g^(q+1)/delta."""
         return self.g ** (self.place.q + 1) * self.delta.inverse()
@@ -94,19 +86,6 @@ class DrinfeldModule:
 
     def __repr__(self):
         return f"DrinfeldModule(gamma={self.gamma_T}, g={self.g}, delta={self.delta})"
-
-    def as_record(self) -> dict:
-        """JSON-ready coarse description."""
-        rec = {
-            "gamma_T": str(self.gamma_T),
-            "g": str(self.g),
-            "delta": str(self.delta),
-            "j": str(self.j_invariant()),
-        }
-        if isinstance(self.base, FieldExt):  # characteristic the place
-            rec["hasse"] = str(self.hasse_invariant())
-            rec["ordinary"] = self.is_ordinary()
-        return rec
 
     # -- characteristic-p structure ---------------------------------------
 
@@ -144,7 +123,7 @@ class DrinfeldModule:
         A-module structure.  Partial splitting is reported, not an error."""
         E = self.base_change(ext) if ext is not self.base else self
         u = E.phi_eval(self.place.varpi ** n)
-        points, basis = kernel_points(u, ext)
+        points = kernel_points(u, ext)
         geometric = ext.q ** (u.degree - u.tau_valuation()) if not u.is_zero() else 0
         orders = {}
         for x in points:
@@ -154,20 +133,8 @@ class DrinfeldModule:
                 y = E.phi_eval(self.place.varpi).eval(y)
                 s += 1
             orders[x] = s
-        return TorsionModule(E, n, tuple(points), tuple(basis), orders,
+        return TorsionModule(E, n, tuple(points), orders,
                              len(points) == geometric)
-
-    def canonical_subgroup(self, n: int = 1) -> "SubgroupScheme":
-        """The connected order-q^(dn) piece ker(t^(dn)) of the varpi^n
-        torsion; rejects supersingular modules."""
-        if not self.is_ordinary():
-            raise ValueError("canonical subgroup requires an ordinary module")
-        d = self.place.d
-        u = tau(self.base, d * n)
-        H = SubgroupScheme(self, u)
-        if H.kind != SubgroupKind.CONNECTED:
-            raise AssertionError("canonical subgroup is not connected")
-        return H
 
     def order_qd_kernels(self) -> list["SubgroupScheme"]:
         """The A-stable order-q^d subgroup schemes of the varpi-torsion, in
@@ -247,15 +214,11 @@ class SubgroupScheme:
             self.kind = SubgroupKind.MIXED
 
     @property
-    def order(self) -> int:
-        return self.parent.place.q ** self.u.degree
-
-    @property
     def lie(self):
         return self.u.coefficient(0)
 
     def __repr__(self):
-        return f"Subgroup(u={self.u}, {self.kind.value}, order={self.order})"
+        return f"Subgroup(u={self.u}, {self.kind.value})"
 
 
 class Isogeny:
@@ -270,11 +233,6 @@ class Isogeny:
         self.source = source
         self.target = target
         self.u = u
-
-    @property
-    def lie(self):
-        """The induced map on tangent spaces (the constant coefficient)."""
-        return self.u.coefficient(0)
 
     def __repr__(self):
         return f"Isogeny(u={self.u})"
@@ -292,10 +250,10 @@ class Verschiebung(namedtuple("Verschiebung", "module poly")):
 
 
 class TorsionModule(namedtuple(
-        "TorsionModule", "module depth points basis orders complete")):
-    """The varpi^depth-torsion points of a module with a basis and the
-    order exponent of each point (a dict); `complete` says all geometric
-    points are rational over the given field."""
+        "TorsionModule", "module depth points orders complete")):
+    """The varpi^depth-torsion points of a module with the order exponent
+    of each point (a dict); `complete` says all geometric points are
+    rational over the given field."""
 
     __slots__ = ()
 

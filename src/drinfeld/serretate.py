@@ -56,7 +56,7 @@ class DeformationDatum(namedtuple("DeformationDatum", "E0 R E n")):
 
 def constant_lift(E0: DrinfeldModule, R: ArtinRing, n: int) -> DeformationDatum:
     """The datum with coefficients of E0 lifted as constants into R."""
-    E = DrinfeldModule(R, R.from_fq(E0.g), R.from_fq(E0.delta))
+    E = DrinfeldModule(R, R.from_coeff(E0.g), R.from_coeff(E0.delta))
     return DeformationDatum(E0, R, E, n)
 
 
@@ -68,7 +68,7 @@ def phi_deformation_value(datum: DeformationDatum, x_n, lift_perturbation=None):
     killed = datum.E0.phi_eval(pl.varpi ** datum.n).eval(x_n)
     if not killed.is_zero():
         raise ValueError(f"{x_n} is not varpi^{datum.n}-torsion on E0")
-    x_lift = datum.R.from_fq(x_n)
+    x_lift = datum.R.from_coeff(x_n)
     if lift_perturbation is not None:
         if not lift_perturbation.in_maximal_ideal():
             raise ValueError("lift perturbation must lie in the maximal ideal")

@@ -7,26 +7,27 @@ Every ring handle in the library follows one protocol, which this module
 and its callers assume without probing:
 
 * coefficient rings (FieldExt, ArtinRing, PolyRing) expose `zero`, `one`,
-  `q`, `qpow(x, e)`, `from_int(c)`, `embed_fq(c)` (F_q -> R), `gamma_T`
-  and `gamma_eval(a)` (the structure map A -> R); their elements are
-  FFElement, TruncPoly and APoly;
+  `q`, `from_int(c)`, `embed_fq(c)` (F_q -> R) and `gamma_T`; the bases
+  of modules, FieldExt and ArtinRing, also `qpow(x, e)` and `gamma_eval(a)`
+  (the structure map A -> R); their elements are FFElement, TruncPoly and
+  APoly;
 * coefficient rings also expose the kernels on trimmed coefficient tuples
-  that every SkewPoly and TruncPoly sum, negative, product and right
-  division calls: `add_coeffs(a, b)`, `neg_coeffs(a)`,
+  that every SkewPoly and TruncPoly sum, negative and product calls:
+  `add_coeffs(a, b)`, `neg_coeffs(a)`,
   `mul_coeffs(a, b, n, twist)` (cut at x^n unless n is None; the right
   factor's coefficient b_j in the i-th row raised to twist^i, so
-  twist = q is the product of R{t} and twist = 1 the ordinary one) and
-  `divmod_coeffs(u, v, twist)` (v with a unit leading coefficient).
+  twist = q is the product of R{t} and twist = 1 the ordinary one).
   FieldExt delegates them to the Zech-log kernels of its FiniteField;
   ArtinRing and PolyRing, whose elements are TruncPoly and APoly, loop
-  element by element through `basearith.ElementwiseKernels`;
+  element by element through `basearith.ElementwiseKernels`.  Only
+  fields need `divmod_coeffs(u, v, twist)`, the kernel of `right_divide`;
 * matrix rings (LocalRing, which holds A/(varpi^n) as the ArtinRing
   F_Q[eps]/(eps^n); FieldExt; IwasawaLevel) expose `zero`, `one` and
   `codes()`, the one `basearith.ElementCodes` of the projector's matrix
   arithmetic, which the ring owns for its lifetime: int codes with memo
   tables `sums[a][b]`, `diffs[a][b]` and `prods[a][b]`;
-* every element answers `is_zero()`, and coefficient elements also answer
-  `is_unit()` and `inverse()`.
+* every element answers `is_zero()`, and the elements of module bases
+  also answer `is_unit()` and `inverse()`.
 
 SkewPoly shares its coefficient-tuple core (trimming, `coefficient`,
 `is_monic`, `+`, `-`, `==`, hash, printing) with APoly and TruncPoly
@@ -43,8 +44,9 @@ from .basearith import (APoly, CoeffTuple, ElementwiseKernels, FiniteField,
 
 
 class PolyRing(ElementwiseKernels):
-    """Adapter making A = F_q[T] usable as a twisted-coefficient ring (for
-    symbolic computations); gamma_T is the tautological image T."""
+    """Adapter making A = F_q[T] usable as a twisted-coefficient ring for
+    the symbolic products of `action_eval`; gamma_T is the tautological
+    image T."""
 
     def __init__(self, field: FiniteField):
         self.field = field
@@ -52,12 +54,6 @@ class PolyRing(ElementwiseKernels):
         self.zero = APoly(field, [])
         self.one = APoly(field, [field.one])
         self.gamma_T = APoly(field, [field.zero, field.one])
-
-    def qpow(self, x: APoly, e: int = 1) -> APoly:
-        return x.qpow(self.q ** e)
-
-    def gamma_eval(self, a: APoly) -> APoly:
-        return a
 
     def embed_fq(self, c):
         return APoly(self.field, [c])
@@ -145,38 +141,25 @@ def tau(ring, e: int = 1) -> SkewPoly:
 
 
 def right_divide(u: SkewPoly, v: SkewPoly) -> tuple[SkewPoly, SkewPoly]:
-    """Quotient and remainder with u = quot*v + rem and deg rem < deg v.
-    Needs the leading coefficient of v to be a unit."""
+    """Quotient and remainder with u = quot*v + rem and deg rem < deg v,
+    over a field base."""
     if v.is_zero():
         raise ZeroDivisionError("right division by zero")
     ring = u.ring
     if v.ring is not ring:
         raise ValueError("twisted polynomials over different rings")
-    if not v.coeffs[-1].is_unit():
-        raise ValueError("leading coefficient is not a unit")
+    if not isinstance(ring, FieldExt):
+        raise ValueError("right division requires a field base")
     quot, rem = ring.divmod_coeffs(u.coeffs, v.coeffs, ring.q)
     return SkewPoly._raw(ring, quot), SkewPoly._raw(ring, rem)
 
 
-def kernel_points(u: SkewPoly, ext: FieldExt):
+def kernel_points(u: SkewPoly, ext: FieldExt) -> list:
     """All x in the extension with u(x) = 0, listed in canonical element
-    order, together with an F_q-basis of the kernel."""
+    order."""
     if u.is_zero():
         raise ValueError("kernel of the zero map is everything")
-    points = [x for x in ext.elements() if u.eval(x).is_zero()]
-    basis: list = []
-    span = {ext.field.zero}
-    base_field = ext.place.field
-    for x in points:
-        if x in span:
-            continue
-        basis.append(x)
-        new_span = set()
-        for s in span:
-            for c in base_field.elements():
-                new_span.add(s + ext.embed_fq(c) * x)
-        span = new_span
-    return points, basis
+    return [x for x in ext.elements() if u.eval(x).is_zero()]
 
 
 def is_stable_divisor(u: SkewPoly, phi_T: SkewPoly, phi_varpi: SkewPoly) -> bool:

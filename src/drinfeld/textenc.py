@@ -1,11 +1,10 @@
 """Canonical text forms and parsers for ring elements.
 
-Emission lives on the classes' __str__; this module holds the parsers and
-guarantees they are total on the emitted grammar:
+Emission lives on the classes' __str__; this module holds the parsers of
+the emitted grammar:
 
     field element   2*a^3+a+2          ("a" the field generator)
     A-polynomial    T^2+2*T+1          (coefficients as above, parenthesized)
-    local element   T+1 mod (T^2+1)^2
     twisted poly    1+2*t+t^2          ("t" the twist generator, low first)
     Artinian        a+(a+1)*eps
 """
@@ -14,8 +13,7 @@ from __future__ import annotations
 
 import re
 
-from .basearith import (APoly, ArtinRing, FFElement, FiniteField,
-                        PrimePlace, TruncPoly, local_ring)
+from .basearith import APoly, ArtinRing, FFElement, FiniteField
 from .skew import SkewPoly
 
 # the largest degree of a product or power of polynomials in T or t, checked
@@ -139,25 +137,10 @@ def parse_apoly(field: FiniteField, s: str) -> APoly:
     return v
 
 
-def parse_local(place: PrimePlace, s: str) -> TruncPoly:
-    """Parse "value mod (varpi)^n"; the modulus must match the place."""
-    if " mod " not in s:
-        raise ParseError("local element must contain ' mod '")
-    left, right = s.split(" mod ", 1)
-    m = re.fullmatch(r"\s*\((.+?)\)(?:\^(\d+))?\s*", right)
-    if not m:
-        raise ParseError(f"bad modulus {right!r}")
-    varpi = parse_apoly(place.field, m.group(1))
-    if varpi != place.varpi:
-        raise ParseError(f"modulus {varpi} does not match place {place.varpi}")
-    n = int(m.group(2)) if m.group(2) else 1
-    return local_ring(place, n).from_apoly(parse_apoly(place.field, left))
-
-
 def parse_artin(ring: ArtinRing, s: str):
     symbols = {
         "eps": ring.eps,
-        "a": ring.from_fq(ring.coeff_ring.field.gen()),
+        "a": ring.from_coeff(ring.coeff_ring.field.gen()),
     }
     return _Parser(_tokenize(s), symbols, ring.from_int).parse()
 
@@ -168,7 +151,7 @@ def parse_skew(ring, s: str):
     symbols = {"t": SkewPoly(ring, [ring.zero, ring.one])}
     if isinstance(ring, ArtinRing):
         symbols["eps"] = SkewPoly(ring, [ring.eps])
-        symbols["a"] = SkewPoly(ring, [ring.from_fq(ring.coeff_ring.field.gen())])
+        symbols["a"] = SkewPoly(ring, [ring.from_coeff(ring.coeff_ring.field.gen())])
     else:
         symbols["a"] = SkewPoly(ring, [ring.field.gen()])
 

@@ -1,6 +1,6 @@
 import pytest
 
-from drinfeld.basearith import (artin_ring, ext_field, finite_field,
+from drinfeld.basearith import (ArtinRing, ext_field, finite_field,
                                 make_place, poly_T)
 
 
@@ -52,4 +52,4 @@ def ext4(place_TT1):
 @pytest.fixture(scope="session")
 def artin9(place_T):
     """F_9[eps]/(eps^2) with gamma(T) = eps."""
-    return artin_ring(place_T, 2, 2)
+    return ArtinRing(place_T, 2, 2)

@@ -11,7 +11,7 @@ import random
 import time
 from pathlib import Path
 
-from drinfeld.basearith import (APoly, artin_ring, ext_field, finite_field,
+from drinfeld.basearith import (APoly, ArtinRing, ext_field, finite_field,
                                 local_ring, make_place, poly_T)
 from drinfeld.carlitz import (TruncSeriesRing, all_places,
                               carlitz_coefficient_profile,
@@ -115,7 +115,7 @@ def test_criterion_04_trace_divisibility():
     for place in (make_place(poly_T(F3)),
                   make_place(poly_T(F2) ** 2 + poly_T(F2) + 1)):
         qd = place.q ** place.d
-        R = artin_ring(place, 1, 2)
+        R = ArtinRing(place, 1, 2)
         S = TruncSeriesRing(R, qd * qd + 1)
         rep = trace_of_carlitz_pullback(place, S)
         for tr in rep.traces:
@@ -133,14 +133,14 @@ def test_criterion_05_deformation_values():
     F3 = finite_field(3)
     place = make_place(poly_T(F3))
     ext = ext_field(place, 2)
-    R = artin_ring(place, 2, 2)
+    R = ArtinRing(place, 2, 2)
     E0 = DrinfeldModule(ext, ext.one, ext.one)
     datum = constant_lift(E0, R, 1)
     rep = lift_independence_check(datum)
     assert rep.ok and rep.exhaustive
     assert rep.torsion_count == 3 and rep.perturbations_checked == 27
     i = next(x for x in ext.elements() if x * x == -ext.one and x)
-    assert rep.values[i] == R.eps * R.from_fq(i)
+    assert rep.values[i] == R.eps * R.from_coeff(i)
     for v in rep.values.values():
         assert v.in_maximal_ideal()
     _report("criterion-5 deformation lift independence", t0, 5.0,

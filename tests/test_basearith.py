@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from drinfeld.basearith import (APoly, CoeffTuple, FFElement, FiniteField,
-                                TruncPoly, apoly, artin_ring, ext_field,
+from drinfeld.basearith import (APoly, ArtinRing, CoeffTuple, FFElement,
+                                FiniteField, TruncPoly, ext_field,
                                 finite_field, local_ring, make_place, poly_T,
                                 power)
 import drinfeld
@@ -221,12 +221,12 @@ coeff_lists = st.lists(st.integers(0, 2), min_size=0, max_size=6)
 @given(coeff_lists, coeff_lists, coeff_lists, st.integers(-4, 4))
 def test_apoly_ring_axioms(a, b, c, k):
     F3 = finite_field(3)
-    pa, pb, pc = (apoly(F3, x) for x in (a, b, c))
+    pa, pb, pc = (APoly(F3, x) for x in (a, b, c))
     assert (pa + pb) * pc == pa * pc + pb * pc
     assert (pa * pb) * pc == pa * (pb * pc)
     assert pa + pb == pb + pa
-    assert (pa - pb) + pb == pa and pa - pa == apoly(F3, [])
-    assert k - pa == apoly(F3, [k]) - pa == -(pa - k) and k + pa == pa + k
+    assert (pa - pb) + pb == pa and pa - pa == APoly(F3, [])
+    assert k - pa == APoly(F3, [k]) - pa == -(pa - k) and k + pa == pa + k
     assert hash(pa) == hash((id(F3), pa.coeffs))
 
 
@@ -253,7 +253,7 @@ def test_apoly_equality_and_mixing(place_T):
     truncated-ring element or a string they raise TypeError either way."""
     F3 = finite_field(3)
     T, twin = poly_T(F3), poly_T(FiniteField(3, 1))
-    assert T == place_T.varpi and T != twin and apoly(F3, [1]) != 1
+    assert T == place_T.varpi and T != twin and APoly(F3, [1]) != 1
     with pytest.raises(ValueError):
         T + twin
     x = local_ring(place_T, 2).one
@@ -267,7 +267,7 @@ def test_apoly_equality_and_mixing(place_T):
 @given(coeff_lists, coeff_lists)
 def test_apoly_divmod_roundtrip(a, b):
     F3 = finite_field(3)
-    pa, pb = apoly(F3, a), apoly(F3, b)
+    pa, pb = APoly(F3, a), APoly(F3, b)
     if pb.is_zero():
         return
     q, r = pa.divmod(pb)
@@ -333,7 +333,7 @@ def test_from_apoly_examples(F3, place_T):
 def test_from_apoly_is_ring_hom(a, b):
     F3 = finite_field(3)
     place = make_place(poly_T(F3) ** 2 + 1)
-    pa, pb = apoly(F3, a), apoly(F3, b)
+    pa, pb = APoly(F3, a), APoly(F3, b)
     for n in (1, 2):
         ring = local_ring(place, n)
         assert ring.from_apoly(pa * pb) == \
@@ -394,7 +394,7 @@ def test_gamma_vanishes_exactly_when_char_p(place_TT1):
 def test_artin_varpi_power_vanishes(place_T, place_TT1):
     for place, m in ((place_T, 2), (place_TT1, 1)):
         for n in (2, 3):
-            R = artin_ring(place, m, n)
+            R = ArtinRing(place, m, n)
             v = R.gamma_eval(place.varpi)
             assert v == R.eps
             assert (v ** n).is_zero()
@@ -404,7 +404,7 @@ def test_artin_varpi_power_vanishes(place_T, place_TT1):
 def test_artin_ring_axioms_exhaustive():
     F2 = finite_field(2)
     place = make_place(poly_T(F2))
-    R = artin_ring(place, 1, 3)  # F_2[eps]/(eps^3), 8 elements
+    R = ArtinRing(place, 1, 3)  # F_2[eps]/(eps^3), 8 elements
     els = list(R.elements())
     assert len(els) == 8
     for a, b, c in itertools.product(els, repeat=3):
@@ -449,7 +449,7 @@ def _series_sample(S, rng, count):
 
 
 def test_truncated_ring_matches_naive_polynomials(artin9):
-    R = artin_ring(make_place(poly_T(finite_field(2))), 1, 3)
+    R = ArtinRing(make_place(poly_T(finite_field(2))), 1, 3)
     els = list(R.elements())
     assert len(els) == 8 and len(set(els)) == 8
     for x, y in itertools.product(els, repeat=2):
@@ -461,7 +461,7 @@ def test_truncated_ring_matches_naive_polynomials(artin9):
 
 
 def test_truncated_units_invert(artin9):
-    R = artin_ring(make_place(poly_T(finite_field(2))), 1, 3)
+    R = ArtinRing(make_place(poly_T(finite_field(2))), 1, 3)
     S = TruncSeriesRing(artin9, 10)
     for ring, units in ((R, [x for x in R.elements() if x.is_unit()]),
                         (artin9, [x for x in artin9.elements() if x.is_unit()]),
@@ -500,13 +500,13 @@ def _power_cases(place_T, ext9, artin9):
     L2, L3 = local_ring(place_T, 2), local_ring(place_T, 3)
     series = TruncSeriesRing(artin9, 10)
     lv = iwasawa_level(place_T, 2)
-    a9 = artin9.from_fq(ext9.field.gen())
+    a9 = artin9.from_coeff(ext9.field.gen())
     mats = MatrixCodes(L2.codes(), 3)
-    mat = mats.encode_matrix([[L2.from_apoly(apoly(F3, [i + j, 1, i * j]))
+    mat = mats.encode_matrix([[L2.from_apoly(APoly(F3, [i + j, 1, i * j]))
                                for j in range(3)] for i in range(3)])
     elements = [
-        (apoly(F3, [1, 2, 1]), apoly(F3, [1])),
-        (L3.from_apoly(apoly(F3, [1, 1, 2])), L3.one),
+        (APoly(F3, [1, 2, 1]), APoly(F3, [1])),
+        (L3.from_apoly(APoly(F3, [1, 1, 2])), L3.one),
         (a9 + artin9.eps, artin9.one),
         (SkewPoly(ext9, [ext9.field.gen(), ext9.one]), SkewPoly(ext9, [ext9.one])),
         (lv.random_element(random.Random(0)) + lv.one, lv.one),
@@ -529,5 +529,5 @@ def test_power_rejects_negative_exponents(place_T, artin9):
     with pytest.raises(ZeroDivisionError):
         TruncSeriesRing(artin9, 4).X ** -1
     # rings with inverses invert first
-    x = local_ring(place_T, 2).from_apoly(apoly(place_T.field, [1, 1]))
+    x = local_ring(place_T, 2).from_apoly(APoly(place_T.field, [1, 1]))
     assert x ** -3 == x.inverse() ** 3

@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from drinfeld.basearith import (APoly, TruncPoly, apoly, artin_ring,
-                                finite_field, make_place, poly_T)
+from drinfeld.basearith import (APoly, ArtinRing, TruncPoly, finite_field,
+                                make_place, poly_T)
 from drinfeld.carlitz import (TruncSeriesRing, all_places,
                               carlitz_coefficient_profile, carlitz_eval,
                               trace_of_carlitz_pullback)
@@ -26,7 +26,7 @@ def _recursive_action(M, ring):
 
 def test_action_of_one_and_T(F3):
     ring = PolyRing(F3)
-    one = apoly(F3, [1])
+    one = APoly(F3, [1])
     assert carlitz_eval(one, ring) == SkewPoly(ring, [ring.one])
     T = poly_T(F3)
     got = carlitz_eval(T, ring)
@@ -106,7 +106,7 @@ def test_profile_every_place_degree_le_3(q, e):
 # -- the pullback trace -------------------------------------------------------
 
 def test_trace_frozen_values_deg1(place_T, F3):
-    R = artin_ring(place_T, 1, 2)          # F_3[eps]/(eps^2)
+    R = ArtinRing(place_T, 1, 2)          # F_3[eps]/(eps^2)
     S = TruncSeriesRing(R, 10)             # q^(2d) + 1
     rep = trace_of_carlitz_pullback(place_T, S)
     assert rep.ok
@@ -118,7 +118,7 @@ def test_trace_frozen_values_deg1(place_T, F3):
 
 
 def test_trace_frozen_values_deg2(place_TT1):
-    R = artin_ring(place_TT1, 1, 2)        # F_4[eps]/(eps^2)
+    R = ArtinRing(place_TT1, 1, 2)        # F_4[eps]/(eps^2)
     S = TruncSeriesRing(R, 17)
     rep = trace_of_carlitz_pullback(place_TT1, S)
     assert rep.ok
@@ -132,7 +132,7 @@ def test_trace_decomposition_substitutes_back(place_T):
     # independent verification that the free-module reduction used by the
     # trace is exact: X^(q^d) == pullback - lower terms, inside the series
     # ring at the working truncation
-    R = artin_ring(place_T, 2, 2)
+    R = ArtinRing(place_T, 2, 2)
     S = TruncSeriesRing(R, 10)
     pull = carlitz_eval(place_T.varpi, R)
     y = S.zero
@@ -147,12 +147,12 @@ def test_trace_decomposition_substitutes_back(place_T):
 
 
 def test_trace_rejects_shallow_truncation(place_T):
-    R = artin_ring(place_T, 1, 2)
+    R = ArtinRing(place_T, 1, 2)
     with pytest.raises(ValueError, match="truncation"):
         trace_of_carlitz_pullback(place_T, TruncSeriesRing(R, 8))
 
 
 def test_trace_rejects_field_coefficients(place_T):
-    R = artin_ring(place_T, 1, 1)  # eps = 0: no room for divisibility
+    R = ArtinRing(place_T, 1, 1)  # eps = 0: no room for divisibility
     with pytest.raises(ValueError, match="nilpotency"):
         trace_of_carlitz_pullback(place_T, TruncSeriesRing(R, 10))

@@ -493,6 +493,14 @@ def test_malformed_tower_is_usage_error(spec, named, tmp_path, capsys):
      "nilpotency"),
     (["serre-tate", "check", "--q", "3", "--varpi", "T", "--delta", "0"],
      "delta"),
+    (["serre-tate", "check", "--q", "3", "--varpi", "T", "--m", "2", "--g", "0",
+      "--delta", "1"], "base module is supersingular"),
+    # reducible places without a linear factor: the trial division by
+    # monic polynomials of degree 2 names the factor
+    (["carlitz", "profile", "--q", "3", "--varpi", "T^4+2*T^2+1"],
+     "divisible by T^2+1"),
+    (["carlitz", "profile", "--q", "2", "--varpi", "T^4+T^2+1"],
+     "divisible by T^2+T+1"),
     (["carlitz", "trace", "--q", "3", "--varpi", "T", "--nilpotency", "1"],
      "nilpotency"),
     (["carlitz", "trace", "--q", "3", "--varpi", "T", "--truncation", "5"],

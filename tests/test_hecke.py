@@ -12,6 +12,7 @@ from drinfeld.hecke import (admissible_weight_values, apply_u_by_table,
                             atkin_lehner, build_correspondence,
                             enumerate_moduli, operator_matrix,
                             support_valuations)
+from drinfeld.modules import SubgroupKind, SubgroupScheme
 from drinfeld.skew import right_divide, tau
 
 
@@ -107,7 +108,7 @@ def test_u_identity_at_weight_zero_m1(place_T):
     for i in range(2):
         for j in range(2):
             expect = U.work_ext.one if i == j else U.work_ext.zero
-            assert U.entry(i, j) == expect
+            assert U.rows[i][j] == expect
 
 
 @pytest.mark.parametrize("k", [-2, 0, 2, 3, 5])
@@ -143,7 +144,7 @@ def test_t_is_sum_with_disjoint_edge_support(place_T):
     U0 = operator_matrix(corr, 0, "U", locus="all")
     for i in range(T0.size):
         for j in range(T0.size):
-            assert T0.entry(i, j) == F0.entry(i, j) + U0.entry(i, j)
+            assert T0.rows[i][j] == F0.rows[i][j] + U0.rows[i][j]
 
 
 def test_semilinear_flag(place_T):
@@ -179,15 +180,17 @@ def test_weight_homogeneity_dual_route(place_T):
 
 def test_canonical_subgroup_iteration_matches_f_edges(place_T):
     # applying the connected-kernel edge n times lands at the quotient by
-    # the depth-n canonical subgroup
+    # the depth-n canonical subgroup, the connected kernel t^(dn)
     corr = build_correspondence(place_T, 2)
-    qd = place_T.q ** place_T.d
+    d = place_T.d
+    qd = place_T.q ** d
     for p in corr.ordinary:
         j = p.j
         for n in (1, 2, 3):
             j = j ** qd
         E = p.rep
-        H = E.canonical_subgroup(3)
+        H = SubgroupScheme(E, tau(E.base, 3 * d))
+        assert H.kind == SubgroupKind.CONNECTED
         target = E.quotient_by_kernel(H).target
         assert target.j_invariant() == j
 

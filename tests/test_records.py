@@ -4,7 +4,7 @@ refuse assignment and keep the `Name(field=value, ...)` repr."""
 
 import pytest
 
-from drinfeld.basearith import artin_ring, make_place, poly_T
+from drinfeld.basearith import ArtinRing, make_place, poly_T
 from drinfeld.carlitz import (TruncSeriesRing, carlitz_coefficient_profile,
                               trace_of_carlitz_pullback)
 from drinfeld.checks import CheckResult
@@ -19,7 +19,7 @@ def _records(place_T, ext9, artin9):
     corr = build_correspondence(place_T, 1)
     E0 = DrinfeldModule(ext9, ext9.one, ext9.one)
     _, V = E0.frobenius_verschiebung()
-    series = TruncSeriesRing(artin_ring(place_T, 1, 2), 10)
+    series = TruncSeriesRing(ArtinRing(place_T, 1, 2), 10)
     return {
         "PrimePlace": place_T,
         "ModuliPoint": corr.ordinary[0],

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from drinfeld import serretate
-from drinfeld.basearith import artin_ring, ext_field
+from drinfeld.basearith import ArtinRing, ext_field
 from drinfeld.modules import DrinfeldModule
 from drinfeld.serretate import (DeformationDatum, constant_lift,
                                 lift_independence_check,
@@ -28,7 +28,7 @@ def test_lift_has_eps_structure_map(datum9, artin9):
 def test_value_at_imaginary_unit(datum9, artin9, ext9):
     i = _imag_unit(ext9)
     # phi(T)(i) = eps*i + i^3 + i^9 and the additive tail cancels
-    assert phi_deformation_value(datum9, i) == artin9.eps * artin9.from_fq(i)
+    assert phi_deformation_value(datum9, i) == artin9.eps * artin9.from_coeff(i)
 
 
 def test_value_at_zero(datum9, ext9):
@@ -39,7 +39,7 @@ def test_every_lift_gives_the_same_value(datum9, artin9, ext9):
     i = _imag_unit(ext9)
     base = phi_deformation_value(datum9, i)
     for c in ext9.elements():
-        pert = artin9.eps * artin9.from_fq(c)
+        pert = artin9.eps * artin9.from_coeff(c)
         assert phi_deformation_value(datum9, i, pert) == base
 
 
@@ -75,7 +75,7 @@ def test_report_draws_its_perturbations_from_the_listed_ideal(
     # 9^2 = 81 ideal elements are all checked in listed order; of 9^3 = 729
     # the seeded sample of the listed ideal is checked; the ideal is built
     # by index and never listed
-    R = artin_ring(place_T, 2, nilpotency)
+    R = ArtinRing(place_T, 2, nilpotency)
     listed = list(R.maximal_ideal())
     bound = serretate.EXHAUSTIVE_IDEAL_BOUND
     exhaustive = len(listed) <= bound
@@ -117,7 +117,7 @@ def test_supersingular_base_rejected(ext9, artin9):
 def test_nonreducing_lift_rejected(place_T, ext9, artin9):
     E0 = DrinfeldModule(ext9, ext9.one, ext9.one)
     wrong = DrinfeldModule(artin9,
-                           artin9.from_fq(ext9.field.gen()),
+                           artin9.from_coeff(ext9.field.gen()),
                            artin9.one)
     with pytest.raises(ValueError, match="reduce"):
         DeformationDatum(E0, artin9, wrong, 1)
@@ -136,7 +136,7 @@ def test_degree_two_place_datum(place_TT1):
     # the degree-2 place passes the same battery
     ext = ext_field(place_TT1, 1)
     E0 = DrinfeldModule(ext, ext.zero, ext.one)  # ordinary at this place
-    R = artin_ring(place_TT1, 1, 2)
+    R = ArtinRing(place_TT1, 1, 2)
     datum = constant_lift(E0, R, 1)
     rep = lift_independence_check(datum)
     assert rep.ok

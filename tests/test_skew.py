@@ -106,16 +106,13 @@ def test_right_divide_examples(ext9):
 
 def test_kernel_points_examples(ext9):
     t = tau(ext9)
-    pts, basis = kernel_points(t, ext9)
-    assert pts == [ext9.zero] and basis == []
+    assert kernel_points(t, ext9) == [ext9.zero]
 
-    pts, basis = kernel_points(SkewPoly(ext9, [ext9.one, ext9.one]), ext9)
+    pts = kernel_points(SkewPoly(ext9, [ext9.one, ext9.one]), ext9)
     i = next(x for x in ext9.elements() if x * x == -ext9.one and x)
     assert set(pts) == {ext9.zero, i, -i}
-    assert len(basis) == 1
 
-    pts, _ = kernel_points(t * t, ext9)
-    assert pts == [ext9.zero]
+    assert kernel_points(t * t, ext9) == [ext9.zero]
 
 
 def test_separable_kernel_is_vector_space(ext9):
@@ -124,10 +121,9 @@ def test_separable_kernel_is_vector_space(ext9):
     els = [x for x in ext9.elements() if x]
     for _ in range(10):
         u = SkewPoly(ext9, [rng.choice(els), ext9.one])  # separable, deg 1
-        pts, basis = kernel_points(u, ext9)
+        pts = kernel_points(u, ext9)
         assert len(pts) in (1, 3)
         if len(pts) == 3:
-            assert len(basis) == 1
             for x, y in itertools.product(pts, repeat=2):
                 assert (x + y) in pts
 
@@ -172,23 +168,18 @@ def test_int_coercion_over_every_coefficient_ring(request, ring_name):
 
 
 def test_division_over_A_needs_constant_lead(F3):
+    # right division is defined over a field base only, whatever the
+    # leading coefficient of the divisor
     ring = PolyRing(F3)
     T = ring.gamma_T
-    two = ring.from_int(2)
     u = SkewPoly(ring, [T, T + 1, T * T, ring.one])
-    v = SkewPoly(ring, [T, two])  # non-monic, but a unit of A
-    q, r = right_divide(u, v)
-    assert q * v + r == u and r.degree < v.degree
-    assert right_divide(u * v, v) == (u, SkewPoly(ring, []))
-    with pytest.raises(ValueError, match="unit"):
-        right_divide(u, SkewPoly(ring, [ring.one, T]))
+    for v in (SkewPoly(ring, [T, ring.from_int(2)]), SkewPoly(ring, [ring.one, T])):
+        with pytest.raises(ValueError, match="requires a field base"):
+            right_divide(u, v)
 
 
 def test_division_over_artin_needs_unit_lead(artin9):
     u = SkewPoly(artin9, [artin9.one, artin9.one, artin9.one])
-    v = SkewPoly(artin9, [artin9.one, artin9.eps])  # nilpotent leading
-    with pytest.raises(ValueError, match="unit"):
-        right_divide(u, v)
-    w = SkewPoly(artin9, [artin9.eps, artin9.one])  # unit leading: fine
-    q, r = right_divide(u, w)
-    assert q * w + r == u
+    for lead in (artin9.eps, artin9.one):  # nilpotent and unit leading
+        with pytest.raises(ValueError, match="requires a field base"):
+            right_divide(u, SkewPoly(artin9, [artin9.one, lead]))
