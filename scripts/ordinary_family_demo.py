@@ -40,8 +40,10 @@ def main(argv=None):
     u = lv.wild_group[min(1, len(lv.wild_group) - 1)]
     M = [[lv.one, lv.dirac(u)], [lv.zero, lv.one * lv.ring.varpi]]
     print("family operator over the level-2 measure algebra:")
-    for k in (0, 2, 3, 5):
-        cr = control_check(M, lv, lambda x, kk=k: specialize(x, kk), lv.ring)
+    weights = (0, 2, 3, 5)
+    reports = control_check(
+        M, lv, [lambda x, k=k: specialize(x, k) for k in weights], lv.ring)
+    for k, cr in zip(weights, reports):
         print(f"  weight {k}: idempotent base change commutes: {cr.ok}")
     return 0
 

@@ -11,7 +11,11 @@ are coefficient tuples, so they compare and hash without a Python call per
 coefficient.  Every polynomial type is one coefficient-tuple core,
 `CoeffTuple`, with its ring handle: `APoly` over its `FiniteField`;
 TruncPoly, the one element type of every truncated ring, A/(varpi^n)
-included; and the twisted polynomials of `skew`.  Everything is exact;
+included; and the twisted polynomials of `skew`.  Truncated-ring elements
+are interned as field elements are (hash-consing): each ring keeps one
+TruncPoly per value, found by its coefficient tuple when the value is
+built, so their equality and hashing are identity too.  APoly and SkewPoly
+live in infinite rings and compare their tuples.  Everything is exact;
 there is no floating point anywhere.
 
 Sums, negatives, products and divisions of polynomials over a field are
@@ -131,7 +135,10 @@ class ElementCodes(Codes):
 
     A ring builds one codec, holding only zero and one, and owns it for its
     lifetime (`ring.codes()`), so every caller shares what earlier ones
-    filled.  Each table holds at most |R|^2 entries."""
+    filled.  Each table holds at most |R|^2 entries.  The elements of the
+    finite fields and truncated rings are interned, so `encode` hashes
+    and compares them by identity, with no Python frame; an Iwasawa
+    level's elements are keyed by their tuple of codes."""
 
     __slots__ = ("sums", "diffs", "prods")
 
@@ -888,12 +895,30 @@ def ext_field(place: PrimePlace, m: int) -> FieldExt:
 
 class TruncPoly(CoeffTuple):
     """Element of a TruncPolyRing: a coefficient tuple cut at N and trimmed,
-    multiplied with truncation at N."""
+    multiplied with truncation at N.
+
+    Elements are interned as `FFElement`s are: the ring holds one object
+    per value, in a table keyed by the trimmed coefficient tuple, and
+    `TruncPoly(ring, coeffs)`, `_raw` and every operator return that
+    object.  Equality and hashing are therefore identity, the object
+    defaults, with no Python frame.  Only `_raw` constructs elements."""
 
     __slots__ = ()
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+    __init__ = object.__init__  # `__new__` returns a finished element
 
-    def __init__(self, ring: "TruncPolyRing", coeffs):
-        super().__init__(ring, list(coeffs)[:ring.N])
+    def __new__(cls, ring: "TruncPolyRing", coeffs):
+        return TruncPoly._raw(ring, _trimmed(list(coeffs)[:ring.N]))
+
+    @staticmethod
+    def _raw(ring: "TruncPolyRing", coeffs: tuple) -> "TruncPoly":
+        """The ring's element with an already trimmed coefficient tuple."""
+        x = ring.interned.get(coeffs)
+        if x is None:
+            x = ring.interned[coeffs] = object.__new__(TruncPoly)
+            x.ring, x.coeffs = ring, coeffs
+        return x
 
     @property
     def var(self) -> str:
@@ -986,7 +1011,12 @@ class TruncPolyRing(ElementwiseKernels):
     """R[var]/(var^N) over a coefficient ring R.  The generator is the
     attribute named after the variable (`R.eps`, `S.X`).  As the
     coefficient ring of polynomials over it, it has the element-by-element
-    kernels."""
+    kernels.
+
+    The ring owns its elements: `interned` maps each trimmed coefficient
+    tuple to the one `TruncPoly` of that value, filled as values first
+    occur, so it holds at most |R|^N entries and lives as long as the
+    ring."""
 
     var = "x"
 
@@ -995,6 +1025,7 @@ class TruncPolyRing(ElementwiseKernels):
             raise ValueError(f"truncation order {N} must be >= 1")
         self.coeff_ring = coeff_ring
         self.N = N
+        self.interned: dict[tuple, TruncPoly] = {}
         self.zero = TruncPoly(self, [])
         self.one = TruncPoly(self, [coeff_ring.one])
         setattr(self, self.var, TruncPoly(self, [coeff_ring.zero, coeff_ring.one]))

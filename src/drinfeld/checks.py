@@ -415,6 +415,11 @@ def check_projector_random(place: PrimePlace) -> CheckResult:
                 f"projector properties on random towers at {place}", body)
 
 
+def _specializations(weights) -> list:
+    """The entry maps x -> x(k) of Lambda_m for the given weights k."""
+    return [lambda x, k=k: specialize(x, k) for k in weights]
+
+
 def check_projector_control(place: PrimePlace, m: int = 2) -> CheckResult:
     def body():
         lv = iwasawa_level(place, m)
@@ -424,16 +429,17 @@ def check_projector_control(place: PrimePlace, m: int = 2) -> CheckResult:
             n = 2 + trial % 2
             M = [[lv.random_element(rng, support=2) for _ in range(n)]
                  for _ in range(n)]
-            for k in (0, 2, 3):
-                cr = control_check(M, lv, lambda x, kk=k: specialize(x, kk),
-                                   lv.ring)
+            weights = (0, 2, 3)
+            for k, cr in zip(weights, control_check(
+                    M, lv, _specializations(weights), lv.ring)):
                 require(cr.ok, f"base change fails at k = {k}")
                 cases += 1
         # the worked rank-one case: unit on the diagonal against varpi
         u = lv.wild_group[min(1, len(lv.wild_group) - 1)]
         M = [[lv.one, lv.one], [lv.zero, lv.dirac(u) * lv.ring.varpi]]
-        for k in (0, 2, 5):
-            cr = control_check(M, lv, lambda x, kk=k: specialize(x, kk), lv.ring)
+        weights = (0, 2, 5)
+        for k, cr in zip(weights, control_check(
+                M, lv, _specializations(weights), lv.ring)):
             require(cr.ok, f"rank-one base change fails at k = {k}")
             cases += 1
         return f"{cases} base-change comparisons"

@@ -326,20 +326,27 @@ def operator_matrix(corr: Correspondence, k: int, which: str,
                        -min(1, k))
 
 
+def _unit_scalars(corr: Correspondence, k: int, ext: FieldExt) -> list:
+    """(c^(q-1), c^(q^2-1), c^k) for each unit c of ext, in unit order: how
+    sigma_c scales g, delta and a weight-k value."""
+    q = corr.place.q
+    return [(c ** (q - 1), c ** (q * q - 1), c ** k) for c in ext.field.units()]
+
+
 def homogeneous_table(corr: Correspondence, k: int, values: dict,
                       ext: FieldExt) -> dict:
     """Extend values on canonical representatives to a table on the whole
     (g, delta) orbit sweep by weight-k homogeneity: the pair sigma_c(rep)
     gets the value c^k v.  Values at points whose automorphisms obstruct
     weight k must be zero, otherwise the extension is inconsistent."""
-    q = corr.place.q
+    scalars = _unit_scalars(corr, k, ext)
     table = {}
     for p in corr.points:
         v = values[p.j]
         g0, d0 = _embed_module(p.rep, ext)
-        for c in ext.field.units():
-            key = (c ** (q - 1) * g0, c ** (q * q - 1) * d0)
-            val = (c ** k) * v
+        for cg, cd, ck in scalars:
+            key = (cg * g0, cd * d0)
+            val = ck * v
             if key in table and table[key] != val:
                 raise ValueError(
                     f"values are not weight-{k} consistent at j = {p.j} "
@@ -352,15 +359,13 @@ def admissible_weight_values(corr: Correspondence, k: int, ext: FieldExt,
                              rng) -> dict:
     """Random weight-k admissible values: zero wherever the representative
     has automorphisms not killed by the k-th power."""
-    q = corr.place.q
     units = list(ext.field.units())
+    scalars = _unit_scalars(corr, k, ext)
     values = {}
     for p in corr.points:
         g0, d0 = _embed_module(p.rep, ext)
-        forced_zero = any(
-            c ** (q - 1) * g0 == g0 and c ** (q * q - 1) * d0 == d0
-            and c ** k != ext.one
-            for c in units)
+        forced_zero = any(cg * g0 == g0 and cd * d0 == d0 and ck != ext.one
+                          for cg, cd, ck in scalars)
         values[p.j] = ext.zero if forced_zero else rng.choice(units)
     return values
 

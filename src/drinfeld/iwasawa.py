@@ -462,14 +462,9 @@ class MonomialIdeal(namedtuple("MonomialIdeal", "nvars gens")):
 
     __slots__ = ()
 
-    def packed(self, gens=None) -> "PackedMonomials":
-        """The membership test of the ideal generated by `gens` (by default
-        this ideal's own), with exponents capped one above this ideal's
-        largest; built once for a loop."""
-        cap = max((e for g in self.gens for e in g), default=0) + 1
-        test = PackedMonomials(self.nvars, cap)
-        test.gens.extend(map(test.pack, self.gens if gens is None else gens))
-        return test
+    def packed(self) -> "PackedMonomials":
+        """The membership test of this ideal, built once for a loop."""
+        return PackedMonomials(self.nvars, self.gens)
 
     @cache
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
@@ -479,46 +474,75 @@ class MonomialIdeal(namedtuple("MonomialIdeal", "nvars gens")):
         return all(g in test for g in other.gens)
 
     def minimal_gens(self) -> tuple:
-        """The generators that no earlier one (in sorted order) divides."""
-        out: list = []
-        test = self.packed(())
-        for g in sorted(self.gens):
-            if g not in test:
-                out.append(g)
-                test.gens.append(test.pack(g))
-        return tuple(out)
+        """The generators that no other one divides, each once, in sorted
+        order: the distinct generators with exactly one divisor among
+        them, themselves."""
+        gens = sorted(set(self.gens))
+        test = PackedMonomials(self.nvars, gens)
+        return tuple(g for g in gens if test.divisor_count(pack_monomial(g)) == 1)
+
+
+# the largest generator exponent a PackedMonomials takes; a tested
+# monomial's exponents are capped one above it, which keeps divisibility
+MAX_GENERATOR_EXPONENT = 126
+
+
+def pack_monomial(mono) -> int:
+    """The monomial as an int with one byte per variable, low variable
+    first, each exponent capped at MAX_GENERATOR_EXPONENT + 1."""
+    if max(mono, default=0) > MAX_GENERATOR_EXPONENT:
+        mono = [min(e, MAX_GENERATOR_EXPONENT + 1) for e in mono]
+    return int.from_bytes(bytes(mono), "little")
 
 
 class PackedMonomials:
-    """Divisibility by a list of generator monomials, on packed exponents.
-    A monomial packs into one int with a field of `cap.bit_length()` bits
-    per variable, each exponent capped at `cap` (which exceeds every
-    generator exponent, so capping keeps divisibility), and a guard bit
-    above each field.  A generator g divides x exactly when no field of
-    (x | guards) - g borrows, that is when every guard bit survives."""
+    """Divisibility of a packed monomial by a list of generator monomials,
+    tested against every generator at once in a few big-int operations.
 
-    __slots__ = ("cap", "shifts", "guards", "gens")
+    Monomials pack into one byte per variable (`pack_monomial`).  The
+    generators lie side by side in `gens`, one lane of nvars bytes each,
+    and a packed x is copied into every lane by one product with `lanes`
+    (a one at the foot of each lane).  With the top bit of every byte set
+    (`guards`), subtracting the generators borrows across no byte, and a
+    byte keeps its guard exactly when x's exponent reaches the
+    generator's.  One product with `byte_sum` (a one in each of nvars
+    bytes) adds up the kept guards of each lane in its top byte, and
+    `bias` lifts that count into the top bit exactly when it is nvars:
+    the lanes whose generator divides x."""
 
-    def __init__(self, nvars: int, cap: int):
-        width = cap.bit_length() + 1
-        self.cap = cap
-        self.shifts = range(0, nvars * width, width)
-        self.guards = sum(1 << (s + width - 1) for s in self.shifts)
-        self.gens: list = []  # packed generators
+    __slots__ = ("gens", "lanes", "guards", "byte_sum", "bias", "tops")
 
-    def pack(self, mono: tuple) -> int:
-        cap, x = self.cap, 0
-        for e, s in zip(mono, self.shifts):
-            x |= (e if e < cap else cap) << s
-        return x
+    def __init__(self, nvars: int, gens):
+        if not 1 <= nvars <= 128:  # a lane's count must fit its top byte
+            raise ValueError(f"{nvars} variables; packing takes 1 to 128")
+        packed = b"".join(map(bytes, gens))
+        if max(packed, default=0) > MAX_GENERATOR_EXPONENT:
+            raise ValueError(
+                f"generator exponents above {MAX_GENERATOR_EXPONENT}")
+        count, width = len(gens), 8 * nvars
+        self.gens = int.from_bytes(packed, "little")
+        self.lanes = int.from_bytes((b"\x01" + bytes(nvars - 1)) * count, "little")
+        self.guards = int.from_bytes(b"\x80" * (nvars * count), "little")
+        self.byte_sum = int.from_bytes(b"\x01" * nvars, "little")
+        self.bias = (self.lanes << (width - 8)) * (128 - nvars)
+        self.tops = self.lanes << (width - 1)
+
+    def _dividing_lanes(self, x: int) -> int:
+        """The top bit of each lane whose generator divides x."""
+        guards = self.guards
+        kept = (((x * self.lanes | guards) - self.gens) & guards) >> 7
+        return (kept * self.byte_sum + self.bias) & self.tops
+
+    def contains_packed(self, x: int) -> bool:
+        """Whether some generator divides the packed monomial x."""
+        return bool(self._dividing_lanes(x))
+
+    def divisor_count(self, x: int) -> int:
+        """How many generators divide the packed monomial x."""
+        return self._dividing_lanes(x).bit_count()
 
     def __contains__(self, mono: tuple) -> bool:
-        guards = self.guards
-        x = self.pack(mono) | guards
-        for g in self.gens:
-            if (x - g) & guards == guards:
-                return True
-        return False
+        return bool(self._dividing_lanes(pack_monomial(mono)))
 
 
 def _monomials_of_degree(nvars: int, deg: int):
@@ -626,8 +650,11 @@ def maximal_ideal_kills_quotient(I: MonomialIdeal, J: MonomialIdeal) -> bool:
     if not I.contains_ideal(J):
         raise ValueError("J is not contained in I")
     in_j = J.packed()
-    return all(g[:v] + (g[v] + 1,) + g[v + 1:] in in_j
-               for g in I.gens for v in range(I.nvars))
+    shifts = [1 << 8 * v for v in range(I.nvars)]  # x_v on packed monomials
+    # a generator of I already in J has all its multiples in J
+    return all(in_j.contains_packed(x) or all(
+        in_j.contains_packed(x + shift) for shift in shifts)
+        for x in map(pack_monomial, I.gens))
 
 
 def monomial_str(mono: tuple) -> str:

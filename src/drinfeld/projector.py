@@ -362,19 +362,26 @@ class ControlReport(namedtuple(
         return self.images_agree
 
 
-def control_check(matrix, ring, specialize_entry, target_ring) -> ControlReport:
-    """Base change of the idempotent commutes with specialization: comparing
-    the image of f_k(e(T)) with the image of e(f_k(T)) over the target."""
+def control_check(matrix, ring, specializations, target_ring) -> list:
+    """Base change of the idempotent commutes with specialization: for each
+    entry map f_k in `specializations` (one per weight), comparing the
+    image of f_k(e(T)) with the image of e(f_k(T)) over the target.  e(T)
+    is computed once for all of them; one report per map, in order."""
     source = MatrixCodes(ring.codes(), len(matrix))
     target = MatrixCodes(target_ring.codes(), len(matrix))
     e_first, _ = _stabilized_factorial_power(source.encode_matrix(matrix),
                                              source)
-    e_pushed = mat_map(source.decode_matrix(e_first), specialize_entry)
-    specialized = target.encode_matrix(mat_map(matrix, specialize_entry))
-    e_second, _ = _stabilized_factorial_power(specialized, target)
-    agree = image_membership_identities(target.encode_matrix(e_pushed),
-                                        e_second, target)
-    return ControlReport(e_pushed, target.decode_matrix(e_second), agree)
+    e_source = source.decode_matrix(e_first)
+    reports = []
+    for specialize_entry in specializations:
+        e_pushed = mat_map(e_source, specialize_entry)
+        specialized = target.encode_matrix(mat_map(matrix, specialize_entry))
+        e_second, _ = _stabilized_factorial_power(specialized, target)
+        agree = image_membership_identities(target.encode_matrix(e_pushed),
+                                            e_second, target)
+        reports.append(ControlReport(e_pushed, target.decode_matrix(e_second),
+                                     agree))
+    return reports
 
 
 def local_finiteness_report(op: TowerOperator) -> list:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from drinfeld.basearith import (APoly, ArtinRing, CoeffTuple, FFElement,
-                                FiniteField, TruncPoly, ext_field,
+                                FiniteField, LocalRing, TruncPoly, ext_field,
                                 finite_field, local_ring, make_place, poly_T,
                                 power)
 import drinfeld
@@ -134,9 +134,57 @@ def test_interned_arithmetic_matches_coordinates(p, n):
 
 def test_interned_elements_use_identity_equality_and_hash():
     """Equality and hashing are the object defaults, so coefficient tuples
-    compare and hash without a Python frame per element."""
-    assert FFElement.__eq__ is object.__eq__
-    assert FFElement.__hash__ is object.__hash__
+    and the codecs' dict lookups compare and hash without a Python frame
+    per element."""
+    for cls in (FFElement, TruncPoly):
+        assert cls.__eq__ is object.__eq__, cls
+        assert cls.__ne__ is object.__ne__, cls
+        assert cls.__hash__ is object.__hash__, cls
+
+
+def _interning_rings():
+    F2, F3 = finite_field(2), finite_field(3)
+    T2, T3 = poly_T(F2), poly_T(F3)
+    places = (make_place(T3), make_place(T2 ** 2 + T2 + 1))
+    return ([local_ring(place, n) for place in places for n in (1, 2, 3)]
+            + [ArtinRing(places[0], 2, 2)])
+
+
+@pytest.mark.parametrize("R", _interning_rings(), ids=repr)
+def test_truncated_ring_values_are_single_objects(R):
+    """Whichever route reaches a value, it is the ring's one object for it:
+    a == b, a is b and a.coeffs == b.coeffs agree on every pair."""
+    els = list(R.elements())
+    assert len(els) == R.size
+    reached = list(els)
+    reached += [R.from_coeff(c) for c in R.coeff_ring.elements()]
+    reached += [R.from_int(c) for c in range(-4, 5)]
+    field = R.place.field
+    for coeffs in itertools.product(field.elements(), repeat=R.N * R.place.d):
+        reached.append(R.gamma_eval(APoly(field, coeffs)))
+        if isinstance(R, LocalRing):
+            reached.append(R.from_apoly(APoly(field, coeffs)))
+    if isinstance(R, LocalRing):
+        reached += [R.reduce(x) for x in els]
+        reached += [R.reduce(x) for x in local_ring(R.place, R.N + 1).elements()]
+    for a, b in itertools.product(els, repeat=2):
+        reached += [a + b, a - b, a * b]
+    for x in els:
+        reached += [-x, x ** 0, x ** 1, x ** 3, x ** R.size]
+        if x.is_unit():
+            reached += [x.inverse(), x ** -1, x ** -2]
+        for k in range(1, x.varpi_valuation() + 1):
+            reached.append(x.eps_quotient(k))
+    one_per_value = {}
+    for x in reached:
+        assert type(x) is TruncPoly and x.ring is R
+        assert one_per_value.setdefault(x.coeffs, x) is x, x
+        assert hash(x) == object.__hash__(x)
+    assert len(one_per_value) == R.size == len(R.interned)
+    assert all(R.interned[x.coeffs] is x for x in els)
+    for a, b in itertools.product(els, repeat=2):
+        assert (a == b) == (a is b) == (a.coeffs == b.coeffs)
+        assert (a != b) != (a is b)
 
 
 def _element_constructions(source: str) -> list[tuple[str, int]]:
@@ -230,17 +278,24 @@ def test_apoly_ring_axioms(a, b, c, k):
     assert hash(pa) == hash((id(F3), pa.coeffs))
 
 
-_CORE_MEMBERS = ("_raw", "degree", "is_zero", "__bool__", "coefficient",
+_CORE_MEMBERS = ("degree", "is_zero", "__bool__", "coefficient",
                  "is_monic", "__add__", "__radd__", "__neg__", "__sub__",
-                 "__rsub__", "__eq__", "__hash__")
+                 "__rsub__")
+_STRUCTURAL_MEMBERS = ("_raw", "__eq__", "__hash__")
 
 
 def test_polynomials_share_one_coefficient_tuple_core():
     """A = F_q[T], the truncated rings and R{t} have one set of sums,
-    negatives, comparisons and hashes: none of their classes copies it."""
+    negatives, degrees and coefficients: none of their classes copies it.
+    APoly and SkewPoly also keep the core's construction, equality and
+    hashing on the coefficient tuple, as their rings are infinite;
+    TruncPoly replaces those three by its ring's intern table."""
     for cls in (APoly, TruncPoly, SkewPoly):
         assert issubclass(cls, CoeffTuple)
         assert not set(_CORE_MEMBERS) & set(cls.__dict__), cls
+    for cls in (APoly, SkewPoly):
+        assert not set(_STRUCTURAL_MEMBERS) & set(cls.__dict__), cls
+    assert set(_STRUCTURAL_MEMBERS) <= set(TruncPoly.__dict__)
     assert APoly.__add__ is CoeffTuple.__add__
     assert SkewPoly.is_monic is CoeffTuple.is_monic
     F3 = finite_field(3)

@@ -12,7 +12,8 @@ from drinfeld.iwasawa import (IwasawaElement, J_ideal, MonomialIdeal,
                               duality_twist, filtration,
                               filtration_index_range, iota_eval,
                               iwasawa_level, maximal_ideal_kills_quotient,
-                              monomial_str, power_containment_degree,
+                              MAX_GENERATOR_EXPONENT, monomial_str,
+                              pack_monomial, power_containment_degree,
                               quotient_basis, specialize)
 
 
@@ -211,8 +212,9 @@ def test_chain_is_decreasing_and_killed():
 
 def test_containment_matches_componentwise_definition():
     # mono lies in a monomial ideal iff mono - gen has no negative exponent
-    # for some generator; checked on every monomial up to one degree past
-    # the containment degree of every chain ideal
+    # for some generator; checked, with the number of such generators, on
+    # every monomial up to one degree past the containment degree of every
+    # chain ideal
     seen = set()
     for s in range(1, 5):
         for r in range(filtration_index_range(s) + 1):
@@ -221,9 +223,11 @@ def test_containment_matches_componentwise_definition():
             D = power_containment_degree(I)
             for deg in range(D + 2):
                 for mono in _monomials_of_degree(I.nvars, deg):
-                    want = any(min(m - g for m, g in zip(mono, gen)) >= 0
-                               for gen in I.gens)
+                    count = sum(min(m - g for m, g in zip(mono, gen)) >= 0
+                                for gen in I.gens)
+                    want = count > 0
                     assert (mono in test) is want, (s, r, mono)
+                    assert test.divisor_count(pack_monomial(mono)) == count
                     assert want or deg < D, (s, r, mono)
                     seen.add(want)
             assert D == 0 or not all(
@@ -237,6 +241,35 @@ def _divides(gen, mono) -> bool:
 
 def _in_ideal(I, mono) -> bool:
     return any(_divides(gen, mono) for gen in I.gens)
+
+
+def _minimal_by_scan(gens) -> tuple:
+    """The linear-scan oracle of `minimal_gens`: the distinct generators
+    that no other one divides, sorted."""
+    distinct = sorted(set(gens))
+    return tuple(g for g in distinct
+                 if not any(h != g and _divides(h, g) for h in distinct))
+
+
+def test_packed_ideal_tests_match_the_linear_scan_on_every_chain_ideal():
+    # minimal generators from a padded generator list (duplicates and
+    # multiples of every generator), and containment between every two
+    # chain ideals at the same s, against componentwise scans
+    contains = MonomialIdeal.contains_ideal.__wrapped__
+    outcomes = set()
+    for s in range(1, 5):
+        chain = [filtration(s, r) for r in range(filtration_index_range(s) + 1)]
+        for I in chain:
+            padded = I.gens + tuple(
+                g[:v] + (g[v] + 1,) + g[v + 1:]
+                for g in I.gens for v in range(I.nvars)) + I.gens[::-1]
+            assert _minimal_by_scan(padded) == I.gens, (s, I)
+            assert MonomialIdeal(I.nvars, padded).minimal_gens() == I.gens
+            for J in chain:
+                want = all(_in_ideal(I, g) for g in J.gens)
+                assert contains(I, J) is want, (s, I, J)
+                outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def _kills_by_enumeration(I, J) -> bool:
@@ -328,12 +361,35 @@ def test_packed_membership_matches_componentwise(gens, mono):
     I = MonomialIdeal(3, tuple(gens))
     test = I.packed()
     assert (mono in test) is _in_ideal(I, mono)
+    assert test.divisor_count(pack_monomial(mono)) == sum(
+        _divides(g, mono) for g in gens)
+    assert I.minimal_gens() == _minimal_by_scan(gens)
     for g in gens:
         assert g in test
         for v in range(3):
             lower = g[:v] + (g[v] - 1,) + g[v + 1:]
             if g[v]:
                 assert (lower in test) is _in_ideal(I, lower)
+
+
+def test_packing_caps_tested_exponents_and_bounds_generators():
+    top = MAX_GENERATOR_EXPONENT
+    I = MonomialIdeal(2, ((top, 0), (1, 1)))
+    test = I.packed()
+    assert (top, 0) in test and (10 ** 6, 0) in test
+    assert (top - 1, 0) not in test and (0, 10 ** 6) not in test
+    assert test.divisor_count(pack_monomial((10 ** 6, 10 ** 6))) == 2
+    # x_0 * (top, 0) = (top + 1, 0) packs to the capped byte and misses J
+    J = MonomialIdeal(2, ((top, 1), (1, 2), (2, 1)))
+    assert (top + 1, 0) not in J.packed() and (top + 1, 1) in J.packed()
+    assert I.contains_ideal(J) and not maximal_ideal_kills_quotient(I, J)
+    with pytest.raises(ValueError, match="above"):
+        MonomialIdeal(2, ((top + 1, 0),)).packed()
+    wide = (1,) * 128
+    assert wide in MonomialIdeal(128, (wide,)).packed()
+    assert (0,) + wide[1:] not in MonomialIdeal(128, (wide,)).packed()
+    with pytest.raises(ValueError, match="1 to 128"):
+        MonomialIdeal(129, ((1,) * 129,)).packed()
 
 
 def test_out_of_range_rejected():

@@ -6,7 +6,8 @@ from drinfeld.basearith import APoly, ext_field, finite_field, make_place, \
 from drinfeld.carlitz import all_places
 from drinfeld.hecke import enumerate_moduli
 from drinfeld.modules import (DrinfeldModule, Isogeny, SubgroupKind,
-                              SubgroupScheme, splitting_degree,
+                              SubgroupScheme, _gamma_compatible_embedding,
+                              splitting_degree,
                               stable_order_qd_subgroups)
 from drinfeld.skew import SkewPoly, tau
 from drinfeld.textenc import parse_apoly
@@ -239,3 +240,34 @@ def test_order_bookkeeping(ext9, ext4):
             assert V.poly.degree == d  # leading coefficient is a unit
             assert E.phi_eval(ext.place.varpi).degree == 2 * d
 
+
+
+@pytest.mark.parametrize("varpi_coeffs,m_small,m_big", [
+    ((1, 0, 1, 1), 1, 2),   # T^3 + T^2 + 1
+    ((1, 1, 0, 1), 2, 4),   # T^3 + T + 1
+])
+def test_base_change_through_the_gamma_compatible_embedding(
+        varpi_coeffs, m_small, m_big):
+    # at these places the canonical field embedding misses gamma_T, so
+    # base change takes a Frobenius conjugate of it that matches
+    F2 = finite_field(2)
+    place = make_place(APoly(F2, varpi_coeffs))
+    small, big = ext_field(place, m_small), ext_field(place, m_big)
+    assert big.field.embedding_from(small.field)(small.gamma_T) != big.gamma_T
+    emb = _gamma_compatible_embedding(small, big)
+    assert emb(small.gamma_T) is big.gamma_T
+    els = list(small.elements())
+    assert emb(small.one) is big.one and len(set(map(emb, els))) == len(els)
+    for x in els:
+        for y in els:
+            assert emb(x + y) is emb(x) + emb(y)
+            assert emb(x * y) is emb(x) * emb(y)
+    units = els[1:]
+    for g, delta in ((els[0], units[0]), (units[1], units[2]),
+                     (units[-1], units[-3])):
+        E = DrinfeldModule(small, g, delta)
+        big_E = E.base_change(big)
+        assert big_E.base is big
+        assert big_E.phi_T().coeffs == tuple(map(emb, E.phi_T().coeffs))
+        assert big_E.phi_eval(place.varpi).coeffs == tuple(
+            map(emb, E.phi_eval(place.varpi).coeffs))

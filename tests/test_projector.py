@@ -95,6 +95,10 @@ def _ref_control(matrix, ring, specialize_entry, target_ring):
     return e_pushed, e_second, agree
 
 
+def _specializations(weights):
+    return [lambda x, k=k: specialize(x, k) for k in weights]
+
+
 def _sparse(mat, codec):
     """The row-sparse form `mat_mul` takes: per row, the (column, code)
     pairs of the nonzero entries."""
@@ -368,8 +372,7 @@ def test_control_full_module(place_T):
     lv = iwasawa_level(place_T, 2)
     u = lv.wild_group[1]
     M = [[lv.dirac(u), lv.zero], [lv.zero, lv.dirac(u * u)]]
-    for k in (0, 2, 3):
-        cr = control_check(M, lv, lambda x, kk=k: specialize(x, kk), lv.ring)
+    for cr in control_check(M, lv, _specializations((0, 2, 3)), lv.ring):
         assert cr.ok
         assert cr.projector_of_specialized == mat_identity(lv.ring, 2)
 
@@ -377,8 +380,9 @@ def test_control_full_module(place_T):
 def test_control_rank_one(place_T):
     lv = iwasawa_level(place_T, 2)
     M = [[lv.one, lv.one], [lv.zero, lv.one * lv.ring.varpi]]
-    for k in (0, 2, 5):
-        cr = control_check(M, lv, lambda x, kk=k: specialize(x, kk), lv.ring)
+    reports = control_check(M, lv, _specializations((0, 2, 5)), lv.ring)
+    assert len(reports) == 3
+    for cr in reports:
         assert cr.ok
         e = cr.projector_of_specialized
         zero = [[lv.ring.zero] * 2] * 2
@@ -389,7 +393,7 @@ def test_control_rank_one(place_T):
 def test_control_zero(place_T):
     lv = iwasawa_level(place_T, 2)
     M = [[lv.one * lv.ring.varpi, lv.zero], [lv.zero, lv.zero]]
-    cr = control_check(M, lv, lambda x: specialize(x, 2), lv.ring)
+    [cr] = control_check(M, lv, _specializations((2,)), lv.ring)
     assert cr.ok
     assert cr.projector_of_specialized == [[lv.ring.zero] * 2] * 2
 
@@ -400,10 +404,32 @@ def test_control_random(place_T):
     for _ in range(8):
         M = [[lv.random_element(rng, support=2) for _ in range(2)]
              for _ in range(2)]
-        for k in (0, 3):
-            assert control_check(M, lv,
-                                 lambda x, kk=k: specialize(x, kk),
-                                 lv.ring).ok
+        assert all(cr.ok for cr in control_check(
+            M, lv, _specializations((0, 3)), lv.ring))
+
+
+def test_control_check_derives_the_source_projector_once(place_T,
+                                                        monkeypatch):
+    # e(M) over Lambda_m is one factorial iteration whatever the number of
+    # weights; each weight adds one iteration over its target
+    from drinfeld import projector
+    lv = iwasawa_level(place_T, 2)
+    M = [[lv.one, lv.one], [lv.zero, lv.one * lv.ring.varpi]]
+    original, scalars = projector._stabilized_factorial_power, []
+
+    def counted(T, ring):
+        scalars.append(ring.scalars)
+        return original(T, ring)
+
+    monkeypatch.setattr(projector, "_stabilized_factorial_power", counted)
+    weights = (0, 2, 3, 5)
+    reports = control_check(M, lv, _specializations(weights), lv.ring)
+    assert scalars == [lv.codes()] + [lv.ring.codes()] * len(weights)
+    for k, cr in zip(weights, reports, strict=True):
+        assert (cr.specialized_projector, cr.projector_of_specialized,
+                cr.images_agree) == _ref_control(
+                    M, lv, lambda x: specialize(x, k), lv.ring)
+    assert control_check(M, lv, [], lv.ring) == []
 
 
 def test_image_identity_criterion(L2):
@@ -477,7 +503,8 @@ def test_repeated_control_check_builds_no_codec(place_T, monkeypatch):
          for _ in range(3)]
 
     def run():
-        return control_check(M, lv, lambda x: specialize(x, 3), lv.ring)
+        [cr] = control_check(M, lv, _specializations((3,)), lv.ring)
+        return cr
 
     def project():
         return ordinary_projector(constant_tower(lv, M))
@@ -536,7 +563,8 @@ def test_traced_kernel_runs_once_per_product_entry(worked, place_T,
     assert factorial_powers_vanish(worked, rep)
     lv = iwasawa_level(place_T, 2)
     M = [[lv.one, lv.one], [lv.zero, lv.one * lv.ring.varpi]]
-    assert control_check(M, lv, lambda x: specialize(x, 2), lv.ring).ok
+    [cr] = control_check(M, lv, _specializations((2,)), lv.ring)
+    assert cr.ok
     assert len(rings) == 6
     assert calls and len(calls) == sum(_entries(r.prods) for r in rings)
 
@@ -716,9 +744,8 @@ def test_coded_projector_matches_reference_iwasawa(place_index):
         tower = TowerModule([iwasawa_level(place, 1), lv], 3, [down])
         _assert_projector_matches_reference(
             TowerOperator(tower, [mat_map(a, down), a]))
-        for k in (0, 3):
-            def spec(x, k=k):
-                return specialize(x, k)
-            cr = control_check(a, lv, spec, lv.ring)
+        specs = _specializations((0, 3))
+        for spec, cr in zip(specs, control_check(a, lv, specs, lv.ring),
+                            strict=True):
             assert (cr.specialized_projector, cr.projector_of_specialized,
                     cr.images_agree) == _ref_control(a, lv, spec, lv.ring)
