@@ -2,10 +2,18 @@
 matrices, weight specialization, ideal filtration, projector runs, and the
 full identity suite.
 
+`COMMANDS` is the whole command line: each command's function, help and
+options.  `parse_command` reads argv against it, so a process builds no
+parser for the commands it does not run and loads no `argparse`.  Options
+are `--name value` or `--name=value`, in any order; a repeated option
+keeps its last value, a negative integer is a value, option names are
+never abbreviated, and `-h`/`--help` prints the usage generated from the
+table.
+
 All output is deterministic for a fixed configuration: canonical orderings
 everywhere, sorted JSON keys, no timestamps.  Exit codes: 0 success,
 1 violated identity (the report names the check) or an internal error,
-2 usage error.
+2 usage error, reported on one `error:` line with nothing on stdout.
 
 `main(argv)` returns the exit code, for tests and library callers.  The
 `drinfeld` process enters through `run()`, which calls `main`, flushes
@@ -17,10 +25,10 @@ and change nothing it prints.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import cache as cachemod
 from .basearith import (MAX_FIELD_SIZE, ArtinRing, ext_field,
@@ -35,7 +43,7 @@ from .iwasawa import (filtration, iota_eval, iwasawa_level,
 from .modules import DrinfeldModule
 from .projector import (TowerModule, TowerOperator, local_finiteness_report,
                         ordinary_projector, reduction_tower)
-from .serretate import constant_lift, lift_independence_check
+from .serretate import MAX_IDEAL_SIZE, constant_lift, lift_independence_check
 from .textenc import ParseError, parse_apoly, parse_fq
 
 CACHE_ENV = "DRINFELD_CACHE_DIR"
@@ -57,18 +65,22 @@ def _read(build, *args):
         raise UsageError(str(exc)) from None
 
 
+def _bound_size(what: str, q: int, exponent: int, bound: int) -> None:
+    """Reject q^exponent > bound, the size `what` of something an option
+    selects: bounded on the exponent first, so no huge power is
+    computed."""
+    if exponent >= bound.bit_length() or q ** max(exponent, 0) > bound:
+        raise UsageError(f"{what} = {q}^{exponent} exceeds the supported "
+                         f"size {bound}")
+
+
 def _read_place(q: int, varpi: str, n: int, name: str):
     """The place of F_q and the text varpi, once q^(d*n), the size of what
     n (named `name`) selects there, is at most MAX_FIELD_SIZE: bounded on
-    the parsed degree d before make_place's factor search, and on the
-    exponent first, so no huge power is computed.  n < 1 is left to the
-    ring's own check."""
+    the parsed degree d before make_place's factor search.  n < 1 is left
+    to the ring's own check."""
     varpi = parse_apoly(field_of_order(q), varpi)
-    exponent = varpi.degree * n
-    if (exponent >= MAX_FIELD_SIZE.bit_length()
-            or q ** max(exponent, 0) > MAX_FIELD_SIZE):
-        raise UsageError(f"q^(d*{name}) = {q}^{exponent} exceeds the "
-                         f"supported size {MAX_FIELD_SIZE}")
+    _bound_size(f"q^(d*{name})", q, varpi.degree * n, MAX_FIELD_SIZE)
     return make_place(varpi)
 
 
@@ -114,6 +126,11 @@ def cmd_carlitz_profile(args) -> int:
 
 def cmd_serre_tate(args) -> int:
     place = _place(args)
+    N = _nilpotency(args)
+    # lifts are perturbed by the elements of the maximal ideal m of
+    # F_(q^(dm))[eps]/(eps^N), drawn by index
+    _bound_size("|m| = q^(d*m*(nilpotency-1))", args.q,
+                place.d * args.m * (N - 1), MAX_IDEAL_SIZE)
     ext = ext_field(place, args.m)
     g = parse_fq(ext.field, args.g)
     delta = parse_fq(ext.field, args.delta)
@@ -121,7 +138,7 @@ def cmd_serre_tate(args) -> int:
     if not E0.is_ordinary():
         print("error: base module is supersingular", file=sys.stderr)
         return 2
-    R = ArtinRing(place, args.m, _nilpotency(args))
+    R = ArtinRing(place, args.m, N)
     datum = constant_lift(E0, R, args.nilpotency - 1)
     rep = lift_independence_check(datum)
     _emit({
@@ -370,100 +387,178 @@ def cmd_carlitz_trace(args) -> int:
     return 0 if rep.ok else 1
 
 
-# -- argument wiring -----------------------------------------------------------
+# -- the command table ----------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="drinfeld",
-        description="desk-scale computer algebra for rank-2 modules over "
-                    "F_q[T]: correspondences, deformations, weight families, "
-                    "ordinary projectors")
-    sub = top.add_subparsers(dest="command", required=True)
+DESCRIPTION = ("desk-scale computer algebra for rank-2 modules over F_q[T]: "
+               "correspondences, deformations, weight families, ordinary "
+               "projectors")
+# an option's default when it must be given
+REQUIRED = object()
 
-    def add_place_args(p, m_default=1):
-        p.add_argument("--q", type=int, required=True, help="base field size")
-        p.add_argument("--varpi", type=str, required=True,
-                       help="monic irreducible, e.g. 'T' or 'T^2+T+1'")
-        p.add_argument("--m", type=int, default=m_default,
-                       help="extension degree over the residue field")
 
-    carlitz = sub.add_parser("carlitz", help="rank-1 action computations")
-    csub = carlitz.add_subparsers(dest="subcommand", required=True)
-    prof = csub.add_parser("profile", help="coefficient profile of the "
-                                           "action polynomial at varpi")
-    add_place_args(prof)
-    prof.set_defaults(fn=cmd_carlitz_profile)
-    trace = csub.add_parser("trace", help="trace of the pullback X -> "
-                                          "[varpi](X) on a truncated ring")
-    add_place_args(trace)
-    trace.add_argument("--nilpotency", type=int, default=2)
-    trace.add_argument("--truncation", type=int, default=None)
-    trace.set_defaults(fn=cmd_carlitz_trace)
+def _place_options(m_default: int) -> tuple:
+    return (("q", int, REQUIRED, "base field size"),
+            ("varpi", str, REQUIRED,
+             "monic irreducible, e.g. 'T' or 'T^2+T+1'"),
+            ("m", int, m_default, "extension degree over the residue field"))
 
-    st = sub.add_parser("serre-tate", help="deformation coordinate checks")
-    ssub = st.add_subparsers(dest="subcommand", required=True)
-    stc = ssub.add_parser("check")
-    add_place_args(stc, m_default=2)
-    stc.add_argument("--nilpotency", type=int, default=2)
-    stc.add_argument("--g", type=str, default="1")
-    stc.add_argument("--delta", type=str, default="1")
-    stc.set_defaults(fn=cmd_serre_tate)
 
-    hecke = sub.add_parser("hecke", help="the correspondence on moduli points")
-    hsub = hecke.add_subparsers(dest="subcommand", required=True)
-    graph = hsub.add_parser("graph")
-    add_place_args(graph)
-    graph.add_argument("--dot", action="store_true", default=False)
-    graph.add_argument("--cache", type=str, default=None,
-                       help=f"cache directory (or ${CACHE_ENV})")
-    graph.set_defaults(fn=cmd_hecke_graph)
-    matrix = hsub.add_parser("matrix")
-    add_place_args(matrix)
-    matrix.add_argument("--k", type=int, required=True, help="weight")
-    matrix.add_argument("--op", type=str, choices=("F", "U", "T"),
-                        required=True)
-    matrix.set_defaults(fn=cmd_hecke_matrix)
+# (command words) -> (function, help, options); an option is (name, kind,
+# default, help) for `--name`, where kind is int, str, a tuple of the
+# accepted values, or bool for a flag that takes no value
+COMMANDS = {
+    ("carlitz", "profile"): (
+        cmd_carlitz_profile,
+        "coefficient profile of the action polynomial at varpi",
+        _place_options(1)),
+    ("carlitz", "trace"): (
+        cmd_carlitz_trace,
+        "trace of the pullback X -> [varpi](X) on a truncated ring",
+        _place_options(1) + (("nilpotency", int, 2, ""),
+                             ("truncation", int, None, ""))),
+    ("serre-tate", "check"): (
+        cmd_serre_tate, "deformation coordinate checks",
+        _place_options(2) + (("nilpotency", int, 2, ""), ("g", str, "1", ""),
+                             ("delta", str, "1", ""))),
+    ("hecke", "graph"): (
+        cmd_hecke_graph, "the correspondence on moduli points",
+        _place_options(1) + (("dot", bool, False, "print DOT, not JSON"),
+                             ("cache", str, None,
+                              f"cache directory (or ${CACHE_ENV})"))),
+    ("hecke", "matrix"): (
+        cmd_hecke_matrix, "the matrix of the operator F, U or T in weight k",
+        _place_options(1) + (("k", int, REQUIRED, "weight"),
+                             ("op", ("F", "U", "T"), REQUIRED, ""))),
+    ("iwasawa", "specialize"): (
+        cmd_iwasawa_specialize,
+        "specialization of a group-like mass in the truncated measure algebra",
+        _place_options(2) + (("k", int, REQUIRED, ""),
+                             ("u", str, "T+1", "unit whose group-like mass "
+                                               "is specialized"))),
+    ("iwasawa", "filtration"): (
+        cmd_iwasawa_filtration, "a step of the ideal filtration",
+        (("gens", int, REQUIRED,
+          f"number of wild generators, at most {MAX_WILD_GENERATORS}"),
+         ("r", int, REQUIRED, "chain index"))),
+    ("projector", "run"): (
+        cmd_projector_run, "the ordinary projector on a tower",
+        (("tower", str, REQUIRED,
+          "tower description file (see docs/formats.md)"),)),
+    ("suite",): (
+        cmd_suite, "run the whole identity battery",
+        (("q", int, None, "with --varpi, the one place to run at"),
+         ("varpi", str, None, "with --q; default: the two standard places"),
+         ("m", int, 2, "extension degree over the residue field"))),
+}
 
-    iw = sub.add_parser("iwasawa", help="truncated measure algebra")
-    isub = iw.add_subparsers(dest="subcommand", required=True)
-    spec = isub.add_parser("specialize")
-    add_place_args(spec, m_default=2)
-    spec.add_argument("--k", type=int, required=True)
-    spec.add_argument("--u", type=str, default="T+1",
-                      help="unit whose group-like mass is specialized")
-    spec.set_defaults(fn=cmd_iwasawa_specialize)
-    filt = isub.add_parser("filtration")
-    filt.add_argument("--gens", type=int, required=True,
-                      help="number of wild generators, at most "
-                           f"{MAX_WILD_GENERATORS}")
-    filt.add_argument("--r", type=int, required=True, help="chain index")
-    filt.set_defaults(fn=cmd_iwasawa_filtration)
 
-    proj = sub.add_parser("projector", help="ordinary projectors on towers")
-    psub = proj.add_subparsers(dest="subcommand", required=True)
-    run = psub.add_parser("run")
-    run.add_argument("--tower", type=str, required=True,
-                     help="tower description file (see docs/formats.md)")
-    run.set_defaults(fn=cmd_projector_run)
+def _is_value(token: str) -> bool:
+    """Whether a token can be an option's value: anything but an option,
+    and a negative integer is not an option."""
+    return not token.startswith("-") or token[1:].isdigit()
 
-    st_suite = sub.add_parser("suite", help="run the whole identity battery")
-    st_suite.add_argument("--q", type=int, default=None)
-    st_suite.add_argument("--varpi", type=str, default=None)
-    st_suite.add_argument("--m", type=int, default=2)
-    st_suite.set_defaults(fn=cmd_suite)
 
-    return top
+def _convert(name: str, kind, text: str):
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise UsageError(f"--{name}: invalid integer {text!r}") from None
+    if isinstance(kind, tuple) and text not in kind:
+        raise UsageError(f"--{name}: {text!r} is not one of "
+                         f"{', '.join(kind)}")
+    return text
+
+
+def _help_text(words: tuple) -> str:
+    """The usage of the command `words`, or of every command that starts
+    with them."""
+    if words not in COMMANDS:
+        return "\n".join(
+            [f"usage: {' '.join(('drinfeld',) + words)} COMMAND "
+             "[--name value]...", "", DESCRIPTION, "", "options are --name "
+             "value or --name=value, in any order; the last of a repeated "
+             "option counts", "", "commands:"]
+            + ["  " + " ".join(key).ljust(22) + about
+               for key, (_, about, _) in COMMANDS.items()
+               if key[:len(words)] == words])
+    _, about, options = COMMANDS[words]
+    lines = [f"usage: drinfeld {' '.join(words)} [--name value]...", "",
+             about, "", "options:"]
+    for name, kind, default, text in options:
+        if kind is bool:
+            arg = ""
+        elif isinstance(kind, tuple):
+            arg = " {" + ",".join(kind) + "}"
+        else:
+            arg = " " + kind.__name__.upper()
+        if default is REQUIRED:
+            text = "; ".join(filter(None, (text, "required")))
+        elif default not in (None, False):
+            text = "; ".join(filter(None, (text, f"default {default}")))
+        lines.append(f"  --{name}{arg}".ljust(24) + text)
+    return "\n".join(line.rstrip() for line in lines)
+
+
+def _show_help(args) -> int:
+    print(args.text)
+    return 0
+
+
+def parse_command(argv) -> SimpleNamespace:
+    """The namespace the command `argv` runs with: `fn`, its function, and
+    one attribute per option of the command, its default where not given.
+    `-h`/`--help` in place of a command word or an option gives the `fn`
+    that prints the usage.  Anything else the table does not accept raises
+    UsageError."""
+    words, rest = (), list(argv)
+    while words not in COMMANDS:
+        word = rest.pop(0) if rest else None
+        if word in ("-h", "--help"):
+            return SimpleNamespace(fn=_show_help, text=_help_text(words))
+        choices = sorted({key[len(words)] for key in COMMANDS
+                          if key[:len(words)] == words})
+        if word not in choices:
+            said = ("missing command" if word is None
+                    else f"unknown command {word!r}")
+            raise UsageError(f"{said} after {' '.join(('drinfeld',) + words)!r}"
+                             f"; expected one of {', '.join(choices)}")
+        words += (word,)
+    fn, _, options = COMMANDS[words]
+    kinds = {name: kind for name, kind, _, _ in options}
+    values = {}
+    while rest:
+        token = rest.pop(0)
+        if token in ("-h", "--help"):
+            return SimpleNamespace(fn=_show_help, text=_help_text(words))
+        name, eq, text = token[2:].partition("=")
+        if not token.startswith("--") or name not in kinds:
+            raise UsageError(f"{' '.join(words)}: unrecognized argument "
+                             f"{token!r}")
+        if kinds[name] is bool:
+            if eq:
+                raise UsageError(f"--{name} takes no value")
+            values[name] = True
+            continue
+        if not eq:
+            if not rest or not _is_value(rest[0]):
+                raise UsageError(f"--{name} needs a value")
+            text = rest.pop(0)
+        values[name] = _convert(name, kinds[name], text)
+    missing = [f"--{name}" for name, _, default, _ in options
+               if default is REQUIRED and name not in values]
+    if missing:
+        raise UsageError(f"{' '.join(words)}: missing required "
+                         f"{', '.join(missing)}")
+    return SimpleNamespace(fn=fn, **{name: values.get(name, default)
+                                     for name, _, default, _ in options})
 
 
 def main(argv=None) -> int:
     """Run the command `argv` (default: the process arguments) and return
     its exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = parse_command(sys.argv[1:] if argv is None else argv)
         return args.fn(args)
     except (UsageError, ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,11 +18,12 @@ from .skew import (SkewPoly, action_eval, kernel_points, right_divide,
 
 
 class DrinfeldModule:
-    """`_actions` holds each phi(a) this instance has computed, keyed by a:
-    it lives and dies with the instance, so no sweep over modules grows
-    a process-wide table."""
+    """`_actions` holds each phi(a) this instance has computed, keyed by a,
+    and `_fv` its checked factorization (F, V) once computed: both live
+    and die with the instance, so no sweep over modules grows a
+    process-wide table."""
 
-    __slots__ = ("base", "g", "delta", "_actions")
+    __slots__ = ("base", "g", "delta", "_actions", "_fv")
 
     def __init__(self, base, g, delta):
         if not delta.is_unit():
@@ -31,6 +32,7 @@ class DrinfeldModule:
         self.g = g
         self.delta = delta
         self._actions = {}
+        self._fv = None
 
     @property
     def place(self) -> PrimePlace:
@@ -92,7 +94,14 @@ class DrinfeldModule:
     def frobenius_verschiebung(self):
         """The factorization phi(varpi) = V * F with F = t^d.  Requires a
         char-p base; checks that the twist coefficients of phi(varpi) below
-        degree d vanish and that V * t^d re-multiplies exactly."""
+        degree d vanish and that V * t^d re-multiplies exactly.  Computed
+        and checked once per instance; a base that is not char-p raises
+        every time."""
+        if self._fv is None:
+            self._fv = self._factorize()
+        return self._fv
+
+    def _factorize(self):
         if not self.is_char_p():
             raise ValueError("Frobenius/Verschiebung requires gamma(varpi) = 0")
         d = self.place.d

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from collections import namedtuple
 
 from .basearith import APoly, ArtinRing, FieldExt, PrimePlace, TruncPoly
@@ -19,6 +20,9 @@ from .modules import DrinfeldModule
 from .skew import tau
 
 EXHAUSTIVE_IDEAL_BOUND = 256
+# the sampler draws perturbation indices from range(|m|), whose length
+# must be a machine-size integer
+MAX_IDEAL_SIZE = sys.maxsize
 
 
 class DeformationDatum(namedtuple("DeformationDatum", "E0 R E n")):

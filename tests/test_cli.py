@@ -2,6 +2,7 @@ import ast
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -507,10 +508,47 @@ def test_malformed_tower_is_usage_error(spec, named, tmp_path, capsys):
      "truncation"),
     (["carlitz", "trace", "--q", "3", "--varpi", "T", "--truncation", "0"],
      "truncation"),
+    # the maximal ideal whose perturbations are sampled by index: 9^20 and
+    # 256^9 elements are beyond a machine-size index
+    (["serre-tate", "check", "--q", "3", "--varpi", "T", "--m", "2",
+      "--nilpotency", "21"], "3^40 exceeds the supported size"),
+    (["serre-tate", "check", "--q", "2", "--varpi", "T", "--m", "8",
+      "--nilpotency", "10"], "2^72 exceeds the supported size"),
+    # what the command table does not accept
+    ([], "missing command after 'drinfeld'"),
+    (["carlitz"], "missing command after 'drinfeld carlitz'"),
+    (["carlitz", "graph"], "unknown command 'graph'"),
+    (["--q", "3"], "unknown command '--q'"),
+    (["carlitz", "profile", "--q", "3", "--varpi", "T", "--bogus", "1"],
+     "unrecognized argument '--bogus'"),
+    (["carlitz", "profile", "--q", "3", "--varpi", "T", "junk"],
+     "unrecognized argument 'junk'"),
+    (["carlitz", "profile", "--q", "3", "--varpi", "T", "-x"],
+     "unrecognized argument '-x'"),
+    (["carlitz", "profile", "--q", "3", "--varpi"], "--varpi needs a value"),
+    (["carlitz", "profile", "--q", "--varpi", "T"], "--q needs a value"),
+    (["carlitz", "profile", "--q", "3", "--varpi", "-T"],
+     "--varpi needs a value"),
+    (["carlitz", "profile", "--q", "x", "--varpi", "T"],
+     "--q: invalid integer 'x'"),
+    (["carlitz", "profile", "--q=1.5", "--varpi", "T"],
+     "--q: invalid integer '1.5'"),
+    (["hecke", "matrix", "--q", "3", "--varpi", "T", "--k", "0", "--op", "V"],
+     "'V' is not one of F, U, T"),
+    (["hecke", "graph", "--q", "3", "--varpi", "T", "--dot=yes"],
+     "--dot takes no value"),
+    (["hecke", "matrix", "--q", "3", "--varpi", "T", "--k", "0"],
+     "missing required --op"),
+    (["iwasawa", "filtration"], "missing required --gens, --r"),
+    # option names are never abbreviated
+    (["serre-tate", "check", "--q", "3", "--varpi", "T", "--nil", "2"],
+     "unrecognized argument '--nil'"),
 ])
 def test_invalid_arguments_are_usage_errors(argv, named, capsys):
-    code, _, err = run_cli(argv, capsys)
-    assert code == 2 and named in err
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
 
 
 @pytest.mark.parametrize("text,named", [
@@ -566,6 +604,10 @@ _HUGE_ENTRY = {"format": 1, "q": 3, "varpi": "T", "depth": 1,
     (["suite", "--varpi", "T"], None, "--q is required"),
     (["iwasawa", "filtration", "--gens", "7", "--r", "34"], None,
      "--gens 7 exceeds the supported 6"),
+    (["serre-tate", "check", "--q", "3", "--varpi", "T", "--m", "2",
+      "--nilpotency", "24"], None, "3^46 exceeds the supported size"),
+    (["serre-tate", "check", "--q", "3", "--varpi", "T", "--m", "2",
+      "--nilpotency", "100000"], None, "3^199998 exceeds the supported size"),
 ])
 def test_oversized_or_incomplete_input_is_rejected_at_once(argv, tower, named,
                                                            tmp_path):
@@ -580,6 +622,63 @@ def test_oversized_or_incomplete_input_is_rejected_at_once(argv, tower, named,
                           capture_output=True, text=True, timeout=10)
     assert proc.returncode == 2 and named in proc.stderr
     assert proc.stdout == ""
+
+
+_MATRIX_K = ["hecke", "matrix", "--q", "3", "--varpi", "T", "--m", "2",
+             "--op", "U", "--k"]
+
+
+@pytest.mark.parametrize("argv,plain", [
+    (["carlitz", "profile", "--q=3", "--varpi=T"], _PROFILE),
+    (["carlitz", "profile", "--varpi", "T", "--q", "3"], _PROFILE),
+    (["carlitz", "profile", "--q", "2", "--varpi", "T+1", "--q", "3",
+      "--varpi=T"], _PROFILE),
+    (["hecke", "matrix", "--k=-2", "--op=U", "--m", "1", "--varpi", "T",
+      "--m=2", "--q", "3"], _MATRIX_K + ["-2"]),
+    (["hecke", "graph", "--dot", "--m", "1", "--q", "3", "--varpi", "T"],
+     ["hecke", "graph", "--q", "3", "--varpi", "T", "--m", "1", "--dot"]),
+], ids=["equals", "order", "repeated", "negative-and-equals", "flag-first"])
+def test_option_syntax_gives_the_plain_output(argv, plain, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out == run_cli(plain, capsys)[1]
+
+
+@pytest.mark.parametrize("words", sorted(
+    {key[:n] for key in cli.COMMANDS for n in range(len(key) + 1)}),
+    ids=lambda words: " ".join(words) or "top")
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_the_table(words, flag, capsys):
+    code, out, err = run_cli(list(words) + [flag], capsys)
+    assert (code, err) == (0, "") and out.startswith("usage: drinfeld")
+    if words in cli.COMMANDS:
+        listed = [f"--{name}" for name, _, _, _ in cli.COMMANDS[words][2]]
+    else:
+        listed = [" ".join(key) for key in cli.COMMANDS
+                  if key[:len(words)] == words]
+    assert listed and all(item in out for item in listed)
+
+
+def test_help_is_read_in_order(capsys):
+    # in place of an option, it ends parsing; an error before it stands
+    code, out, _ = run_cli(_PROFILE[:4] + ["--help", "--bogus"], capsys)
+    assert code == 0 and "--varpi" in out
+    code, out, err = run_cli(["carlitz", "profile", "--q", "x", "-h"], capsys)
+    assert code == 2 and out == "" and "invalid integer" in err
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("drinfeld ")]
+
+
+def test_readme_command_lines_parse_against_the_table():
+    # and between them they show every command
+    ran = {cli.parse_command(argv).fn for argv in _readme_commands()}
+    assert ran == {fn for fn, _, _ in cli.COMMANDS.values()}
 
 
 def test_unreadable_tower_is_usage_error(tmp_path, capsys):

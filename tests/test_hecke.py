@@ -33,6 +33,24 @@ def test_closed_form_kernel_costs_two_divisions(monkeypatch):
         assert len(calls) == 2 * len(corr.edges), place
 
 
+def test_build_factorizes_each_point_once(monkeypatch, place_T, place_TT1):
+    # the Hasse invariant and the closed-form kernels both read phi(varpi)
+    # = V * t^d off the point's representative, which checks it once
+    built = []
+    real = modules.Verschiebung
+
+    def counted(module, poly):
+        built.append(module)
+        return real(module, poly)
+
+    monkeypatch.setattr(modules, "Verschiebung", counted)
+    for place in (place_T, place_TT1):
+        built.clear()
+        corr = build_correspondence(place, 2)
+        assert len(built) == len(corr.points)
+        assert {id(E) for E in built} == {id(p.rep) for p in corr.points}
+
+
 def test_enumerate_m1(place_T):
     ordinary, ss = enumerate_moduli(place_T, 1)
     assert sorted(str(p.j) for p in ordinary) == ["1", "2"]

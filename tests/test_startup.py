@@ -1,7 +1,10 @@
 """Start-up guard: importing the command line loads every library module
 the benchmark traces, and none of the standard-library modules that only
-cost start-up time (`dataclasses` and the `inspect` it pulls in) or that
-only `hecke graph --cache` uses (`hashlib`, `tempfile`)."""
+cost start-up time, nor those that only `hecke graph --cache` uses
+(`hashlib`, `tempfile`).  The start-up-only ones are `dataclasses` with
+the `inspect` it pulls in, and `argparse` with its `gettext`: the table
+`cli.COMMANDS` reads argv, where `argparse` cost every process about
+4 ms to import and to build parsers for the commands it did not run."""
 
 import json
 import os
@@ -18,7 +21,8 @@ sys.path.insert(0, str(PERFBENCH))
 
 from tracing import TARGETS  # noqa: E402
 
-NOT_AT_STARTUP = ("dataclasses", "inspect", "hashlib", "tempfile")
+NOT_AT_STARTUP = ("dataclasses", "inspect", "argparse", "gettext", "hashlib",
+                  "tempfile")
 
 LOADED = "import json, sys, drinfeld.cli; print(json.dumps(sorted(sys.modules)))"
 
