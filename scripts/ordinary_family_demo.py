@@ -32,8 +32,8 @@ def main(argv=None):
     for k in (-2, 0, 3):
         U = operator_matrix(corr, k, "U")
         det = U.determinant()
-        rep = ordinary_projector(constant_tower(U.work_ext, U.rows))
-        is_id = rep.projector.matrices[0] == mat_identity(U.work_ext, U.size)
+        rep = ordinary_projector(constant_tower(U.ext, U.rows))
+        is_id = rep.projector.matrices[0] == mat_identity(U.ext, U.size)
         print(f"  weight {k}: det(U) = {det}, projector is identity: {is_id}")
 
     lv = iwasawa_level(place, 2)

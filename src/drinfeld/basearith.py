@@ -1079,7 +1079,12 @@ class ArtinRing(TruncPolyRing):
         return a.eval_in(self.gamma_T, self.embed_fq)
 
     def qpow(self, x: TruncPoly, e: int = 1) -> TruncPoly:
-        return x ** (self.q ** e)
+        """x^(q^e) in characteristic p: c eps^j goes to c^(q^e) eps^(j q^e)."""
+        qe = self.q ** e
+        out = [self.coeff_ring.zero] * self.N
+        for j, c in enumerate(x.coeffs[:(self.N - 1) // qe + 1]):
+            out[j * qe] = self.coeff_ring.qpow(c, e)
+        return TruncPoly(self, out)
 
     def maximal_ideal(self):
         for x in self.elements():

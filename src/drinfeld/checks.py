@@ -220,8 +220,8 @@ def check_weight_homogeneity(place: PrimePlace, m: int) -> CheckResult:
         for k in WEIGHTS:
             U = operator_matrix(corr, k, "U")
             for _ in range(3):
-                vals = admissible_weight_values(corr, k, U.work_ext, rng)
-                direct = apply_u_by_table(corr, k, vals, U.work_ext)
+                vals = admissible_weight_values(corr, k, rng)
+                direct = apply_u_by_table(corr, k, vals)
                 got = U.apply([vals[p.j] for p in U.index])
                 require(got == [direct[p.j] for p in U.index],
                         f"weight {k}: matrix and table disagree")
@@ -238,9 +238,9 @@ def check_u_ordinarity(place: PrimePlace, m: int) -> CheckResult:
             U = operator_matrix(corr, k, "U")
             require(not U.determinant().is_zero(), f"U singular at k = {k}")
         U0 = operator_matrix(corr, 0, "U")
-        rep = ordinary_projector(constant_tower(U0.work_ext, U0.rows))
+        rep = ordinary_projector(constant_tower(U0.ext, U0.rows))
         require(rep.ok, "projector of U in weight 0 fails its properties")
-        identity = mat_identity(U0.work_ext, U0.size)
+        identity = mat_identity(U0.ext, U0.size)
         require(rep.projector.matrices[0] == identity,
                 "projector of U in weight 0 is not the identity")
         return f"invertible for k in {list(WEIGHTS)}; projector is identity"
@@ -367,7 +367,7 @@ def check_projector_hecke_towers(place: PrimePlace, m: int) -> CheckResult:
         count = 0
         for which in ("F", "U", "T"):
             M = operator_matrix(corr, 0, which)
-            rep = ordinary_projector(constant_tower(M.work_ext, M.rows))
+            rep = ordinary_projector(constant_tower(M.ext, M.rows))
             require(rep.ok, f"projector of {which} fails its properties")
             count += 1
             if _residue_entries(M):
@@ -377,7 +377,7 @@ def check_projector_hecke_towers(place: PrimePlace, m: int) -> CheckResult:
                 count += 1
         for k in (-2, 2, 3, 5):
             M = operator_matrix(corr, k, "U")
-            rep = ordinary_projector(constant_tower(M.work_ext, M.rows))
+            rep = ordinary_projector(constant_tower(M.ext, M.rows))
             require(rep.ok, f"projector of U fails at k = {k}")
             count += 1
         return f"{count} towers"
@@ -387,12 +387,12 @@ def check_projector_hecke_towers(place: PrimePlace, m: int) -> CheckResult:
 
 
 def _residue_entries(M) -> bool:
-    qd = M.work_ext.q ** M.work_ext.place.d
+    qd = M.ext.q ** M.ext.place.d
     return all((x ** qd) == x for row in M.rows for x in row)
 
 
 def _teichmuller_lift(M, place: PrimePlace):
-    ring, ext = local_ring(place, 2), M.work_ext
+    ring, ext = local_ring(place, 2), M.ext
     rows = [[ring.from_coeff(ext.to_residue(x).residue()) for x in row]
             for row in M.rows]
     return reduction_tower(place, rows, 2)

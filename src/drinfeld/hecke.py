@@ -14,6 +14,11 @@ representative (1, 1/j) (or (0, 1) at j = 0).  The normalization exponent
 -min(1, k) is carried formally on matrices: in residue characteristic it
 is a support statement, not scalar arithmetic.
 
+The weight factor c of an etale edge is rational over the point field: the
+kernel is u = V'/lambda with V' = V^(q^-d), and phi_T^(q^-d) V' = V' phi_T
+makes the quotient sigma_lambda of the canonical representative of
+j^(q^-d), so c lies in lambda times that representative's automorphisms.
+
 Points and edges are immutable records (namedtuples); a correspondence and
 an operator matrix are plain slotted classes.
 """
@@ -21,6 +26,7 @@ an operator matrix are plain slotted classes.
 from __future__ import annotations
 
 from collections import namedtuple
+from math import gcd
 
 from .basearith import FFElement, FieldExt, PrimePlace, ext_field
 from .modules import DrinfeldModule, SubgroupKind
@@ -171,22 +177,21 @@ class HeckeMatrix:
     """Operator matrix on weight-k homogeneous functions on points, row
     convention (M v)(P) = sum over edges P -> P' of weight factor times
     v(P').  `index` lists the ModuliPoints labelling rows and columns.
-    Entries live in `work_ext` (the point field or a canonical extension
-    when the weight factors need one), as rows over work_ext.field.
+    Entries live in `ext`, the point field, as rows over ext.field.
     `semilinear` marks operators that act q^d-semilinearly on values for
     k != 0; `norm_exponent` is the formal normalization -min(1, k)."""
 
-    __slots__ = ("op", "k", "locus", "index", "work_ext", "rows",
+    __slots__ = ("op", "k", "locus", "index", "ext", "rows",
                  "semilinear", "norm_exponent")
 
     def __init__(self, op: str, k: int, locus: str, index: list,
-                 work_ext: FieldExt, rows: list, semilinear: bool,
+                 ext: FieldExt, rows: list, semilinear: bool,
                  norm_exponent: int):
         self.op = op
         self.k = k
         self.locus = locus
         self.index = index
-        self.work_ext = work_ext
+        self.ext = ext
         self.rows = rows
         self.semilinear = semilinear
         self.norm_exponent = norm_exponent
@@ -199,14 +204,14 @@ class HeckeMatrix:
         n = self.size
         rows = [[self.rows[j][i] for j in range(n)] for i in range(n)]
         return HeckeMatrix(self.op + "^T", self.k, self.locus, self.index,
-                           self.work_ext, rows, self.semilinear,
+                           self.ext, rows, self.semilinear,
                            self.norm_exponent)
 
     def determinant(self):
-        """Exact determinant by fraction-free Gaussian elimination over the
-        working field."""
+        """Exact determinant by Gaussian elimination over the point field,
+        dividing by each pivot."""
         n = self.size
-        f = self.work_ext.field
+        f = self.ext.field
         mat = [row[:] for row in self.rows]
         det = f.one
         for col in range(n):
@@ -233,7 +238,7 @@ class HeckeMatrix:
     def apply(self, values: list) -> list:
         out = []
         for row in self.rows:
-            acc = self.work_ext.zero
+            acc = self.ext.zero
             for entry, v in zip(row, values):
                 acc = acc + entry * v
             out.append(acc)
@@ -245,46 +250,32 @@ class HeckeMatrix:
             "norm_exponent": self.norm_exponent,
             "semilinear": self.semilinear,
             "index": [str(p.j) for p in self.index],
-            "field": {"p": self.work_ext.field.p, "n": self.work_ext.field.n},
+            "field": {"p": self.ext.field.p, "n": self.ext.field.n},
             "rows": [[str(e) for e in row] for row in self.rows],
         }
 
 
-def orbit_scale(rep: DrinfeldModule, target: DrinfeldModule, ext: FieldExt):
-    """The canonical scalar c (smallest in element order) with
-    sigma_c(rep) = target, or None when no such c is rational over ext."""
-    q = rep.place.q
-    g0, d0 = _embed_module(rep, ext)
-    g1, d1 = _embed_module(target, ext)
-    for c in ext.field.units():
-        if c ** (q - 1) * g0 == g1 and c ** (q * q - 1) * d0 == d1:
-            return c
-    return None
-
-
-def _embed_module(E: DrinfeldModule, ext: FieldExt):
-    """The coefficients (g, delta) of E carried into ext."""
-    if E.base is ext:
-        return E.g, E.delta
-    emb = ext.field.embedding_from(E.base.field)
-    return emb(E.g), emb(E.delta)
-
-
-def _working_extension(corr: Correspondence):
-    """The smallest extension of the point field, of degree at most 8 over
-    it, over which every V-edge weight factor exists."""
-    for t in range(1, 9):
-        ext = ext_field(corr.place, corr.m * t)
-        scales = {}
-        for e in corr.edges:
-            if e.kind == "V":
-                c = orbit_scale(e.dst.rep, e.target_module, ext)
-                if c is None:
-                    break
-                scales[id(e)] = c
-        else:
-            return ext, scales
-    raise RuntimeError("no working extension found for the weight factors")
+def orbit_scale(rep: DrinfeldModule, target: DrinfeldModule):
+    """The scalar c of least log with sigma_c(rep) = target, that is
+    c^(q-1) g = g' and c^(q^2-1) delta = delta', or None when there is
+    none.  log c solves one linear congruence modulo Q - 1: the g-equation,
+    or the delta-equation where g = 0.  Solutions of the g-equation differ
+    by F_q^*, on which c^(q^2-1) = 1, so the least one decides both."""
+    if rep.base is not target.base:
+        raise ValueError("orbit_scale needs two modules over one base")
+    q, field = rep.place.q, rep.base.field
+    if rep.g.is_zero():
+        a, b = q * q - 1, target.delta.log - rep.delta.log
+    else:  # a zero target.g has log -1: the check below rejects any c
+        a, b = q - 1, target.g.log - rep.g.log
+    h = gcd(a, field.order)
+    if b % h:
+        return None
+    step = field.order // h
+    c = field.element(b // h * pow(a // h, -1, step) % step)
+    ok = (c ** (q - 1) * rep.g == target.g
+          and c ** (q * q - 1) * rep.delta == target.delta)
+    return c if ok else None
 
 
 def operator_matrix(corr: Correspondence, k: int, which: str,
@@ -304,10 +295,7 @@ def operator_matrix(corr: Correspondence, k: int, which: str,
         locus = "ordinary" if which == "U" else "all"
     points = corr.ordinary if locus == "ordinary" else corr.points
     pos = {p.j: i for i, p in enumerate(points)}
-    if which == "F":
-        ext, scales = corr.ext, {}
-    else:
-        ext, scales = _working_extension(corr)
+    ext = corr.ext
     n = len(points)
     zero = ext.zero
     rows = [[zero] * n for _ in range(n)]
@@ -319,31 +307,33 @@ def operator_matrix(corr: Correspondence, k: int, which: str,
         if e.kind == "F" and which in ("F", "T"):
             rows[i][jj] = rows[i][jj] + ext.one
         elif e.kind == "V" and which in ("U", "T"):
-            c = scales[id(e)]
+            c = orbit_scale(e.dst.rep, e.target_module)
+            if c is None:
+                raise AssertionError(f"V edge from j = {e.src.j} has no scale")
             rows[i][jj] = rows[i][jj] + c ** k
     semilinear = which in ("F", "T") and k != 0
     return HeckeMatrix(which, k, locus, points, ext, rows, semilinear,
                        -min(1, k))
 
 
-def _unit_scalars(corr: Correspondence, k: int, ext: FieldExt) -> list:
-    """(c^(q-1), c^(q^2-1), c^k) for each unit c of ext, in unit order: how
-    sigma_c scales g, delta and a weight-k value."""
+def _unit_scalars(corr: Correspondence, k: int) -> list:
+    """(c^(q-1), c^(q^2-1), c^k) for each unit c of the point field, in
+    unit order: how sigma_c scales g, delta and a weight-k value."""
     q = corr.place.q
-    return [(c ** (q - 1), c ** (q * q - 1), c ** k) for c in ext.field.units()]
+    return [(c ** (q - 1), c ** (q * q - 1), c ** k)
+            for c in corr.ext.field.units()]
 
 
-def homogeneous_table(corr: Correspondence, k: int, values: dict,
-                      ext: FieldExt) -> dict:
+def homogeneous_table(corr: Correspondence, k: int, values: dict) -> dict:
     """Extend values on canonical representatives to a table on the whole
     (g, delta) orbit sweep by weight-k homogeneity: the pair sigma_c(rep)
     gets the value c^k v.  Values at points whose automorphisms obstruct
     weight k must be zero, otherwise the extension is inconsistent."""
-    scalars = _unit_scalars(corr, k, ext)
+    scalars = _unit_scalars(corr, k)
     table = {}
     for p in corr.points:
         v = values[p.j]
-        g0, d0 = _embed_module(p.rep, ext)
+        g0, d0 = p.rep.g, p.rep.delta
         for cg, cd, ck in scalars:
             key = (cg * g0, cd * d0)
             val = ck * v
@@ -355,31 +345,30 @@ def homogeneous_table(corr: Correspondence, k: int, values: dict,
     return table
 
 
-def admissible_weight_values(corr: Correspondence, k: int, ext: FieldExt,
-                             rng) -> dict:
+def admissible_weight_values(corr: Correspondence, k: int, rng) -> dict:
     """Random weight-k admissible values: zero wherever the representative
     has automorphisms not killed by the k-th power."""
+    ext = corr.ext
     units = list(ext.field.units())
-    scalars = _unit_scalars(corr, k, ext)
+    scalars = _unit_scalars(corr, k)
     values = {}
     for p in corr.points:
-        g0, d0 = _embed_module(p.rep, ext)
+        g0, d0 = p.rep.g, p.rep.delta
         forced_zero = any(cg * g0 == g0 and cd * d0 == d0 and ck != ext.one
                           for cg, cd, ck in scalars)
         values[p.j] = ext.zero if forced_zero else rng.choice(units)
     return values
 
 
-def apply_u_by_table(corr: Correspondence, k: int, values: dict,
-                     ext: FieldExt) -> dict:
+def apply_u_by_table(corr: Correspondence, k: int, values: dict) -> dict:
     """Direct evaluation of U on weight-k values: look the raw quotient
     module up in the homogeneous table (no matrix, no canonical scalars).
     Serves as the independent route against operator_matrix."""
-    table = homogeneous_table(corr, k, values, ext)
+    table = homogeneous_table(corr, k, values)
     out = {}
     for p in corr.ordinary:
-        e = corr.edges_from(p, "V")[0]
-        out[p.j] = table[_embed_module(e.target_module, ext)]
+        target = corr.edges_from(p, "V")[0].target_module
+        out[p.j] = table[target.g, target.delta]
     return out
 
 

@@ -294,7 +294,6 @@ def _gamma_compatible_embedding(small: FieldExt, big: FieldExt):
     """An embedding of fields matching gamma_T on both sides (the canonical
     one composed with a power of Frobenius over the base)."""
     emb0 = big.field.embedding_from(small.field)
-    qd = small.place.q
     # twist by Frobenius powers of the small field until gamma matches
     for e in range(small.field.n):
         def emb(x, _e=e):

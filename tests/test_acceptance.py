@@ -188,9 +188,9 @@ def test_criterion_07_u_ordinarity():
             U = operator_matrix(corr, k, "U")
             assert not U.determinant().is_zero()
         U0 = operator_matrix(corr, 0, "U")
-        rep = ordinary_projector(constant_tower(U0.work_ext, U0.rows))
+        rep = ordinary_projector(constant_tower(U0.ext, U0.rows))
         assert rep.ok
-        assert rep.projector.matrices[0] == mat_identity(U0.work_ext, U0.size)
+        assert rep.projector.matrices[0] == mat_identity(U0.ext, U0.size)
     _report("criterion-7 etale-part ordinarity", t0, 30.0,
             "determinants exact, projector identity")
 
@@ -242,11 +242,11 @@ def test_criterion_09_projector():
         corr = build_correspondence(pl, m)
         for which in ("F", "U", "T"):
             Mx = operator_matrix(corr, 0, which)
-            repx = ordinary_projector(constant_tower(Mx.work_ext, Mx.rows))
+            repx = ordinary_projector(constant_tower(Mx.ext, Mx.rows))
             assert repx.ok
         for k in (-2, 2, 3, 5):
             Mx = operator_matrix(corr, k, "U")
-            repx = ordinary_projector(constant_tower(Mx.work_ext, Mx.rows))
+            repx = ordinary_projector(constant_tower(Mx.ext, Mx.rows))
             assert repx.ok
     # (c) 100 random 4x4 towers
     rng = random.Random(23)

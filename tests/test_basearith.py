@@ -477,6 +477,24 @@ def test_artin_units_and_maximal_ideal(artin9):
     assert len(ideal) == 9  # eps * F_9
 
 
+def test_artin_qpow_is_square_and_multiply(place_T, place_TT1):
+    # the coefficient map x -> sum c_j^(q^e) eps^(j q^e) against x ** q^e
+    small = [ArtinRing(place_T, 1, 2), ArtinRing(place_T, 1, 4),
+             ArtinRing(place_TT1, 1, 3), local_ring(place_T, 3)]
+    for R in small:
+        for x in R.elements():
+            for e in range(4):
+                assert R.qpow(x, e) is x ** (R.q ** e), (R, x, e)
+    rng = random.Random(12)
+    for place, m in ((place_T, 2), (place_TT1, 1)):
+        R = ArtinRing(place, m, 12)
+        coeffs = list(R.coeff_ring.elements())
+        for _ in range(30):
+            x = TruncPoly(R, [rng.choice(coeffs) for _ in range(12)])
+            for e in range(4):
+                assert R.qpow(x, e) is x ** (R.q ** e), (R, x, e)
+
+
 def _padded(x):
     """The coefficients of a truncated element, padded to its ring's N."""
     ring = x.ring

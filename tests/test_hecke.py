@@ -5,15 +5,16 @@ from types import SimpleNamespace
 import pytest
 
 from drinfeld import modules, skew
-from drinfeld.basearith import ext_field
+from drinfeld.basearith import ext_field, field_of_order, make_place
 from drinfeld.checks import (assert_orbit_invariance, check_correspondence,
                              standard_places)
 from drinfeld.hecke import (admissible_weight_values, apply_u_by_table,
                             atkin_lehner, build_correspondence,
-                            enumerate_moduli, operator_matrix,
+                            enumerate_moduli, operator_matrix, orbit_scale,
                             support_valuations)
-from drinfeld.modules import SubgroupKind, SubgroupScheme
+from drinfeld.modules import DrinfeldModule, SubgroupKind, SubgroupScheme
 from drinfeld.skew import right_divide, tau
+from drinfeld.textenc import parse_apoly
 
 
 def test_closed_form_kernel_costs_two_divisions(monkeypatch):
@@ -125,7 +126,7 @@ def test_u_identity_at_weight_zero_m1(place_T):
     assert U.size == 2
     for i in range(2):
         for j in range(2):
-            expect = U.work_ext.one if i == j else U.work_ext.zero
+            expect = U.ext.one if i == j else U.ext.zero
             assert U.rows[i][j] == expect
 
 
@@ -190,8 +191,8 @@ def test_weight_homogeneity_dual_route(place_T):
     for k in (-2, 0, 2, 3, 5):
         U = operator_matrix(corr, k, "U")
         for _ in range(4):
-            vals = admissible_weight_values(corr, k, U.work_ext, rng)
-            direct = apply_u_by_table(corr, k, vals, U.work_ext)
+            vals = admissible_weight_values(corr, k, rng)
+            direct = apply_u_by_table(corr, k, vals)
             got = U.apply([vals[p.j] for p in U.index])
             assert all(got[i] == direct[p.j] for i, p in enumerate(U.index))
 
@@ -237,3 +238,70 @@ def test_ordinariness_is_orbit_invariant_by_sweep(place_TT1):
     witness = f"orbit-invariant at j = {re.escape(str(p.j))}$"
     with pytest.raises(AssertionError, match=witness):
         assert_orbit_invariance(wrong)
+
+
+# -- orbit scales ---------------------------------------------------------------
+
+def _scanned_scale(rep, target):
+    """Oracle: the first unit c in log order with sigma_c(rep) = target."""
+    q = rep.place.q
+    for c in rep.base.field.units():
+        if (c ** (q - 1) * rep.g == target.g
+                and c ** (q * q - 1) * rep.delta == target.delta):
+            return c
+    return None
+
+
+# (q, varpi, m); the two degree-2 places have V edges into j = 0
+_SCALE_PLACES = [(3, "T", 3), (2, "T^2+T+1", 3), (3, "T^2+1", 2), (5, "T", 2)]
+
+
+@pytest.mark.parametrize("q, varpi, m", _SCALE_PLACES)
+def test_orbit_scale_matches_unit_scan_on_every_v_edge(q, varpi, m):
+    place = make_place(parse_apoly(field_of_order(q), varpi))
+    corr = build_correspondence(place, m)
+    v_edges = [e for e in corr.edges if e.kind == "V"]
+    assert len(v_edges) == len(corr.ordinary)
+    for e in v_edges:
+        c = orbit_scale(e.dst.rep, e.target_module)
+        assert c is not None and c is _scanned_scale(e.dst.rep, e.target_module)
+    assert any(e.dst.j.is_zero() for e in v_edges) == (place.d == 2)
+
+
+def test_orbit_scale_matches_unit_scan_on_seeded_pairs(place_T, place_TT1):
+    rng = random.Random(7)
+    found = {True: 0, False: 0}
+    for place, m in ((place_T, 2), (place_TT1, 2)):
+        ext = ext_field(place, m)
+        elements, units = list(ext.elements()), list(ext.field.units())
+        for _ in range(300):
+            rep = DrinfeldModule(ext, rng.choice(elements), rng.choice(units))
+            if rng.random() < 0.5:  # a rescaling of rep: a scale exists
+                c = rng.choice(units)
+                target = DrinfeldModule(ext, c ** (place.q - 1) * rep.g,
+                                        c ** (place.q ** 2 - 1) * rep.delta)
+            else:
+                target = DrinfeldModule(ext, rng.choice(elements),
+                                        rng.choice(units))
+            c = orbit_scale(rep, target)
+            assert c is _scanned_scale(rep, target)
+            found[c is not None] += 1
+    assert min(found.values()) > 50
+
+
+def test_orbit_scale_rejects_modules_over_different_bases(place_T):
+    rep = build_correspondence(place_T, 2).ordinary[0].rep
+    with pytest.raises(ValueError, match="one base"):
+        orbit_scale(rep, rep.base_change(ext_field(place_T, 4)))
+
+
+def test_operator_matrix_names_a_v_edge_without_scale(place_T):
+    corr = build_correspondence(place_T, 2)
+    i, e = next((i, e) for i, e in enumerate(corr.edges)
+                if e.kind == "V" and e.dst.j != e.src.j)
+    # the source's representative is not in the orbit of the destination's
+    corr.edges[i] = e._replace(target_module=e.src.rep)
+    assert orbit_scale(e.dst.rep, e.src.rep) is None
+    with pytest.raises(AssertionError, match=f"j = {re.escape(str(e.src.j))} "):
+        operator_matrix(corr, 3, "U")
+    assert operator_matrix(corr, 3, "F").size == corr.ext.size
