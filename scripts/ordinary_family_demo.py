@@ -13,7 +13,7 @@ from drinfeld.basearith import field_of_order, make_place
 from drinfeld.hecke import build_correspondence, operator_matrix
 from drinfeld.iwasawa import iwasawa_level, specialize
 from drinfeld.projector import (constant_tower, control_check, mat_identity,
-                                ordinary_projector)
+                                mat_sparse, ordinary_projector)
 from drinfeld.textenc import parse_apoly
 
 
@@ -38,7 +38,7 @@ def main(argv=None):
 
     lv = iwasawa_level(place, 2)
     u = lv.wild_group[min(1, len(lv.wild_group) - 1)]
-    M = [[lv.one, lv.dirac(u)], [lv.zero, lv.one * lv.ring.varpi]]
+    M = mat_sparse([[lv.one, lv.dirac(u)], [lv.zero, lv.one * lv.ring.varpi]])
     print("family operator over the level-2 measure algebra:")
     weights = (0, 2, 3, 5)
     reports = control_check(

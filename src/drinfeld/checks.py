@@ -32,8 +32,8 @@ from .iwasawa import (J_ideal, determining_weights, duality_twist, filtration,
 from .modules import (DrinfeldModule, all_modules, splitting_degree,
                       stable_order_qd_subgroups)
 from .projector import (constant_tower, control_check, factorial_powers_vanish,
-                        local_finiteness_report, mat_identity,
-                        ordinary_projector, reduction_tower)
+                        local_finiteness_report, mat_identity, mat_map,
+                        mat_sparse, ordinary_projector, reduction_tower)
 from .serretate import constant_lift, lift_independence_check
 
 
@@ -252,9 +252,20 @@ def check_u_ordinarity(place: PrimePlace, m: int) -> CheckResult:
 def check_hecke_support(place: PrimePlace, m: int) -> CheckResult:
     def body():
         corr = _correspondence(place, m)
-        f_edges = {id(e) for e in corr.edges if e.kind == "F"}
-        v_edges = {id(e) for e in corr.edges if e.kind == "V"}
-        require(not (f_edges & v_edges), "an edge is both F and V")
+        F, U, T = (operator_matrix(corr, 0, w, locus="all") for w in "FUT")
+        for M, kind in ((F, "F"), (U, "V")):
+            support = {(M.index[i].j, M.index[j].j)
+                       for i, row in enumerate(M.rows) for j, _ in row}
+            require(support == {(e.src.j, e.dst.j) for e in corr.edges
+                                if e.kind == kind},
+                    f"the support of {M.op} is not the {kind}-edge set")
+        for p, f, u, t in zip(T.index, F.rows, U.rows, T.rows):
+            acc = dict(f)
+            for j, x in u:
+                acc[j] = acc[j] + x if j in acc else x
+            require(dict(t) == {j: x for j, x in acc.items()
+                                if not x.is_zero()},
+                    f"row j = {p.j} of T is not the sum of F and U")
         vals = {k: support_valuations(k) for k in (-2, -1, 0, 1, 2, 3)}
         for k, v in vals.items():
             if k <= 0:
@@ -347,11 +358,11 @@ def check_duality_twist(place: PrimePlace, m: int = 2) -> CheckResult:
 def check_projector_worked_example(place: PrimePlace) -> CheckResult:
     def body():
         L2 = local_ring(place, 2)
-        M = [[L2.one, L2.one], [L2.zero, L2.varpi]]
+        M = mat_sparse([[L2.one, L2.one], [L2.zero, L2.varpi]])
         op = reduction_tower(place, M, 2)
         rep = ordinary_projector(op)
         require(rep.ok, "worked-example projector fails")
-        expected = [[L2.one, L2.one + L2.varpi], [L2.zero, L2.zero]]
+        expected = mat_sparse([[L2.one, L2.one + L2.varpi], [L2.zero, L2.zero]])
         require(rep.projector.matrices[-1] == expected, "wrong projector")
         require(factorial_powers_vanish(op, rep), "powers do not vanish")
         lf = local_finiteness_report(op)
@@ -369,12 +380,9 @@ def check_projector_hecke_towers(place: PrimePlace, m: int) -> CheckResult:
             M = operator_matrix(corr, 0, which)
             rep = ordinary_projector(constant_tower(M.ext, M.rows))
             require(rep.ok, f"projector of {which} fails its properties")
-            count += 1
-            if _residue_entries(M):
-                lifted = _teichmuller_lift(M, place)
-                rep2 = ordinary_projector(lifted)
-                require(rep2.ok, f"lifted {which} projector fails")
-                count += 1
+            rep2 = ordinary_projector(_teichmuller_lift(M, place))
+            require(rep2.ok, f"lifted {which} projector fails")
+            count += 2
         for k in (-2, 2, 3, 5):
             M = operator_matrix(corr, k, "U")
             rep = ordinary_projector(constant_tower(M.ext, M.rows))
@@ -386,16 +394,11 @@ def check_projector_hecke_towers(place: PrimePlace, m: int) -> CheckResult:
                 f"{place}, m={m}", body)
 
 
-def _residue_entries(M) -> bool:
-    qd = M.ext.q ** M.ext.place.d
-    return all((x ** qd) == x for row in M.rows for x in row)
-
-
 def _teichmuller_lift(M, place: PrimePlace):
+    """M lifted to A/(varpi^2); to_residue raises on a non-residue entry."""
     ring, ext = local_ring(place, 2), M.ext
-    rows = [[ring.from_coeff(ext.to_residue(x).residue()) for x in row]
-            for row in M.rows]
-    return reduction_tower(place, rows, 2)
+    return reduction_tower(place, mat_map(
+        M.rows, lambda x: ring.from_coeff(ext.to_residue(x).residue())), 2)
 
 
 def check_projector_random(place: PrimePlace) -> CheckResult:
@@ -406,8 +409,8 @@ def check_projector_random(place: PrimePlace) -> CheckResult:
         elems = [L2.from_apoly(APoly(field, [a, b]))
                  for a in field.elements() for b in field.elements()]
         for _ in range(25):
-            M = [[elems[rng.randrange(len(elems))] for _ in range(4)]
-                 for _ in range(4)]
+            M = mat_sparse([[elems[rng.randrange(len(elems))]
+                             for _ in range(4)] for _ in range(4)])
             rep = ordinary_projector(reduction_tower(place, M, 2))
             require(rep.ok, "a random tower projector fails its properties")
         return "25 random 4x4 depth-2 towers"
@@ -427,8 +430,8 @@ def check_projector_control(place: PrimePlace, m: int = 2) -> CheckResult:
         cases = 0
         for trial in range(6):
             n = 2 + trial % 2
-            M = [[lv.random_element(rng, support=2) for _ in range(n)]
-                 for _ in range(n)]
+            M = mat_sparse([[lv.random_element(rng, support=2)
+                             for _ in range(n)] for _ in range(n)])
             weights = (0, 2, 3)
             for k, cr in zip(weights, control_check(
                     M, lv, _specializations(weights), lv.ring)):
@@ -436,7 +439,8 @@ def check_projector_control(place: PrimePlace, m: int = 2) -> CheckResult:
                 cases += 1
         # the worked rank-one case: unit on the diagonal against varpi
         u = lv.wild_group[min(1, len(lv.wild_group) - 1)]
-        M = [[lv.one, lv.one], [lv.zero, lv.dirac(u) * lv.ring.varpi]]
+        M = mat_sparse([[lv.one, lv.one],
+                        [lv.zero, lv.dirac(u) * lv.ring.varpi]])
         weights = (0, 2, 5)
         for k, cr in zip(weights, control_check(
                 M, lv, _specializations(weights), lv.ring)):

@@ -42,7 +42,8 @@ from .iwasawa import (filtration, iota_eval, iwasawa_level,
                       quotient_basis, specialize)
 from .modules import DrinfeldModule
 from .projector import (TowerModule, TowerOperator, local_finiteness_report,
-                        ordinary_projector, reduction_tower)
+                        mat_dense, mat_sparse, ordinary_projector,
+                        reduction_tower)
 from .serretate import MAX_IDEAL_SIZE, constant_lift, lift_independence_check
 from .textenc import ParseError, parse_apoly, parse_fq
 
@@ -275,13 +276,16 @@ def _tower_key(obj, key: str, kind: type, where: str = "tower"):
     return value
 
 
-def _tower_matrix(obj, where: str = "tower"):
-    """obj["matrix"] from a tower file: a list of rows of strings."""
+def _tower_matrix(obj, ring, where: str = "tower"):
+    """obj["matrix"] from a tower file, a list of rows of strings, as a
+    row-sparse matrix over the ring."""
     rows = _tower_key(obj, "matrix", list, where)
     if not all(isinstance(row, list) and all(isinstance(e, str) for e in row)
                for row in rows):
         raise UsageError(f"{where} 'matrix' must be a list of rows of strings")
-    return rows
+    field = ring.place.field
+    return mat_sparse([[ring.from_apoly(parse_apoly(field, e)) for e in row]
+                       for row in rows])
 
 
 def _load_tower(path: str):
@@ -307,8 +311,7 @@ def _load_tower(path: str):
             raise UsageError("tower has no levels")
         place = _read_place(q, varpi, levels[-1]["precision"], "precision")
         rings = [local_ring(place, l["precision"]) for l in levels]
-        mats = [[[ring.from_apoly(parse_apoly(place.field, e)) for e in row]
-                 for row in _tower_matrix(l, "tower level")]
+        mats = [_tower_matrix(l, ring, "tower level")
                 for ring, l in zip(rings, levels)]
         tower = TowerModule(rings, len(mats[0]), [r.reduce for r in rings[:-1]])
         op = TowerOperator(tower, mats)
@@ -317,9 +320,7 @@ def _load_tower(path: str):
         depth = _tower_key(spec_data, "depth", int)
         place = _read_place(q, varpi, depth, "depth")
         ring = local_ring(place, depth)
-        rows = [[ring.from_apoly(parse_apoly(place.field, e)) for e in row]
-                for row in _tower_matrix(spec_data)]
-        op = reduction_tower(place, rows, depth)
+        op = reduction_tower(place, _tower_matrix(spec_data, ring), depth)
         precisions = list(range(1, depth + 1))
     return spec_data, op, precisions
 
@@ -332,7 +333,8 @@ def cmd_projector_run(args) -> int:
         "q": spec_data["q"], "varpi": spec_data["varpi"],
         "precisions": precisions,
         "stabilized_steps": rep.steps,
-        "projector": [[[str(ring.to_apoly(x)) for x in row] for row in mat]
+        "projector": [[[str(ring.to_apoly(x)) for x in row]
+                       for row in mat_dense(mat, ring.zero)]
                       for ring, mat in zip(op.tower.rings,
                                            rep.projector.matrices)],
         "local_finiteness": local_finiteness_report(op),

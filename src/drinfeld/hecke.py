@@ -19,8 +19,8 @@ kernel is u = V'/lambda with V' = V^(q^-d), and phi_T^(q^-d) V' = V' phi_T
 makes the quotient sigma_lambda of the canonical representative of
 j^(q^-d), so c lies in lambda times that representative's automorphisms.
 
-Points and edges are immutable records (namedtuples); a correspondence and
-an operator matrix are plain slotted classes.
+Points, edges and operator matrices are immutable records (namedtuples);
+a correspondence is a plain slotted class.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from math import gcd
 
 from .basearith import FFElement, FieldExt, PrimePlace, ext_field
 from .modules import DrinfeldModule, SubgroupKind
+from .projector import mat_dense
 
 
 class ModuliPoint(namedtuple("ModuliPoint", "j rep hasse ordinary")):
@@ -173,74 +174,60 @@ def _assert_structure(corr: Correspondence):
 # operators in weight k
 # ---------------------------------------------------------------------------
 
-class HeckeMatrix:
+class HeckeMatrix(namedtuple("HeckeMatrix", "op k locus index ext rows "
+                                            "semilinear norm_exponent")):
     """Operator matrix on weight-k homogeneous functions on points, row
     convention (M v)(P) = sum over edges P -> P' of weight factor times
     v(P').  `index` lists the ModuliPoints labelling rows and columns.
-    Entries live in `ext`, the point field, as rows over ext.field.
-    `semilinear` marks operators that act q^d-semilinearly on values for
-    k != 0; `norm_exponent` is the formal normalization -min(1, k)."""
+    Entries live in `ext`, the point field, as row-sparse rows over
+    ext.field.  `semilinear` marks operators that act q^d-semilinearly on
+    values for k != 0; `norm_exponent` is the formal normalization
+    -min(1, k)."""
 
-    __slots__ = ("op", "k", "locus", "index", "ext", "rows",
-                 "semilinear", "norm_exponent")
-
-    def __init__(self, op: str, k: int, locus: str, index: list,
-                 ext: FieldExt, rows: list, semilinear: bool,
-                 norm_exponent: int):
-        self.op = op
-        self.k = k
-        self.locus = locus
-        self.index = index
-        self.ext = ext
-        self.rows = rows
-        self.semilinear = semilinear
-        self.norm_exponent = norm_exponent
+    __slots__ = ()
 
     @property
     def size(self) -> int:
         return len(self.index)
 
     def transpose(self) -> "HeckeMatrix":
-        n = self.size
-        rows = [[self.rows[j][i] for j in range(n)] for i in range(n)]
-        return HeckeMatrix(self.op + "^T", self.k, self.locus, self.index,
-                           self.ext, rows, self.semilinear,
-                           self.norm_exponent)
+        cols = [[] for _ in self.index]
+        for i, row in enumerate(self.rows):
+            for j, x in row:
+                cols[j].append((i, x))
+        return self._replace(op=self.op + "^T", rows=list(map(tuple, cols)))
 
     def determinant(self):
-        """Exact determinant by Gaussian elimination over the point field,
-        dividing by each pivot."""
-        n = self.size
+        """The determinant of a monomial matrix, one entry in each row and
+        column: the sign of the column permutation times the product of
+        the entries.  Zero when a row or a column is empty; a row with two
+        entries raises ValueError."""
         f = self.ext.field
-        mat = [row[:] for row in self.rows]
-        det = f.one
-        for col in range(n):
-            pivot = None
-            for r in range(col, n):
-                if not mat[r][col].is_zero():
-                    pivot = r
-                    break
-            if pivot is None:
-                return f.zero
-            if pivot != col:
-                mat[col], mat[pivot] = mat[pivot], mat[col]
+        if not all(self.rows) or len(
+                {j for row in self.rows for j, _ in row}) < self.size:
+            return f.zero
+        det, perm = f.one, []
+        for row, p in zip(self.rows, self.index):
+            if len(row) != 1:
+                raise ValueError(f"row j = {p.j} of {self.op} has "
+                                 f"{len(row)} entries, not one")
+            (j, x), = row
+            det = det * x
+            perm.append(j)
+        # sort the column permutation by swaps, each one flipping the sign
+        for i in range(len(perm)):
+            while perm[i] != i:
+                j = perm[i]
+                perm[i], perm[j] = perm[j], j
                 det = -det
-            det = det * mat[col][col]
-            inv = mat[col][col].inverse()
-            for r in range(col + 1, n):
-                factor = mat[r][col] * inv
-                if factor.is_zero():
-                    continue
-                for cc in range(col, n):
-                    mat[r][cc] = mat[r][cc] - factor * mat[col][cc]
         return det
 
     def apply(self, values: list) -> list:
         out = []
         for row in self.rows:
             acc = self.ext.zero
-            for entry, v in zip(row, values):
-                acc = acc + entry * v
+            for j, x in row:
+                acc = acc + x * values[j]
             out.append(acc)
         return out
 
@@ -251,7 +238,8 @@ class HeckeMatrix:
             "semilinear": self.semilinear,
             "index": [str(p.j) for p in self.index],
             "field": {"p": self.ext.field.p, "n": self.ext.field.n},
-            "rows": [[str(e) for e in row] for row in self.rows],
+            "rows": mat_dense([[(j, str(x)) for j, x in row]
+                               for row in self.rows], str(self.ext.zero)),
         }
 
 
@@ -289,29 +277,31 @@ def operator_matrix(corr: Correspondence, k: int, which: str,
     the semilinearity of the q^d-power recorded as a flag.  T is the
     entry-sum of the two parts; their supports, as edge sets, are disjoint.
     """
-    if which not in ("F", "U", "T"):
+    kinds = {"F": "F", "U": "V", "T": "FV"}.get(which)
+    if kinds is None:
         raise ValueError("operator must be one of F, U, T")
     if locus is None:
         locus = "ordinary" if which == "U" else "all"
     points = corr.ordinary if locus == "ordinary" else corr.points
     pos = {p.j: i for i, p in enumerate(points)}
     ext = corr.ext
-    n = len(points)
-    zero = ext.zero
-    rows = [[zero] * n for _ in range(n)]
+    sums = [{} for _ in points]
     for e in corr.edges:
-        if e.src.j not in pos or e.dst.j not in pos:
+        if e.kind not in kinds or e.src.j not in pos or e.dst.j not in pos:
             continue
-        i = pos[e.src.j]
-        jj = pos[e.dst.j]
-        if e.kind == "F" and which in ("F", "T"):
-            rows[i][jj] = rows[i][jj] + ext.one
-        elif e.kind == "V" and which in ("U", "T"):
+        if e.kind == "F":
+            x = ext.one
+        else:
             c = orbit_scale(e.dst.rep, e.target_module)
             if c is None:
                 raise AssertionError(f"V edge from j = {e.src.j} has no scale")
-            rows[i][jj] = rows[i][jj] + c ** k
-    semilinear = which in ("F", "T") and k != 0
+            x = c ** k
+        row, jj = sums[pos[e.src.j]], pos[e.dst.j]
+        row[jj] = row[jj] + x if jj in row else x
+    # a sum can vanish: 1 + 1 in characteristic 2
+    rows = [tuple(sorted([(j, x) for j, x in row.items() if not x.is_zero()]))
+            for row in sums]
+    semilinear = "F" in kinds and k != 0
     return HeckeMatrix(which, k, locus, points, ext, rows, semilinear,
                        -min(1, k))
 

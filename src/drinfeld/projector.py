@@ -2,8 +2,10 @@
 projector e(T) = lim T^(n!), with the control-style compatibility checks
 (base change of the idempotent commutes with weight specialization).
 
-Towers hold plain row lists of ring elements; levels of a tower may live
-over different rings connected by entrywise transition maps.  The matrix
+A matrix is a list of rows, each the tuple of the `(column, element)`
+pairs of its nonzero entries in column order; full rows appear only in
+JSON (`mat_sparse`, `mat_dense`).  Levels of a tower may live over
+different rings connected by entrywise transition maps.  The matrix
 arithmetic works on codes instead, in two layers:
 
 - *Entries.*  Every matrix ring (`LocalRing`, `FieldExt`, `IwasawaLevel`)
@@ -59,9 +61,8 @@ from .basearith import Codes, LocalRing, _MemoTable, local_ring, power
 # -- coded matrices -------------------------------------------------------------
 
 def mat_identity(ring, n: int):
-    """The n x n identity over a ring, as rows of its elements."""
-    return [[ring.one if i == j else ring.zero for j in range(n)]
-            for i in range(n)]
+    """The n x n identity over a ring, as row-sparse rows."""
+    return [((i, ring.one),) for i in range(n)]
 
 
 def mat_mul(a, b, codec):
@@ -100,22 +101,17 @@ class MatrixCodes(Codes):
         self.prods = _MemoTable(self, lambda a, b: mat_mul(a, b, scalars))
 
     def encode_matrix(self, mat) -> int:
-        """The code of a matrix given as rows of ring elements."""
+        """The code of a row-sparse matrix of ring elements."""
         encode = self.scalars.encode
         return self.encode(tuple(
-            tuple([(j, c) for j, c in enumerate(map(encode, row)) if c])
+            tuple([(j, c) for j, x in row if (c := encode(x))])
             for row in mat))
 
     def decode_matrix(self, code: int) -> list:
-        """The matrix of a code, as rows of ring elements."""
-        decode, zero = self.scalars.decode, self.scalars.decode(0)
-        out = []
-        for row in self.decode(code):
-            dense = [zero] * self.rank
-            for j, c in row:
-                dense[j] = decode(c)
-            out.append(dense)
-        return out
+        """The row-sparse matrix of a code."""
+        decode = self.scalars.decode
+        return [tuple([(j, decode(c)) for j, c in row])
+                for row in self.decode(code)]
 
 
 def mat_pow(a: int, e: int, ring: MatrixCodes) -> int:
@@ -126,7 +122,31 @@ def mat_pow(a: int, e: int, ring: MatrixCodes) -> int:
 
 
 def mat_map(a, fn):
-    return [[fn(x) for x in row] for row in a]
+    """fn on every entry of a row-sparse matrix, dropping the entries it
+    maps to zero."""
+    return [tuple([(j, y) for j, x in row if not (y := fn(x)).is_zero()])
+            for row in a]
+
+
+def mat_sparse(rows) -> list:
+    """The row-sparse form of a square matrix given as full rows; a ragged
+    or non-square one raises ValueError."""
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix rank mismatch")
+    return [tuple([(j, x) for j, x in enumerate(row) if not x.is_zero()])
+            for row in rows]
+
+
+def mat_dense(a, zero) -> list:
+    """The full rows of a row-sparse square matrix, `zero` in every empty
+    place: the form JSON prints."""
+    n, out = len(a), []
+    for row in a:
+        dense = [zero] * n
+        for j, x in row:
+            dense[j] = x
+        out.append(dense)
+    return out
 
 
 # -- towers ------------------------------------------------------------------
@@ -167,9 +187,8 @@ class TowerOperator:
     def __init__(self, tower: TowerModule, matrices: list):
         if len(matrices) != tower.depth:
             raise ValueError("one matrix per level")
-        for mat in matrices:
-            if len(mat) != tower.rank or any(len(r) != tower.rank for r in mat):
-                raise ValueError("matrix rank mismatch")
+        if any(len(mat) != tower.rank for mat in matrices):
+            raise ValueError("matrix rank mismatch")
         i = incompatible_level(tower, matrices)
         if i is not None:
             raise ValueError(
@@ -390,20 +409,15 @@ def local_finiteness_report(op: TowerOperator) -> list:
     the transitions (verified here on the kernel generators when the rings
     are truncation levels)."""
     out = []
-    tower = op.tower
-    for i, ring in enumerate(tower.rings):
+    for i, (ring, mat) in enumerate(zip(op.tower.rings, op.matrices)):
         chain = []
         if isinstance(ring, LocalRing):
             # kernels of reduction to lower precision: varpi^j * M
             for j in range(1, ring.n):
-                gens_stable = True
                 varpij = ring.varpi ** j
-                mat = op.matrices[i]
-                for col in range(tower.rank):
-                    image = [mat[r][col] * varpij for r in range(tower.rank)]
-                    if any(x.varpi_valuation() < j for x in image):
-                        gens_stable = False
-                chain.append({"index": j, "stable": gens_stable})
+                chain.append({"index": j, "stable": all(
+                    (x * varpij).varpi_valuation() >= j
+                    for row in mat for _, x in row)})
         out.append({"level": i, "chain": chain,
                     "stable": all(c["stable"] for c in chain)})
     return out

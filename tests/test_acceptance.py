@@ -27,7 +27,8 @@ from drinfeld.iwasawa import (J_ideal, determining_weights, duality_twist,
 from drinfeld.modules import DrinfeldModule, stable_order_qd_subgroups
 from drinfeld.projector import (constant_tower, control_check,
                                 factorial_powers_vanish, mat_identity,
-                                ordinary_projector, reduction_tower)
+                                mat_sparse, ordinary_projector,
+                                reduction_tower)
 from drinfeld.serretate import constant_lift, lift_independence_check
 
 GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json"
@@ -226,12 +227,12 @@ def test_criterion_09_projector():
     place = make_place(poly_T(F3))
     L2 = local_ring(place, 2)
     # (a) worked 2x2 example
-    M = [[L2.one, L2.one], [L2.zero, L2.varpi]]
+    M = mat_sparse([[L2.one, L2.one], [L2.zero, L2.varpi]])
     op = reduction_tower(place, M, 2)
     rep = ordinary_projector(op)
     assert rep.ok
-    assert rep.projector.matrices[-1] == [[L2.one, L2.one + L2.varpi],
-                                          [L2.zero, L2.zero]]
+    assert rep.projector.matrices[-1] == mat_sparse(
+        [[L2.one, L2.one + L2.varpi], [L2.zero, L2.zero]])
     assert factorial_powers_vanish(op, rep)
     # (b) towers from every correspondence instance of criterion 6: the
     # three operators at weight zero, and the etale-part operator at the
@@ -253,12 +254,13 @@ def test_criterion_09_projector():
     elems = [L2.from_apoly(APoly(F3, [a, b])) for a in range(3)
              for b in range(3)]
     for _ in range(100):
-        Mr = [[elems[rng.randrange(9)] for _ in range(4)] for _ in range(4)]
+        Mr = mat_sparse([[elems[rng.randrange(9)] for _ in range(4)]
+                         for _ in range(4)])
         repr_ = ordinary_projector(reduction_tower(place, Mr, 2))
         assert repr_.ok
     # control shadow: base change of the idempotent commutes with weights
     lv = iwasawa_level(place, 2)
-    ML = [[lv.one, lv.one], [lv.zero, lv.one * lv.ring.varpi]]
+    ML = mat_sparse([[lv.one, lv.one], [lv.zero, lv.one * lv.ring.varpi]])
     reports = control_check(
         ML, lv, [lambda x, k=k: specialize(x, k) for k in (0, 2, 3, 5)],
         lv.ring)

@@ -15,7 +15,7 @@ from drinfeld.basearith import (APoly, ArtinRing, CoeffTuple, FFElement,
 import drinfeld
 from drinfeld.carlitz import TruncSeriesRing
 from drinfeld.iwasawa import iwasawa_level
-from drinfeld.projector import MatrixCodes, mat_pow
+from drinfeld.projector import MatrixCodes, mat_pow, mat_sparse
 from drinfeld.skew import SkewPoly
 
 
@@ -575,8 +575,9 @@ def _power_cases(place_T, ext9, artin9):
     lv = iwasawa_level(place_T, 2)
     a9 = artin9.from_coeff(ext9.field.gen())
     mats = MatrixCodes(L2.codes(), 3)
-    mat = mats.encode_matrix([[L2.from_apoly(APoly(F3, [i + j, 1, i * j]))
-                               for j in range(3)] for i in range(3)])
+    mat = mats.encode_matrix(mat_sparse(
+        [[L2.from_apoly(APoly(F3, [i + j, 1, i * j])) for j in range(3)]
+         for i in range(3)]))
     elements = [
         (APoly(F3, [1, 2, 1]), APoly(F3, [1])),
         (L3.from_apoly(APoly(F3, [1, 1, 2])), L3.one),

@@ -392,7 +392,8 @@ def test_projector_run_reports_incompatible_projector(tmp_path, capsys,
     place = make_place(poly_T(finite_field(3)))
     L2 = local_ring(place, 2)
     rep = projector.ordinary_projector(projector.reduction_tower(
-        place, [[L2.one, L2.one], [L2.zero, L2.varpi]], 2))
+        place, projector.mat_sparse([[L2.one, L2.one], [L2.zero, L2.varpi]]),
+        2))
     assert rep.compatible is False and not rep.ok
     tower = {"format": 1, "q": 3, "varpi": "T", "depth": 2,
              "matrix": [["1", "1"], ["0", "T"]]}
@@ -475,12 +476,27 @@ def _without(spec, key, level=None):
     (dict(_TOWER, q="3"), "'q'"),
     (dict(_LEVELS, levels=[{"precision": "1", "matrix": [["1"]]}]),
      "'precision'"),
+    # every matrix is square, and every level of one rank
+    (dict(_TOWER, matrix=[["1", "1"], ["0"]]), "matrix rank mismatch"),
+    (dict(_TOWER, matrix=[["1", "1"]]), "matrix rank mismatch"),
+    (dict(_LEVELS, levels=[{"precision": 1, "matrix": [["1", "0"], ["1"]]},
+                           {"precision": 2, "matrix": [["1", "0"], ["1"]]}]),
+     "matrix rank mismatch"),
+    (dict(_LEVELS, levels=[{"precision": 1, "matrix": [["1", "0"]]},
+                           {"precision": 2, "matrix": [["1", "0"]]}]),
+     "matrix rank mismatch"),
+    (dict(_LEVELS, levels=[{"precision": 1, "matrix": [["1"]]},
+                           {"precision": 2,
+                            "matrix": [["1", "0"], ["0", "1"]]}]),
+     "matrix rank mismatch"),
 ])
 def test_malformed_tower_is_usage_error(spec, named, tmp_path, capsys):
     path = tmp_path / "tower.json"
     path.write_text(json.dumps(spec))
-    code, _, err = run_cli(["projector", "run", "--tower", str(path)], capsys)
-    assert code == 2 and named in err
+    code, out, err = run_cli(["projector", "run", "--tower", str(path)],
+                             capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert named in err
 
 
 @pytest.mark.parametrize("argv,named", [

@@ -6,13 +6,14 @@ import pytest
 
 from drinfeld import modules, skew
 from drinfeld.basearith import ext_field, field_of_order, make_place
-from drinfeld.checks import (assert_orbit_invariance, check_correspondence,
-                             standard_places)
+from drinfeld.checks import (WEIGHTS, assert_orbit_invariance,
+                             check_correspondence, standard_places)
 from drinfeld.hecke import (admissible_weight_values, apply_u_by_table,
                             atkin_lehner, build_correspondence,
                             enumerate_moduli, operator_matrix, orbit_scale,
                             support_valuations)
 from drinfeld.modules import DrinfeldModule, SubgroupKind, SubgroupScheme
+from drinfeld.projector import mat_dense, mat_sparse
 from drinfeld.skew import right_divide, tau
 from drinfeld.textenc import parse_apoly
 
@@ -124,10 +125,11 @@ def test_u_identity_at_weight_zero_m1(place_T):
     corr = build_correspondence(place_T, 1)
     U = operator_matrix(corr, 0, "U")
     assert U.size == 2
+    rows = mat_dense(U.rows, U.ext.zero)
     for i in range(2):
         for j in range(2):
             expect = U.ext.one if i == j else U.ext.zero
-            assert U.rows[i][j] == expect
+            assert rows[i][j] == expect
 
 
 @pytest.mark.parametrize("k", [-2, 0, 2, 3, 5])
@@ -141,7 +143,7 @@ def test_u_invertible(place_T, k):
 def test_u_entries_are_units(place_T):
     corr = build_correspondence(place_T, 2)
     U = operator_matrix(corr, 3, "U")
-    for row in U.rows:
+    for row in mat_dense(U.rows, U.ext.zero):
         nonzero = [x for x in row if not x.is_zero()]
         assert len(nonzero) == 1  # weighted permutation
 
@@ -158,12 +160,12 @@ def test_t_is_sum_with_disjoint_edge_support(place_T):
     corr = build_correspondence(place_T, 2)
     kinds = [e.kind for e in corr.edges]
     assert set(kinds) == {"F", "V"}
-    T0 = operator_matrix(corr, 0, "T")
-    F0 = operator_matrix(corr, 0, "F")
-    U0 = operator_matrix(corr, 0, "U", locus="all")
-    for i in range(T0.size):
-        for j in range(T0.size):
-            assert T0.rows[i][j] == F0.rows[i][j] + U0.rows[i][j]
+    T0, F0, U0 = (mat_dense(M.rows, M.ext.zero) for M in (
+        operator_matrix(corr, 0, "T"), operator_matrix(corr, 0, "F"),
+        operator_matrix(corr, 0, "U", locus="all")))
+    for i in range(len(T0)):
+        for j in range(len(T0)):
+            assert T0[i][j] == F0[i][j] + U0[i][j]
 
 
 def test_semilinear_flag(place_T):
@@ -305,3 +307,113 @@ def test_operator_matrix_names_a_v_edge_without_scale(place_T):
     with pytest.raises(AssertionError, match=f"j = {re.escape(str(e.src.j))} "):
         operator_matrix(corr, 3, "U")
     assert operator_matrix(corr, 3, "F").size == corr.ext.size
+
+
+# -- the sparse operators against full-row oracles ------------------------------
+
+def _dense_operator(corr, k, which):
+    """Oracle: the matrix of F, U or T in weight k on full rows, summed
+    entry by entry from the edges, a zero sum kept as a zero entry."""
+    points = corr.ordinary if which == "U" else corr.points
+    pos = {p.j: i for i, p in enumerate(points)}
+    kinds = {"F": "F", "U": "V", "T": "FV"}[which]
+    ext = corr.ext
+    rows = [[ext.zero] * len(points) for _ in points]
+    for e in corr.edges:
+        if e.kind in kinds and e.src.j in pos and e.dst.j in pos:
+            x = (ext.one if e.kind == "F"
+                 else orbit_scale(e.dst.rep, e.target_module) ** k)
+            rows[pos[e.src.j]][pos[e.dst.j]] += x
+    return rows
+
+
+def _dense_determinant(rows, field):
+    """Oracle: the determinant by Gaussian elimination over the field,
+    dividing by each pivot."""
+    n = len(rows)
+    mat = [row[:] for row in rows]
+    det = field.one
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not mat[r][col].is_zero()),
+                     None)
+        if pivot is None:
+            return field.zero
+        if pivot != col:
+            mat[col], mat[pivot] = mat[pivot], mat[col]
+            det = -det
+        det = det * mat[col][col]
+        inv = mat[col][col].inverse()
+        for r in range(col + 1, n):
+            factor = mat[r][col] * inv
+            for cc in range(col, n):
+                mat[r][cc] = mat[r][cc] - factor * mat[col][cc]
+    return det
+
+
+def _dense_apply(rows, values, zero):
+    out = []
+    for row in rows:
+        acc = zero
+        for entry, v in zip(row, values):
+            acc = acc + entry * v
+        out.append(acc)
+    return out
+
+
+def _dense_record(M, rows):
+    """Oracle: the JSON record of `hecke matrix`, written from full rows."""
+    return {"op": M.op, "k": M.k, "locus": M.locus,
+            "norm_exponent": M.norm_exponent, "semilinear": M.semilinear,
+            "index": [str(p.j) for p in M.index],
+            "field": {"p": M.ext.field.p, "n": M.ext.field.n},
+            "rows": [[str(e) for e in row] for row in rows]}
+
+
+@pytest.mark.parametrize("q, varpi, m", [(3, "T", 1), (3, "T", 2),
+                                         (3, "T", 3), (2, "T^2+T+1", 1),
+                                         (2, "T^2+T+1", 2)])
+def test_sparse_operators_match_dense_oracles(q, varpi, m):
+    place = make_place(parse_apoly(field_of_order(q), varpi))
+    corr = build_correspondence(place, m)
+    rng = random.Random(m)
+    elements = list(corr.ext.elements())
+    for k in WEIGHTS:
+        for which in ("F", "U", "T"):
+            M = operator_matrix(corr, k, which)
+            dense = _dense_operator(corr, k, which)
+            n, zero = len(dense), corr.ext.zero
+            assert M.rows == mat_sparse(dense)
+            assert mat_dense(M.transpose().rows, zero) == [
+                [dense[j][i] for j in range(n)] for i in range(n)]
+            values = [rng.choice(elements) for _ in range(n)]
+            assert M.apply(values) == _dense_apply(dense, values, zero)
+            assert M.as_record() == _dense_record(M, dense)
+            if all(len(row) <= 1 for row in M.rows):
+                assert M.determinant() == _dense_determinant(
+                    dense, corr.ext.field)
+            else:  # T off the self-loops: F and U entries share a row
+                assert which == "T" and m > 1
+                with pytest.raises(ValueError, match="entries, not one"):
+                    M.determinant()
+
+
+def test_determinant_raises_on_t_naming_a_row(place_T):
+    # at m = 3, F moves j to j^3 and V to j^(1/3): two columns per row
+    T = operator_matrix(build_correspondence(place_T, 3), 0, "T")
+    i = next(i for i, row in enumerate(T.rows) if len(row) == 2)
+    with pytest.raises(ValueError, match=re.escape(
+            f"row j = {T.index[i].j} of T has 2 entries")):
+        T.determinant()
+
+
+def test_determinant_is_zero_on_an_empty_row_or_column(place_T):
+    F = operator_matrix(build_correspondence(place_T, 2), 0, "F")
+    assert not F.determinant().is_zero()
+    rows = list(F.rows)
+    rows[1] = ()
+    assert F._replace(rows=rows).determinant().is_zero()
+    rows[1] = rows[0]  # two rows in one column, another column empty
+    assert F._replace(rows=rows).determinant().is_zero()
+    # T with an empty row: a zero determinant, not a row with two entries
+    T = operator_matrix(build_correspondence(place_T, 2), 0, "T")
+    assert T._replace(rows=[()] + list(T.rows[1:])).determinant().is_zero()

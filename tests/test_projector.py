@@ -14,8 +14,9 @@ from drinfeld.projector import (MatrixCodes, TowerModule, TowerOperator,
                                 _witness_exponent, constant_tower,
                                 control_check, factorial_powers_vanish,
                                 gl_exponent, image_membership_identities,
-                                local_finiteness_report, mat_identity,
-                                mat_map, mat_mul, mat_pow, ordinary_projector,
+                                local_finiteness_report, mat_dense,
+                                mat_identity, mat_map, mat_mul, mat_pow,
+                                mat_sparse, ordinary_projector,
                                 reduction_tower)
 from drinfeld.textenc import parse_apoly
 
@@ -27,7 +28,7 @@ def L2(place_T):
 
 @pytest.fixture()
 def worked(place_T, L2):
-    M = [[L2.one, L2.one], [L2.zero, L2.varpi]]
+    M = mat_sparse([[L2.one, L2.one], [L2.zero, L2.varpi]])
     return reduction_tower(place_T, M, 2)
 
 
@@ -49,8 +50,12 @@ def _ref_mat_mul(a, b, ring):
     return out
 
 
+def _ref_identity(ring, n):
+    return mat_dense(mat_identity(ring, n), ring.zero)
+
+
 def _ref_mat_pow(a, e, ring):
-    return power(a, e, mat_identity(ring, len(a)),
+    return power(a, e, _ref_identity(ring, len(a)),
                  lambda x, y: _ref_mat_mul(x, y, ring))
 
 
@@ -67,15 +72,17 @@ def _ref_limit(mat, ring):
 def _ref_projector(op):
     """Per level of the tower: the limit, its step, the order (st+1)!, the
     four per-level properties ordinary_projector reports and the witness
-    power T^(f-1) on the full exponent, all on element matrices."""
+    power T^(f-1) on the full exponent, all on full rows of elements."""
     out = []
     for ring, T in zip(op.tower.rings, op.matrices):
+        T = mat_dense(T, ring.zero)
+
         def mul(a, b, ring=ring):
             return _ref_mat_mul(a, b, ring)
         e, st = _ref_limit(T, ring)
         f = math.factorial(st + 1)
         one_minus_e = [[x - y for x, y in zip(ri, re)]
-                       for ri, re in zip(mat_identity(ring, len(T)), e)]
+                       for ri, re in zip(_ref_identity(ring, len(T)), e)]
         P = _ref_mat_pow(T, f - 1, ring)
         flags = (mul(e, e) == e,
                  mul(e, T) == mul(T, e),
@@ -87,12 +94,17 @@ def _ref_projector(op):
 
 
 def _ref_control(matrix, ring, specialize_entry, target_ring):
+    """control_check's report for one weight on a row-sparse matrix,
+    computed on its full rows."""
+    def push(mat):
+        return [[specialize_entry(x) for x in row] for row in mat]
+    matrix = mat_dense(matrix, ring.zero)
     e_first, _ = _ref_limit(matrix, ring)
-    e_pushed = mat_map(e_first, specialize_entry)
-    e_second, _ = _ref_limit(mat_map(matrix, specialize_entry), target_ring)
+    e_pushed = push(e_first)
+    e_second, _ = _ref_limit(push(matrix), target_ring)
     agree = (_ref_mat_mul(e_pushed, e_second, target_ring) == e_second
              and _ref_mat_mul(e_second, e_pushed, target_ring) == e_pushed)
-    return e_pushed, e_second, agree
+    return mat_sparse(e_pushed), mat_sparse(e_second), agree
 
 
 def _specializations(weights):
@@ -138,7 +150,7 @@ def test_worked_example(worked, L2, place_T):
     assert rep.ok
     e = rep.projector.matrices[-1]
     expected = [[L2.one, L2.one + L2.varpi], [L2.zero, L2.zero]]
-    assert e == expected
+    assert e == mat_sparse(expected)
     # independent oracle: naive repeated multiplication
     M = [[L2.one, L2.one], [L2.zero, L2.varpi]]
     oracle = _naive_factorial_limit(M, L2)
@@ -152,11 +164,12 @@ def test_identity_projector(L2):
 
 
 def test_nilpotent_projector(L2):
-    nil = [[L2.zero, L2.one, L2.one],
-           [L2.zero, L2.zero, L2.one],
-           [L2.zero, L2.zero, L2.zero]]
+    nil = mat_sparse([[L2.zero, L2.one, L2.one],
+                      [L2.zero, L2.zero, L2.one],
+                      [L2.zero, L2.zero, L2.zero]])
     rep = ordinary_projector(constant_tower(L2, nil))
-    assert rep.ok and rep.projector.matrices[0] == [[L2.zero] * 3] * 3
+    assert rep.ok
+    assert rep.projector.matrices[0] == mat_sparse([[L2.zero] * 3] * 3)
 
 
 def test_projector_properties(worked):
@@ -207,7 +220,7 @@ def _counted_ring(codec, rank):
 def test_mat_pow_product_count(e, L2, monkeypatch):
     calls = _counted_products(monkeypatch)
     ring = _counted_ring(L2.codes(), 2)
-    M = ring.encode_matrix([[L2.one, L2.one], [L2.zero, L2.varpi]])
+    M = ring.encode_matrix(mat_sparse([[L2.one, L2.one], [L2.zero, L2.varpi]]))
     mat_pow(M, e, ring)
     expected = (e.bit_length() - 1) + (bin(e).count("1") - 1) if e else 0
     assert ring.prods.requests == expected
@@ -278,7 +291,7 @@ def test_factorial_ladder_product_count(place_index, seed, stop, products,
     L2 = local_ring(place, 2)
     elems = list(L2.elements())
     rng = random.Random(seed)
-    T = [[rng.choice(elems) for _ in range(3)] for _ in range(3)]
+    T = mat_sparse([[rng.choice(elems) for _ in range(3)] for _ in range(3)])
     ring = _counted_ring(L2.codes(), 3)
     calls = _counted_products(monkeypatch)
     _, step = _stabilized_factorial_power(ring.encode_matrix(T), ring)
@@ -296,8 +309,8 @@ def test_iteration_matches_reference_past_64_steps():
     field = place.field
     elems = [L2.from_apoly(APoly(field, [a, b]))
              for a in field.elements() for b in field.elements()]
-    M = [[elems[rng.randrange(len(elems))] for _ in range(4)]
-         for _ in range(4)]
+    M = mat_sparse([[elems[rng.randrange(len(elems))] for _ in range(4)]
+                    for _ in range(4)])
     op = reduction_tower(place, M, 2)
     assert ordinary_projector(op).steps == [73, 73]
     _assert_projector_matches_reference(op)
@@ -306,7 +319,7 @@ def test_iteration_matches_reference_past_64_steps():
 def test_idempotent_equals_for_powers(worked, place_T, L2):
     rep = ordinary_projector(worked)
     e = rep.projector.matrices[-1]
-    M = [[L2.one, L2.one], [L2.zero, L2.varpi]]
+    M = mat_sparse([[L2.one, L2.one], [L2.zero, L2.varpi]])
     ring = MatrixCodes(L2.codes(), 2)
     for r in (2, 3):
         Mr = ring.decode_matrix(mat_pow(ring.encode_matrix(M), r, ring))
@@ -327,9 +340,9 @@ def test_exactness_shadow(worked, place_T):
     # on the kernel of the transition (the varpi-multiples), the deeper
     # idempotent restricts to the shallow one transported by varpi
     rep = ordinary_projector(worked)
-    L2 = worked.tower.rings[1]
-    e2 = rep.projector.matrices[1]
-    e1 = rep.projector.matrices[0]
+    L1, L2 = worked.tower.rings
+    e2 = mat_dense(rep.projector.matrices[1], L2.zero)
+    e1 = mat_dense(rep.projector.matrices[0], L1.zero)
     for col in range(2):
         deep = [e2[r][col] * L2.varpi for r in range(2)]
         lifted = [L2.to_apoly(x) for x in deep]
@@ -343,8 +356,8 @@ def test_exactness_shadow(worked, place_T):
 
 def test_constructor_rejects_incompatible_levels(L2):
     tower = TowerModule([L2, L2], 2, [lambda x: x])
-    good = [[L2.one, L2.zero], [L2.zero, L2.one]]
-    bad = [[L2.one, L2.one], [L2.zero, L2.varpi]]
+    good = mat_sparse([[L2.one, L2.zero], [L2.zero, L2.one]])
+    bad = mat_sparse([[L2.one, L2.one], [L2.zero, L2.varpi]])
     with pytest.raises(ValueError, match="commute"):
         TowerOperator(tower, [good, bad])
 
@@ -361,7 +374,8 @@ def test_random_towers(place_T):
     elems = [L2.from_apoly(APoly(field, [a, b]))
              for a in field.elements() for b in field.elements()]
     for _ in range(30):
-        M = [[elems[rng.randrange(9)] for _ in range(4)] for _ in range(4)]
+        M = mat_sparse([[elems[rng.randrange(9)] for _ in range(4)]
+                        for _ in range(4)])
         rep = ordinary_projector(reduction_tower(place_T, M, 2))
         assert rep.ok
 
@@ -371,7 +385,7 @@ def test_control_full_module(place_T):
     # both sides of the control comparison are everything
     lv = iwasawa_level(place_T, 2)
     u = lv.wild_group[1]
-    M = [[lv.dirac(u), lv.zero], [lv.zero, lv.dirac(u * u)]]
+    M = mat_sparse([[lv.dirac(u), lv.zero], [lv.zero, lv.dirac(u * u)]])
     for cr in control_check(M, lv, _specializations((0, 2, 3)), lv.ring):
         assert cr.ok
         assert cr.projector_of_specialized == mat_identity(lv.ring, 2)
@@ -379,12 +393,12 @@ def test_control_full_module(place_T):
 
 def test_control_rank_one(place_T):
     lv = iwasawa_level(place_T, 2)
-    M = [[lv.one, lv.one], [lv.zero, lv.one * lv.ring.varpi]]
+    M = mat_sparse([[lv.one, lv.one], [lv.zero, lv.one * lv.ring.varpi]])
     reports = control_check(M, lv, _specializations((0, 2, 5)), lv.ring)
     assert len(reports) == 3
     for cr in reports:
         assert cr.ok
-        e = cr.projector_of_specialized
+        e = mat_dense(cr.projector_of_specialized, lv.ring.zero)
         zero = [[lv.ring.zero] * 2] * 2
         assert e != zero
         assert e[1] == zero[1]  # second row vanishes: rank one
@@ -392,18 +406,18 @@ def test_control_rank_one(place_T):
 
 def test_control_zero(place_T):
     lv = iwasawa_level(place_T, 2)
-    M = [[lv.one * lv.ring.varpi, lv.zero], [lv.zero, lv.zero]]
+    M = mat_sparse([[lv.one * lv.ring.varpi, lv.zero], [lv.zero, lv.zero]])
     [cr] = control_check(M, lv, _specializations((2,)), lv.ring)
     assert cr.ok
-    assert cr.projector_of_specialized == [[lv.ring.zero] * 2] * 2
+    assert cr.projector_of_specialized == mat_sparse([[lv.ring.zero] * 2] * 2)
 
 
 def test_control_random(place_T):
     lv = iwasawa_level(place_T, 2)
     rng = random.Random(17)
     for _ in range(8):
-        M = [[lv.random_element(rng, support=2) for _ in range(2)]
-             for _ in range(2)]
+        M = mat_sparse([[lv.random_element(rng, support=2) for _ in range(2)]
+                        for _ in range(2)])
         assert all(cr.ok for cr in control_check(
             M, lv, _specializations((0, 3)), lv.ring))
 
@@ -414,7 +428,7 @@ def test_control_check_derives_the_source_projector_once(place_T,
     # weights; each weight adds one iteration over its target
     from drinfeld import projector
     lv = iwasawa_level(place_T, 2)
-    M = [[lv.one, lv.one], [lv.zero, lv.one * lv.ring.varpi]]
+    M = mat_sparse([[lv.one, lv.one], [lv.zero, lv.one * lv.ring.varpi]])
     original, scalars = projector._stabilized_factorial_power, []
 
     def counted(T, ring):
@@ -434,11 +448,11 @@ def test_control_check_derives_the_source_projector_once(place_T,
 
 def test_image_identity_criterion(L2):
     ring = MatrixCodes(L2.codes(), 2)
-    e1 = ring.encode_matrix([[L2.one, L2.zero], [L2.zero, L2.zero]])
-    e2 = ring.encode_matrix([[L2.one, L2.one], [L2.zero, L2.zero]])
+    e1 = ring.encode_matrix(mat_sparse([[L2.one, L2.zero], [L2.zero, L2.zero]]))
+    e2 = ring.encode_matrix(mat_sparse([[L2.one, L2.one], [L2.zero, L2.zero]]))
     # same column space over the ring
     assert image_membership_identities(e1, e2, ring)
-    e3 = ring.encode_matrix([[L2.zero, L2.zero], [L2.zero, L2.one]])
+    e3 = ring.encode_matrix(mat_sparse([[L2.zero, L2.zero], [L2.zero, L2.one]]))
     assert not image_membership_identities(e1, e3, ring)
 
 
@@ -492,8 +506,8 @@ def test_codes_are_owned_by_the_ring(place_index):
 def test_repeated_control_check_builds_no_codec(place_T, monkeypatch):
     lv = iwasawa_level(place_T, 2)
     rng = random.Random(3)
-    M = [[lv.random_element(rng, support=2) for _ in range(3)]
-         for _ in range(3)]
+    M = mat_sparse([[lv.random_element(rng, support=2) for _ in range(3)]
+                    for _ in range(3)])
 
     def run():
         [cr] = control_check(M, lv, _specializations((3,)), lv.ring)
@@ -555,7 +569,7 @@ def test_traced_kernel_runs_once_per_product_entry(worked, place_T,
     rep = ordinary_projector(worked)
     assert factorial_powers_vanish(worked, rep)
     lv = iwasawa_level(place_T, 2)
-    M = [[lv.one, lv.one], [lv.zero, lv.one * lv.ring.varpi]]
+    M = mat_sparse([[lv.one, lv.one], [lv.zero, lv.one * lv.ring.varpi]])
     [cr] = control_check(M, lv, _specializations((2,)), lv.ring)
     assert cr.ok
     assert len(rings) == 6
@@ -655,14 +669,15 @@ def test_witness_exponent_stays_past_the_index(place_T):
              for _ in range(3)]
     m = MatrixCodes(ring.codes(), 2)
     for T in mats:
-        powers = [mat_identity(ring, 2)]
+        powers = [_ref_identity(ring, 2)]
         for _ in range(300):
             powers.append(_ref_mat_mul(powers[-1], T, ring))
         for f in range(1, 301):
             h = _witness_exponent(ring, 2, f)
             assert h <= f - 1
-            assert m.decode_matrix(mat_pow(m.encode_matrix(T), h, m)) \
-                == powers[f - 1], (T, f, h)
+            assert m.decode_matrix(mat_pow(m.encode_matrix(mat_sparse(T)),
+                                           h, m)) \
+                == mat_sparse(powers[f - 1]), (T, f, h)
 
 
 def test_witness_exponent_reduces_the_ladder():
@@ -682,7 +697,7 @@ def test_witness_exponent_reduces_the_ladder():
 def _assert_projector_matches_reference(op):
     rep = ordinary_projector(op)
     ref = _ref_projector(op)
-    assert rep.projector.matrices == [e for e, _, _, _, _ in ref]
+    assert rep.projector.matrices == [mat_sparse(e) for e, _, _, _, _ in ref]
     assert rep.steps == [st for _, st, _, _, _ in ref]
     assert rep.invertibility_order == [f for _, _, f, _, _ in ref]
     flags = [all(level[3][i] for level in ref) for i in range(4)]
@@ -694,7 +709,8 @@ def _assert_projector_matches_reference(op):
         m = MatrixCodes(ring.codes(), rank)
         h = _witness_exponent(ring, rank, f)
         assert h <= f - 1
-        assert m.decode_matrix(mat_pow(m.encode_matrix(T), h, m)) == P
+        assert m.decode_matrix(mat_pow(m.encode_matrix(T), h, m)) \
+            == mat_sparse(P)
 
 
 def _assert_kernels_match_reference(a, b, ring, exponents):
@@ -704,8 +720,8 @@ def _assert_kernels_match_reference(a, b, ring, exponents):
         == _ref_mat_mul(a, b, ring)
     m = MatrixCodes(c, len(a))
     for e in exponents:
-        assert m.decode_matrix(mat_pow(m.encode_matrix(a), e, m)) \
-            == _ref_mat_pow(a, e, ring)
+        assert m.decode_matrix(mat_pow(m.encode_matrix(mat_sparse(a)), e, m)) \
+            == mat_sparse(_ref_mat_pow(a, e, ring))
 
 
 @pytest.mark.parametrize("place_index", [0, 1])
@@ -718,7 +734,8 @@ def test_coded_projector_matches_reference_depth2(place_index):
         a, b = ([[rng.choice(elems) for _ in range(4)] for _ in range(4)]
                 for _ in range(2))
         _assert_kernels_match_reference(a, b, L2, range(8))
-        _assert_projector_matches_reference(reduction_tower(place, a, 2))
+        _assert_projector_matches_reference(
+            reduction_tower(place, mat_sparse(a), 2))
 
 
 @pytest.mark.parametrize("place_index", [0, 1])
@@ -730,6 +747,7 @@ def test_coded_projector_matches_reference_iwasawa(place_index):
         a, b = ([[lv.random_element(rng, support=2) for _ in range(3)]
                  for _ in range(3)] for _ in range(2))
         _assert_kernels_match_reference(a, b, lv, range(5))
+        a = mat_sparse(a)
         _assert_projector_matches_reference(constant_tower(lv, a))
         # the tower Lambda_1 <- Lambda_2 of the same operator
         def down(x):

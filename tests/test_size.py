@@ -6,7 +6,7 @@ from pathlib import Path
 
 import drinfeld
 
-SRC_LINES_CEILING = 4925
+SRC_LINES_CEILING = 4935
 
 
 def test_src_stays_under_its_line_ceiling():
