@@ -26,12 +26,12 @@ coefficient ring, which for a `FieldExt` is its field's kernels; rings
 whose elements are polynomials themselves (`ArtinRing`, `PolyRing`)
 loop over their elements in `ElementwiseKernels`, which cannot divide.
 
-`ElementCodes` gives the elements of any finite commutative ring int
-codes, for the projector's matrices: arithmetic on codes is a subscript
-of int-keyed memo tables, `sums[a][b]`, `diffs[a][b]` and `prods[a][b]`,
-whose missing entries the ring's own element arithmetic fills.  Every
-matrix ring owns one, local rings, residue extensions and Iwasawa levels
-alike.
+Interning is the one identity layer: an interned element is its own
+key.  `RingTables` memoizes the arithmetic of any finite commutative ring
+in tables keyed by its elements, `sums[x][y]`, `diffs[x][y]` and
+`prods[x][y]`, whose missing entries the ring's own element arithmetic
+fills.  Only interned values are table keys.  Every matrix ring owns one,
+local rings, residue extensions and Iwasawa levels alike.
 """
 
 from __future__ import annotations
@@ -72,81 +72,50 @@ def power(x, e: int, one, mul=operator.mul):
 
 
 class _MemoRow(dict):
-    """One row of a `_MemoTable`, for the value x of its code: a missing
-    entry b is filled once with the code of op(x, value b), computed by the
-    table's own operation."""
+    """One row of a `_MemoTable`, for its left operand x: a missing entry
+    y is filled once with op(x, y), computed by the table's operation."""
 
-    __slots__ = ("codes", "op", "x")
+    __slots__ = ("op", "x")
 
-    def __init__(self, codes, op, x):
-        self.codes, self.op, self.x = codes, op, x
+    def __init__(self, op, x):
+        self.op, self.x = op, x
 
-    def __missing__(self, b: int) -> int:
-        c = self[b] = self.codes.encode(self.op(self.x, self.codes.decode(b)))
-        return c
+    def __missing__(self, y):
+        z = self[y] = self.op(self.x, y)
+        return z
 
 
 class _MemoTable(dict):
-    """An int-keyed memo `table[a][b]` of one binary operation on codes:
-    a missing row is created empty, so a hit is two dict subscripts."""
+    """A memo `table[x][y]` of one binary operation: a missing row is
+    created empty, so a hit is two dict subscripts."""
 
-    __slots__ = ("codes", "op")
+    __slots__ = ("op",)
 
-    def __init__(self, codes, op):
-        self.codes, self.op = codes, op
+    def __init__(self, op):
+        self.op = op
 
-    def __missing__(self, a: int) -> _MemoRow:
-        row = self[a] = _MemoRow(self.codes, self.op, self.codes.decode(a))
+    def __missing__(self, x) -> _MemoRow:
+        row = self[x] = _MemoRow(self.op, x)
         return row
 
 
-class Codes:
-    """Integer codes for the values of one finite structure: zero is 0,
-    one is 1, and every other value gets the next free int when first
-    encoded.  Codes are canonical: two codes are equal exactly when their
-    values are."""
+class RingTables:
+    """The memo tables `sums[x][y]`, `diffs[x][y]` and `prods[x][y]` of
+    x + y, x - y and x * y in one finite commutative ring, keyed by its
+    interned elements, the only keys they take.  They are empty at first;
+    a missing entry is filled by the ring's own element arithmetic, which
+    returns interned elements too, so any ring size works and a hit costs
+    two dict subscripts and no Python call.  A ring builds its tables once
+    and owns them for its lifetime (`ring.tables()`), so every caller
+    shares what earlier ones filled; each holds at most |R|^2 entries."""
 
-    __slots__ = ("zero", "one", "_elements", "_index")
-
-    def __init__(self, zero, one):
-        self.zero, self.one = 0, 1
-        self._elements = [zero, one]
-        self._index = {zero: 0, one: 1}
-
-    def encode(self, x) -> int:
-        code = self._index.get(x)
-        if code is None:
-            code = self._index[x] = len(self._elements)
-            self._elements.append(x)
-        return code
-
-    def decode(self, code: int):
-        return self._elements[code]
-
-
-class ElementCodes(Codes):
-    """The `Codes` of the elements of one finite commutative ring.
-
-    Arithmetic on codes is table subscripting: `sums[a][b]`, `diffs[a][b]`
-    and `prods[a][b]` are the codes of a + b, a - b and a * b.  The tables
-    are memos, empty at first; a missing entry is filled by the ring's own
-    element arithmetic, so no table is built up front and any ring size
-    works, and a hit costs two dict subscripts and no Python call.
-
-    A ring builds one codec, holding only zero and one, and owns it for its
-    lifetime (`ring.codes()`), so every caller shares what earlier ones
-    filled.  Each table holds at most |R|^2 entries.  The elements of the
-    finite fields and truncated rings are interned, so `encode` hashes
-    and compares them by identity, with no Python frame; an Iwasawa
-    level's elements are keyed by their tuple of codes."""
-
-    __slots__ = ("sums", "diffs", "prods")
+    __slots__ = ("zero", "one", "sums", "diffs", "prods")
 
     def __init__(self, ring):
-        super().__init__(ring.zero, ring.one)
-        self.sums = _MemoTable(self, operator.add)
-        self.diffs = _MemoTable(self, operator.sub)
-        self.prods = _MemoTable(self, operator.mul)
+        self.zero, self.one = ring.zero, ring.one
+        self.sums = _MemoTable(operator.add)
+        self.diffs = _MemoTable(operator.sub)
+        self.prods = _MemoTable(operator.mul)
 
 
 def join_terms(pairs, var: str) -> str:
@@ -837,7 +806,7 @@ class FieldExt:
         self.mul_coeffs = self.field.mul_coeffs
         self.divmod_coeffs = self.field.divmod_coeffs
         self._residue_iso = None
-        self._codes = ElementCodes(self)
+        self._tables = RingTables(self)
 
     @property
     def size(self) -> int:
@@ -850,8 +819,8 @@ class FieldExt:
     def qpow(self, x: FFElement, e: int = 1) -> FFElement:
         return x ** (self.q ** e)
 
-    def codes(self) -> ElementCodes:
-        return self._codes
+    def tables(self) -> RingTables:
+        return self._tables
 
     def elements(self):
         return self.field.elements()
@@ -1124,12 +1093,12 @@ class LocalRing(ArtinRing):
         super().__init__(place, 1, n)
         self.n = n
         self.varpi = self.eps
-        self._codes = ElementCodes(self)
+        self._tables = RingTables(self)
 
     from_apoly = ArtinRing.gamma_eval
 
-    def codes(self) -> ElementCodes:
-        return self._codes
+    def tables(self) -> RingTables:
+        return self._tables
 
     def elements(self):
         """Every element, in the product order of the coefficients of its

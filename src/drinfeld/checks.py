@@ -325,10 +325,9 @@ def check_determining_weights(place: PrimePlace, m_max: int = 3) -> CheckResult:
             ds = determining_weights(place, m)
             lv = iwasawa_level(place, m)
             if lv.tame_order * lv.width * ds.exponent <= FULL_EVALUATION_ENTRIES:
-                units = map(lv.scalars.encode, lv.ring.units())
                 full = smith_count(lv.ring, [[lv.unit_power(u, k)
                                               for k in ds.weights]
-                                             for u in units])
+                                             for u in lv.ring.units()])
                 require(full == ds.rank, f"level {m}: rank {ds.rank} from "
                         f"the wild block, {full} from all units")
             ranks.append((m, len(ds.weights), ds.rank))

@@ -7,16 +7,15 @@ structure.
 
 A level-m element is stored in its semilocal decomposition, one wild
 group-algebra component per tame character of the residue field units,
-as a flat tuple of scalar codes: character-major, then by wild-group
-position.  The codes come from the one `ElementCodes` that the ring
-A/(varpi^m) owns, shared with the projector's matrices over that ring, so
-coefficient arithmetic subscripts its memo tables (`sums[a][b]`,
-`prods[a][b]`), in the manner of Zech logarithms.  Each level also owns
-one `ElementCodes` over its own elements, which codes the projector's
-matrices over the level.  Tables built on first use map a unit code to its
-(tame exponent, wild position) and give u^k by code.  Weight
-specialization reads off a single component; the independent evaluation
-route expands the element over the full unit group first.
+as a flat tuple of interned A/(varpi^m) elements: character-major, then
+by wild-group position.  Coefficient arithmetic subscripts the memo
+tables of the ring's one `RingTables` (`sums[x][y]`, `prods[x][y]`).
+Level elements are interned too, one per coefficient tuple, and key the
+level's own `RingTables`; only interned values are table keys.  Tables
+built on first use map a unit to its (tame exponent, wild position) and
+give u^k.  Weight specialization reads off a single component; the
+independent evaluation route expands the element over the full unit
+group first.
 
 Results are memoized per process where their inputs are immutable: an
 element keeps its expansion over the full unit group once computed (so
@@ -32,14 +31,14 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache, cached_property
 
-from .basearith import ElementCodes, PrimePlace, TruncPoly, local_ring, power
+from .basearith import PrimePlace, RingTables, TruncPoly, local_ring, power
 
 
 class IwasawaLevel:
     """The level-m truncation: coefficients in A/(varpi^m), group the units
     of that ring, decomposed as (residue units) x (principal units).
-    `add`, `sub` and `mul` act on the elements' tuples of scalar codes, and
-    `codes()` is the level's own codec, whose codes stand for elements."""
+    `interned` maps each coefficient tuple to the one element of that
+    value, and `tables()` holds the memo tables over the elements."""
 
     def __init__(self, place: PrimePlace, m: int):
         if m < 1:
@@ -47,7 +46,7 @@ class IwasawaLevel:
         self.place = place
         self.m = m
         self.ring = local_ring(place, m)
-        self.scalars = self.ring.codes()
+        self.scalars = self.ring.tables()
         self.tame_order = place.q ** place.d - 1
         self.wild_group = tuple(self.ring.principal_units())
         self.wild_index = {u: i for i, u in enumerate(self.wild_group)}
@@ -62,12 +61,13 @@ class IwasawaLevel:
         self.teich_gen = self._find_teich_generator()
         self.teich_powers = tuple(self.teich_gen ** a
                                   for a in range(self.tame_order))
-        self._teich_codes = tuple(map(self.scalars.encode, self.teich_powers))
-        self._cycles: dict = {}  # unit code -> codes of u^0, u^1, ...
-        self.zero = IwasawaElement(self, (0,) * (self.tame_order * self.width))
+        self._cycles: dict = {}  # unit -> u^0, u^1, ...
+        self.interned: dict[tuple, IwasawaElement] = {}
+        self.zero = IwasawaElement(
+            self, (self.ring.zero,) * (self.tame_order * self.width))
         self.one = IwasawaElement(
-            self, self._dirac_codes(0, self.wild_index[self.ring.one]))
-        self._codes = ElementCodes(self)
+            self, self._dirac_coeffs(0, self.wild_index[self.ring.one]))
+        self._tables = RingTables(self)
 
     def _find_teich_generator(self) -> TruncPoly:
         for u in self.ring.units():
@@ -76,23 +76,21 @@ class IwasawaLevel:
                 return t
         raise RuntimeError("no Teichmuller generator found")
 
-    # -- tables over codes, built on first use ------------------------------
+    # -- tables over units, built on first use ------------------------------
 
     @cached_property
     def _unit_tables(self) -> tuple:
-        """(the codes of omega^a * w_i at a * width + i; the map from a unit
-        code back to (a, i))."""
-        units = tuple(self.scalars.encode(t * v) for t in self.teich_powers
-                      for v in self.wild_group)
+        """(omega^a * w_i at a * width + i; the map from a unit back to
+        (a, i))."""
+        units = tuple(t * v for t in self.teich_powers for v in self.wild_group)
         return units, {u: divmod(n, self.width) for n, u in enumerate(units)}
 
     @cached_property
     def _expand_weights(self) -> tuple:
         """[a][chi]: chi^-1(zeta^a) / (tame order), the weight of component
         chi at tame exponent a in `expand`."""
-        t, teich = self.tame_order, self._teich_codes
-        inv = self.scalars.prods[
-            self.scalars.encode(self.ring.from_int(t).inverse())]
+        t, teich = self.tame_order, self.teich_powers
+        inv = self.scalars.prods[self.ring.from_int(t).inverse()]
         return tuple(tuple(inv[teich[-chi * a % t]] for chi in range(t))
                      for a in range(t))
 
@@ -102,15 +100,16 @@ class IwasawaLevel:
         return tuple(tuple(self.wild_index[u * v] for v in self.wild_group)
                      for u in self.wild_group)
 
-    def unit_power(self, u: int, k: int) -> int:
-        """The code of u^k for a unit code u and any integer k, read off the
-        cycle u^0, u^1, ... of u (kept once computed)."""
+    def unit_power(self, u: TruncPoly, k: int) -> TruncPoly:
+        """u^k for a unit u and any integer k, read off the cycle u^0, u^1,
+        ... of u (kept once computed)."""
         cycle = self._cycles.get(u)
         if cycle is None:
-            times_u, acc, cycle = self.scalars.prods[u], u, [1]
-            while acc != 1:
-                if not acc:
-                    raise ValueError(f"{self.scalars.decode(u)} is not a unit")
+            one, zero = self.ring.one, self.ring.zero
+            times_u, acc, cycle = self.scalars.prods[u], u, [one]
+            while acc is not one:
+                if acc is zero:
+                    raise ValueError(f"{u} is not a unit")
                 cycle.append(acc)
                 acc = times_u[acc]
             cycle = self._cycles[u] = tuple(cycle)
@@ -118,71 +117,62 @@ class IwasawaLevel:
 
     # -- elements ------------------------------------------------------------
 
-    def _unit_code(self, u: TruncPoly) -> int:
+    def _split_unit(self, u: TruncPoly) -> tuple:
+        """(a, i) with u = omega^a * w_i."""
         if u.ring is not self.ring:
             raise ValueError(f"{u} is not an element of {self.ring!r}")
-        code = self.scalars.encode(u)
-        if code not in self._unit_tables[1]:
+        split = self._unit_tables[1].get(u)
+        if split is None:
             raise ValueError(f"{u} is not a unit")
-        return code
+        return split
 
-    def _dirac_codes(self, a: int, i: int) -> tuple:
+    def _dirac_coeffs(self, a: int, i: int) -> tuple:
         """[omega^a * w_i]: component chi is chi(zeta^a) at wild position i."""
         t, w = self.tame_order, self.width
-        out = [0] * (t * w)
+        out = [self.ring.zero] * (t * w)
         for chi in range(t):
-            out[chi * w + i] = self._teich_codes[chi * a % t]
+            out[chi * w + i] = self.teich_powers[chi * a % t]
         return tuple(out)
 
     def dirac(self, u: TruncPoly) -> "IwasawaElement":
         """The group-like element [u]."""
-        a, i = self._unit_tables[1][self._unit_code(u)]
-        return IwasawaElement(self, self._dirac_codes(a, i))
+        return IwasawaElement(self, self._dirac_coeffs(*self._split_unit(u)))
 
     @cached_property
-    def _element_codes(self) -> tuple:
-        """The codes of the ring's elements, in `ring.elements()` order."""
-        return tuple(map(self.scalars.encode, self.ring.elements()))
+    def _ring_elements(self) -> tuple:
+        """The ring's elements, in `ring.elements()` order."""
+        return tuple(self.ring.elements())
 
     def random_element(self, rng, support: int = 3) -> "IwasawaElement":
         """Per tame character, up to `support` draws of a wild position and
         a ring element (in `ring.elements()` order), summed."""
-        out, w, sums = list(self.zero.codes), self.width, self.scalars.sums
-        ring = self._element_codes
+        out, w, sums = list(self.zero.coeffs), self.width, self.scalars.sums
+        ring = self._ring_elements
         for chi in range(self.tame_order):
             for _ in range(rng.randrange(support + 1)):
                 k = chi * w + rng.randrange(w)
                 out[k] = sums[out[k]][ring[rng.randrange(len(ring))]]
         return IwasawaElement(self, tuple(out))
 
-    # -- arithmetic on code tuples ------------------------------------------
-
-    def add(self, x: tuple, y: tuple) -> tuple:
-        sums = self.scalars.sums
-        return tuple([sums[a][b] for a, b in zip(x, y)])
-
-    def sub(self, x: tuple, y: tuple) -> tuple:
-        diffs = self.scalars.diffs
-        return tuple([diffs[a][b] for a, b in zip(x, y)])
-
     def mul(self, x: tuple, y: tuple) -> tuple:
         """Per tame character, the convolution of the wild components."""
         sums, prods, w = self.scalars.sums, self.scalars.prods, self.width
-        out = [0] * len(x)
+        zero = self.ring.zero
+        out = [zero] * len(x)
         for base in range(0, len(x), w):
-            ys = [(j, e) for j, e in enumerate(y[base:base + w]) if e]
+            ys = [(j, e) for j, e in enumerate(y[base:base + w]) if e is not zero]
             for row, c in zip(self._wild_products, x[base:base + w]):
-                if c:
+                if c is not zero:
                     pc = prods[c]
                     for j, e in ys:
                         k = base + row[j]
                         out[k] = sums[out[k]][pc[e]]
         return tuple(out)
 
-    def codes(self) -> ElementCodes:
-        """The level's codec over its elements, one per level for its
-        lifetime: the projector's matrices over the level are coded by it."""
-        return self._codes
+    def tables(self) -> RingTables:
+        """The level's memo tables over its elements, one per level for its
+        lifetime: the projector's matrices over the level use them."""
+        return self._tables
 
     def __repr__(self):
         return f"IwasawaLevel({self.place}, m={self.m})"
@@ -201,32 +191,42 @@ def iwasawa_level(place: PrimePlace, m: int) -> IwasawaLevel:
 class IwasawaElement:
     """Level-m truncated measure: per tame character chi, a map from the
     principal units w_i to level-m scalars, held as the level's tuple of
-    scalar codes with c_chi(w_i) at chi * width + i.  Codes are canonical,
-    so equality and hashing compare the tuples.  `_expansion` keeps the
-    element's expansion once `_expand_codes` computes it."""
+    A/(varpi^m) elements with c_chi(w_i) at chi * width + i.
 
-    __slots__ = ("level", "codes", "_expansion")
+    Elements are interned as `TruncPoly` is: the level holds one object
+    per value in `interned`, keyed by the coefficient tuple, and
+    `IwasawaElement(level, coeffs)` and every operator return that object.
+    Equality and hashing are therefore identity, the object defaults.
+    `_expansion` keeps the element's expansion once `_expand_pairs`
+    computes it, for the level's lifetime."""
 
-    def __init__(self, level: IwasawaLevel, codes: tuple):
-        self.level = level
-        self.codes = codes
-        self._expansion = None
+    __slots__ = ("level", "coeffs", "_expansion")
+    __init__ = object.__init__  # `__new__` returns a finished element
+
+    def __new__(cls, level: IwasawaLevel, coeffs: tuple):
+        x = level.interned.get(coeffs)
+        if x is None:
+            x = level.interned[coeffs] = object.__new__(cls)
+            x.level, x.coeffs, x._expansion = level, coeffs, None
+        return x
 
     def is_zero(self) -> bool:
-        return not any(self.codes)
+        return self is self.level.zero
 
-    def _codes_of(self, other) -> tuple:
+    def _coeffs_of(self, other) -> tuple:
         if not isinstance(other, IwasawaElement) or other.level is not self.level:
             raise ValueError("elements of different levels")
-        return other.codes
+        return other.coeffs
+
+    def _coefficientwise(self, table, other) -> "IwasawaElement":
+        return IwasawaElement(self.level, tuple(
+            [table[a][b] for a, b in zip(self.coeffs, self._coeffs_of(other))]))
 
     def __add__(self, other):
-        return IwasawaElement(self.level,
-                              self.level.add(self.codes, self._codes_of(other)))
+        return self._coefficientwise(self.level.scalars.sums, other)
 
     def __sub__(self, other):
-        return IwasawaElement(self.level,
-                              self.level.sub(self.codes, self._codes_of(other)))
+        return self._coefficientwise(self.level.scalars.diffs, other)
 
     def __neg__(self):
         return self.level.zero - self
@@ -236,9 +236,9 @@ class IwasawaElement:
         if isinstance(other, TruncPoly):
             if other.ring is not lv.ring:
                 raise ValueError("scalar of a different ring")
-            times_s = lv.scalars.prods[lv.scalars.encode(other)]
-            return IwasawaElement(lv, tuple([times_s[c] for c in self.codes]))
-        return IwasawaElement(lv, lv.mul(self.codes, self._codes_of(other)))
+            times_s = lv.scalars.prods[other]
+            return IwasawaElement(lv, tuple([times_s[c] for c in self.coeffs]))
+        return IwasawaElement(lv, lv.mul(self.coeffs, self._coeffs_of(other)))
 
     def __rmul__(self, other):
         if isinstance(other, TruncPoly):
@@ -255,70 +255,60 @@ class IwasawaElement:
         if m > lv.m:
             raise ValueError("cannot raise the level")
         low = iwasawa_level(lv.place, m)
-        out, sums = list(low.zero.codes), low.scalars.sums
-        for n, c in enumerate(self.codes):
-            if c:
+        out, sums, zero = list(low.zero.coeffs), low.scalars.sums, lv.ring.zero
+        for n, c in enumerate(self.coeffs):
+            if c is not zero:
                 chi, i = divmod(n, lv.width)
                 u = low.ring.reduce(lv.wild_group[i])
                 k = chi * low.width + low.wild_index[u]
-                c = low.ring.reduce(lv.scalars.decode(c))
-                out[k] = sums[out[k]][low.scalars.encode(c)]
+                out[k] = sums[out[k]][low.ring.reduce(c)]
         return IwasawaElement(low, tuple(out))
 
     def expand(self) -> dict:
         """The element as a measure on the full unit group: coefficient of
         [omega(zeta) * v] is (tame order)^-1 sum_chi chi^-1(zeta) c_chi(v)."""
-        decode = self.level.scalars.decode
-        return {decode(u): decode(c) for u, c in _expand_codes(self)}
-
-    def __eq__(self, other):
-        return (isinstance(other, IwasawaElement)
-                and other.level is self.level
-                and other.codes == self.codes)
-
-    def __hash__(self):
-        return hash((id(self.level), self.codes))
+        return dict(_expand_pairs(self))
 
     def as_record(self) -> dict:
-        lv, w = self.level, self.level.width
+        lv, w, zero = self.level, self.level.width, self.level.ring.zero
         text = lv.ring.to_apoly
-        comps = [self.codes[b:b + w] for b in range(0, len(self.codes), w)]
+        comps = [self.coeffs[b:b + w] for b in range(0, len(self.coeffs), w)]
         return {"level": lv.m, "tame": {
-            str(chi): {str(text(lv.wild_group[i])):
-                       str(text(lv.scalars.decode(c)))
-                       for i, c in enumerate(comp) if c}
-            for chi, comp in enumerate(comps) if any(comp)}}
+            str(chi): {str(text(lv.wild_group[i])): str(text(c))
+                       for i, c in enumerate(comp) if c is not zero}
+            for chi, comp in enumerate(comps)
+            if any(c is not zero for c in comp)}}
 
     def __repr__(self):
         return f"Iwasawa({self.as_record()})"
 
 
-def _expand_codes(x: IwasawaElement) -> tuple:
-    """`expand` on codes: (unit code, nonzero coefficient code) pairs,
-    computed on the first call and kept by the element."""
+def _expand_pairs(x: IwasawaElement) -> tuple:
+    """`expand` as (unit, nonzero coefficient) pairs, computed on the first
+    call and kept by the element."""
     if x._expansion is not None:
         return x._expansion
     lv = x.level
     w, sums, prods = lv.width, lv.scalars.sums, lv.scalars.prods
-    units, out = lv._unit_tables[0], []
+    units, out, zero = lv._unit_tables[0], [], lv.ring.zero
     for a, weights in enumerate(lv._expand_weights):
         for i in range(w):
-            acc = 0
-            for weight, c in zip(weights, x.codes[i::w]):
-                if c:
+            acc = zero
+            for weight, c in zip(weights, x.coeffs[i::w]):
+                if c is not zero:
                     acc = sums[acc][prods[weight][c]]
-            if acc:
+            if acc is not zero:
                 out.append((units[a * w + i], acc))
     x._expansion = tuple(out)
     return x._expansion
 
 
-def _decompose_codes(level: IwasawaLevel, pairs) -> IwasawaElement:
-    """`decompose` on (unit code, coefficient code) pairs."""
+def _decompose_pairs(level: IwasawaLevel, pairs) -> IwasawaElement:
+    """`decompose` on (unit, coefficient) pairs."""
     t, w = level.tame_order, level.width
     sums, prods = level.scalars.sums, level.scalars.prods
-    split, teich = level._unit_tables[1], level._teich_codes
-    out = list(level.zero.codes)
+    split, teich = level._unit_tables[1], level.teich_powers
+    out = list(level.zero.coeffs)
     for u, c in pairs:
         a, i = split[u]
         times_c = prods[c]
@@ -331,9 +321,9 @@ def _decompose_codes(level: IwasawaLevel, pairs) -> IwasawaElement:
 def decompose(level: IwasawaLevel, measure: dict) -> IwasawaElement:
     """Inverse of expand: a measure on the full unit group, componentized
     over the tame characters."""
-    encode = level.scalars.encode
-    return _decompose_codes(level, ((level._unit_code(u), encode(c))
-                                    for u, c in measure.items()))
+    for u in measure:
+        level._split_unit(u)
+    return _decompose_pairs(level, measure.items())
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +349,13 @@ def specialize(x: IwasawaElement, weight) -> TruncPoly:
     the tame component matching the weight contributes."""
     w = weight if isinstance(weight, WeightChar) else WeightChar(weight)
     lv = x.level
-    codes = lv.scalars
-    sums, prods = codes.sums, codes.prods
+    sums, prods = lv.scalars.sums, lv.scalars.prods
     base = w.tame(lv.tame_order) * lv.width
-    acc = 0
-    for v, c in zip(lv.wild_group, x.codes[base:base + lv.width]):
-        if c:
-            acc = sums[acc][prods[c][lv.unit_power(codes.encode(v), w.k)]]
-    return codes.decode(acc)
+    acc = zero = lv.ring.zero
+    for v, c in zip(lv.wild_group, x.coeffs[base:base + lv.width]):
+        if c is not zero:
+            acc = sums[acc][prods[c][lv.unit_power(v, w.k)]]
+    return acc
 
 
 def iota_eval(x: IwasawaElement, k: int) -> TruncPoly:
@@ -376,10 +365,10 @@ def iota_eval(x: IwasawaElement, k: int) -> TruncPoly:
     independent on purpose)."""
     lv = x.level
     sums, prods = lv.scalars.sums, lv.scalars.prods
-    acc = 0
-    for u, c in _expand_codes(x):
+    acc = lv.ring.zero
+    for u, c in _expand_pairs(x):
         acc = sums[acc][prods[c][lv.unit_power(u, k)]]
-    return lv.scalars.decode(acc)
+    return acc
 
 
 def duality_twist(x: IwasawaElement) -> IwasawaElement:
@@ -388,8 +377,8 @@ def duality_twist(x: IwasawaElement) -> IwasawaElement:
     equals specialization at weight 2 - k, and the twist is an involution."""
     lv = x.level
     prods, pw = lv.scalars.prods, lv.unit_power
-    return _decompose_codes(lv, ((pw(u, -1), prods[c][pw(u, 2)])
-                                 for u, c in _expand_codes(x)))
+    return _decompose_pairs(lv, ((pw(u, -1), prods[c][pw(u, 2)])
+                                 for u, c in _expand_pairs(x)))
 
 
 def determining_weights(place: PrimePlace, m: int) -> "DeterminingSet":
@@ -403,9 +392,8 @@ def determining_weights(place: PrimePlace, m: int) -> "DeterminingSet":
     lv = iwasawa_level(place, m)
     p = place.field.p
     # exponent of the unit group: tame order times the wild exponent
-    wild_exp = 1
-    wild = [lv.scalars.encode(v) for v in lv.wild_group]
-    while any(lv.unit_power(v, wild_exp) != 1 for v in wild):
+    wild_exp, wild, one = 1, lv.wild_group, lv.ring.one
+    while any(lv.unit_power(v, wild_exp) is not one for v in wild):
         wild_exp *= p
     block = [[lv.unit_power(w, j) for j in range(wild_exp)] for w in wild]
     exponent = lv.tame_order * wild_exp
@@ -422,15 +410,15 @@ class DeterminingSet(namedtuple(
 
 
 def smith_count(ring, matrix) -> int:
-    """The number of nonzero invariant factors of a matrix of codes over
-    the chain ring A/(varpi^n) (`ring.codes()`), an invariant of its row
-    module.  Each step takes a pivot of least valuation in the whole
+    """The number of nonzero invariant factors of a matrix of elements of
+    the chain ring A/(varpi^n), an invariant of its row module.  Each step takes a pivot of least valuation in the whole
     remaining submatrix, so it divides every entry there; clearing its
     column below and dropping its row and column leaves the submatrix whose
     invariant factors are the rest."""
-    codes, n = ring.codes(), ring.N
-    diffs, prods = codes.diffs, codes.prods
-    val = cache(lambda c: codes.decode(c).varpi_valuation())
+    tables, n, zero = ring.tables(), ring.N, ring.zero
+    diffs, prods = tables.diffs, tables.prods
+    # every step reads each remaining entry's valuation; a memo halves this
+    val = cache(TruncPoly.varpi_valuation)
     rows = [list(row) for row in matrix]
     count = 0
     while rows and rows[0]:
@@ -439,11 +427,10 @@ def smith_count(ring, matrix) -> int:
         if v >= n:
             break
         pivot = rows.pop(r)
-        unit_inverse = codes.decode(pivot[c]).eps_quotient(v).inverse()
+        unit_inverse = pivot[c].eps_quotient(v).inverse()
         for i, row in enumerate(rows):
-            if row[c]:
-                factor = codes.decode(row[c]).eps_quotient(v) * unit_inverse
-                times_f = prods[codes.encode(factor)]
+            if row[c] is not zero:
+                times_f = prods[row[c].eps_quotient(v) * unit_inverse]
                 row = [diffs[a][times_f[b]] for a, b in zip(row, pivot)]
             rows[i] = row[:c] + row[c + 1:]
         count += 1

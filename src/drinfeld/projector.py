@@ -6,21 +6,21 @@ A matrix is a list of rows, each the tuple of the `(column, element)`
 pairs of its nonzero entries in column order; full rows appear only in
 JSON (`mat_sparse`, `mat_dense`).  Levels of a tower may live over
 different rings connected by entrywise transition maps.  The matrix
-arithmetic works on codes instead, in two layers:
+arithmetic is memoized in two layers, whose tables only interned values
+key:
 
 - *Entries.*  Every matrix ring (`LocalRing`, `FieldExt`, `IwasawaLevel`)
-  returns from `codes()` its one `basearith.ElementCodes`, for the ring's
-  lifetime: canonical int codes, zero at 0 and one at 1, whose sums and
-  products are the subscripts `sums[a][b]` and `prods[a][b]` of memo
-  tables.
-- *Matrices.*  A `MatrixCodes` interns the r x r matrices over one such
-  codec as int codes too, keyed by their row-sparse form: per row, the
-  `(column, code)` pairs of its nonzero entries in column order.  Products
-  are the subscripts `prods[a][b]` of one more memo table, so each distinct
-  product is computed once; a miss calls the one kernel `mat_mul`,
-  Gustavson's row product on sparse rows, which costs one entry product
-  per pair of nonzero entries that meet (in the Hecke towers, whose rows
-  hold at most two entries, a few per row).
+  returns from `tables()` its one `basearith.RingTables`, for the ring's
+  lifetime: its interned elements are their own keys, and sums and
+  products are the subscripts `sums[x][y]` and `prods[x][y]`.
+- *Matrices.*  A nested tuple does not cache its hash, so a `MatrixCodes`
+  interns the r x r matrices over one ring as int codes, keyed by their
+  row-sparse form: per row, the `(column, element)` pairs of its nonzero
+  entries in column order.  Products are the subscripts `prods[a][b]` of
+  one more memo table, so each distinct product is computed once; a miss
+  calls the one kernel `mat_mul`, Gustavson's row product on sparse rows,
+  which costs one entry product per pair of nonzero entries that meet (in
+  the Hecke towers, whose rows hold at most two entries, a few per row).
 
 A matrix memo lives for one `ordinary_projector`, `factorial_powers_vanish`
 or `control_check` call: it is created there and passed down, so library
@@ -55,7 +55,7 @@ import itertools
 import math
 from collections import namedtuple
 
-from .basearith import Codes, LocalRing, _MemoTable, local_ring, power
+from .basearith import LocalRing, _MemoTable, local_ring, power
 
 
 # -- coded matrices -------------------------------------------------------------
@@ -66,52 +66,55 @@ def mat_identity(ring, n: int):
 
 
 def mat_mul(a, b, codec):
-    """The product of two row-sparse matrices over a codec: each row a
-    tuple of (column, nonzero code) pairs in column order.  Row by row
-    (Gustavson's product), each entry x at (i, k) of a adds x * y into
-    column j of row i for the entries y at (k, j) of b only.  Both
-    operations are subscripts of the codec's memo tables: the row
-    `prods[x]` once per entry x, then `sums[acc][px[y]]` per pair of
-    entries that meet.  Returns the product's rows in the same form."""
-    sums, prods = codec.sums, codec.prods
+    """The product of two row-sparse matrices over a ring's `RingTables`:
+    each row a tuple of (column, nonzero element) pairs in column order.
+    Row by row (Gustavson's product), each entry x at (i, k) of a adds
+    x * y into column j of row i for the entries y at (k, j) of b only.
+    Both operations are subscripts of the memo tables: the row `prods[x]`
+    once per entry x, then `sums[acc][px[y]]` per pair of entries that
+    meet.  Returns the product's rows in the same form."""
+    sums, prods, zero = codec.sums, codec.prods, codec.zero
     out = []
     for row in a:
         acc = {}
         for k, x in row:
             px = prods[x]
             for j, y in b[k]:
-                acc[j] = sums[acc.get(j, 0)][px[y]]
-        out.append(tuple(sorted([(j, c) for j, c in acc.items() if c])))
+                acc[j] = sums[acc.get(j, zero)][px[y]]
+        out.append(tuple(sorted([(j, c) for j, c in acc.items()
+                                 if c is not zero])))
     return tuple(out)
 
 
-class MatrixCodes(Codes):
-    """The r x r matrices over one ring codec, interned as int codes keyed
-    by their row-sparse form (zero matrix 0, identity 1), with the memo
+class MatrixCodes:
+    """The r x r matrices over one ring's `RingTables`, interned as int
+    codes keyed by their row-sparse form (zero matrix 0, identity 1), so
+    two codes are equal exactly when their matrices are, with the memo
     table `prods[a][b]` of their products: a miss multiplies by `mat_mul`
     once."""
 
-    __slots__ = ("scalars", "rank", "prods")
+    __slots__ = ("scalars", "one", "_matrices", "_index", "prods")
 
     def __init__(self, scalars, rank: int):
-        super().__init__(((),) * rank,
-                         tuple(((i, scalars.one),) for i in range(rank)))
-        self.scalars, self.rank = scalars, rank
+        self.scalars, self.one, self._matrices, self._index = scalars, 1, [], {}
+        for mat in (((),) * rank, [((i, scalars.one),) for i in range(rank)]):
+            self.encode_matrix(mat)
         # `mat_mul` is looked up in this module on every miss
-        self.prods = _MemoTable(self, lambda a, b: mat_mul(a, b, scalars))
+        self.prods = _MemoTable(lambda a, b: self.encode_matrix(mat_mul(
+            self._matrices[a], self._matrices[b], scalars)))
 
     def encode_matrix(self, mat) -> int:
-        """The code of a row-sparse matrix of ring elements."""
-        encode = self.scalars.encode
-        return self.encode(tuple(
-            tuple([(j, c) for j, x in row if (c := encode(x))])
-            for row in mat))
+        """The code of a row-sparse matrix of interned ring elements."""
+        mat = tuple(mat)
+        code = self._index.get(mat)
+        if code is None:
+            code = self._index[mat] = len(self._matrices)
+            self._matrices.append(mat)
+        return code
 
     def decode_matrix(self, code: int) -> list:
         """The row-sparse matrix of a code."""
-        decode = self.scalars.decode
-        return [tuple([(j, decode(c)) for j, c in row])
-                for row in self.decode(code)]
+        return list(self._matrices[code])
 
 
 def mat_pow(a: int, e: int, ring: MatrixCodes) -> int:
@@ -312,7 +315,7 @@ def ordinary_projector(op: TowerOperator) -> ProjectorReport:
     the stabilized factorial power vanishes on the kernel of e, and the
     levels are transition-compatible."""
     tower = op.tower
-    mrings = [MatrixCodes(ring.codes(), tower.rank) for ring in tower.rings]
+    mrings = [MatrixCodes(ring.tables(), tower.rank) for ring in tower.rings]
     coded = [m.encode_matrix(T) for m, T in zip(mrings, op.matrices)]
     limits = [_stabilized_factorial_power(T, m) for m, T in zip(mrings, coded)]
     mats = [m.decode_matrix(e) for m, (e, _) in zip(mrings, limits)]
@@ -352,7 +355,7 @@ def factorial_powers_vanish(op: TowerOperator, report: ProjectorReport) -> bool:
     rank = op.tower.rank
     for ring, T, e, st in zip(op.tower.rings, op.matrices,
                               report.projector.matrices, report.steps):
-        m = MatrixCodes(ring.codes(), rank)
+        m = MatrixCodes(ring.tables(), rank)
         T = m.encode_matrix(T)
         f = math.factorial(st + 1)
         P = mat_pow(T, _witness_exponent(ring, rank, f), m)
@@ -386,8 +389,8 @@ def control_check(matrix, ring, specializations, target_ring) -> list:
     entry map f_k in `specializations` (one per weight), comparing the
     image of f_k(e(T)) with the image of e(f_k(T)) over the target.  e(T)
     is computed once for all of them; one report per map, in order."""
-    source = MatrixCodes(ring.codes(), len(matrix))
-    target = MatrixCodes(target_ring.codes(), len(matrix))
+    source = MatrixCodes(ring.tables(), len(matrix))
+    target = MatrixCodes(target_ring.tables(), len(matrix))
     e_first, _ = _stabilized_factorial_power(source.encode_matrix(matrix),
                                              source)
     e_source = source.decode_matrix(e_first)

@@ -23,9 +23,10 @@ and its callers assume without probing:
   fields need `divmod_coeffs(u, v, twist)`, the kernel of `right_divide`;
 * matrix rings (LocalRing, which holds A/(varpi^n) as the ArtinRing
   F_Q[eps]/(eps^n); FieldExt; IwasawaLevel) expose `zero`, `one` and
-  `codes()`, the one `basearith.ElementCodes` of the projector's matrix
-  arithmetic, which the ring owns for its lifetime: int codes with memo
-  tables `sums[a][b]`, `diffs[a][b]` and `prods[a][b]`;
+  `tables()`, the one `basearith.RingTables` of the projector's matrix
+  arithmetic, which the ring owns for its lifetime: memo tables
+  `sums[x][y]`, `diffs[x][y]` and `prods[x][y]` keyed by the ring's
+  interned elements, the only values that key them;
 * every element answers `is_zero()`, and the elements of module bases
   also answer `is_unit()` and `inverse()`.
 

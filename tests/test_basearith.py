@@ -14,6 +14,7 @@ from drinfeld.basearith import (APoly, ArtinRing, CoeffTuple, FFElement,
                                 power)
 import drinfeld
 from drinfeld.carlitz import TruncSeriesRing
+from drinfeld.checks import standard_places
 from drinfeld.iwasawa import iwasawa_level
 from drinfeld.projector import MatrixCodes, mat_pow, mat_sparse
 from drinfeld.skew import SkewPoly
@@ -134,12 +135,29 @@ def test_interned_arithmetic_matches_coordinates(p, n):
 
 def test_interned_elements_use_identity_equality_and_hash():
     """Equality and hashing are the object defaults, so coefficient tuples
-    and the codecs' dict lookups compare and hash without a Python frame
-    per element."""
+    and the memo tables' dict lookups compare and hash without a Python
+    frame per element."""
     for cls in (FFElement, TruncPoly):
         assert cls.__eq__ is object.__eq__, cls
         assert cls.__ne__ is object.__ne__, cls
         assert cls.__hash__ is object.__hash__, cls
+
+
+@pytest.mark.parametrize("place_index", [0, 1])
+def test_tables_return_the_interned_result(place_index):
+    """A table entry is the very object the ring's own operation returns,
+    on every pair of A/(varpi^2) and on a seeded sample of Lambda_1
+    pairs."""
+    place = standard_places()[place_index]
+    L2, lv = local_ring(place, 2), iwasawa_level(place, 1)
+    rng = random.Random(43)
+    sample = [lv.random_element(rng) for _ in range(12)]
+    for ring, elements in ((L2, list(L2.elements())), (lv, sample)):
+        tables = ring.tables()
+        for x, y in itertools.product(elements, repeat=2):
+            assert tables.sums[x][y] is x + y
+            assert tables.diffs[x][y] is x - y
+            assert tables.prods[x][y] is x * y
 
 
 def _interning_rings():
@@ -574,7 +592,7 @@ def _power_cases(place_T, ext9, artin9):
     series = TruncSeriesRing(artin9, 10)
     lv = iwasawa_level(place_T, 2)
     a9 = artin9.from_coeff(ext9.field.gen())
-    mats = MatrixCodes(L2.codes(), 3)
+    mats = MatrixCodes(L2.tables(), 3)
     mat = mats.encode_matrix(mat_sparse(
         [[L2.from_apoly(APoly(F3, [i + j, 1, i * j])) for j in range(3)]
          for i in range(3)]))

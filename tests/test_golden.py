@@ -82,6 +82,8 @@ SUITE_DIGESTS = {
         "727915c437bedff0498cc2c96b801a429d2b39f1970030f0981f243c8f5ea486",
     "suite --q 2 --varpi T^3+T+1":
         "1b7d1afe6c5de8ee152c2e2c0a0961d09f8c25db3e2a7afb3cfe9a7ae05cf2ee",
+    "suite --q 4 --varpi T^2+T+a":
+        "cdfebdc649a236499cc10e4e26edc4e8012af6a1ad0f10a9c9b377e97935610f",
 }
 # projectors here stabilize at factorial step 73; a fresh process's
 # timeout turns a runaway iteration into a failure

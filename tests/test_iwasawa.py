@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from drinfeld.basearith import poly_T
 from drinfeld.checks import standard_places
 from drinfeld.iwasawa import (IwasawaElement, J_ideal, MonomialIdeal,
-                              WeightChar, _expand_codes, _monomials_of_degree,
+                              WeightChar, _expand_pairs, _monomials_of_degree,
                               alpha, decompose, determining_weights,
                               duality_twist, filtration,
                               filtration_index_range, iota_eval,
@@ -129,6 +129,26 @@ def test_reduction_commutes_with_everything(place_T, lv2):
         for k in (0, 2, 3):
             assert lv2.ring.reduce(specialize(x, k)) == \
                 specialize(x.reduce_to(2), k)
+
+
+def test_elements_are_interned_per_level():
+    """Whichever route reaches a value, it is the level's one object for
+    it, so equality and hashing are identity, the object defaults."""
+    assert IwasawaElement.__eq__ is object.__eq__
+    assert IwasawaElement.__hash__ is object.__hash__
+    rng = random.Random(7)
+    for place in standard_places():
+        for m in (1, 2):
+            lv = iwasawa_level(place, m)
+            for _ in range(10):
+                x, y = lv.random_element(rng), lv.random_element(rng)
+                t = x.coeffs
+                assert IwasawaElement(lv, t) is IwasawaElement(lv, t) is x
+                assert lv.interned[t] is x and hash(x) == object.__hash__(x)
+                assert (x - y) + y is x and x * lv.one is x
+                assert decompose(lv, x.expand()) is x
+                assert (x == y) == (x is y) == (t == y.coeffs)
+            assert lv.one - lv.one is lv.zero and lv.zero.is_zero()
 
 
 def test_expand_decompose_roundtrip(lv2):
@@ -566,11 +586,9 @@ def test_seeded_levels_match_reference(place_index, m):
 def test_unit_power_table_matches_local_powers(place_index):
     for m in (1, 2, 3):
         lv = iwasawa_level(standard_places()[place_index], m)
-        codes = lv.scalars
         for u in lv.ring.units():
             for k in range(-3, 7):
-                got = codes.decode(lv.unit_power(codes.encode(u), k))
-                assert got == u ** k
+                assert lv.unit_power(u, k) == u ** k
 
 
 def _head_random_components(lv, rng, support):
@@ -598,7 +616,7 @@ def test_random_element_draws_as_before(place_index):
             w = len(lv.wild_group)
             for chi, comp in enumerate(comps):
                 for i, u in enumerate(lv.wild_group):
-                    c = lv.scalars.decode(x.codes[chi * w + i])
+                    c = x.coeffs[chi * w + i]
                     assert c == comp.get(u, lv.ring.zero)
 
 
@@ -608,9 +626,9 @@ def test_an_element_keeps_its_expansion():
         for m in (1, 2, 3):
             lv = iwasawa_level(place, m)
             x = lv.random_element(rng)
-            first = _expand_codes(x)
-            assert _expand_codes(x) is first
-            assert first == _expand_codes(IwasawaElement(lv, x.codes))
+            first = _expand_pairs(x)
+            assert _expand_pairs(x) is first
+            assert first == _expand_pairs(IwasawaElement(lv, x.coeffs))
 
 
 def test_iota_eval_expands_a_measure_once(monkeypatch):

@@ -243,10 +243,6 @@ def _ref_rank(rows: list, m: int) -> int:
     return rank
 
 
-def _as_codes(ring, matrix):
-    return [[ring.codes().encode(x) for x in row] for row in matrix]
-
-
 def _as_ref(ring, ref, matrix):
     return [[ref.from_apoly(ring.to_apoly(x)) for x in row] for row in matrix]
 
@@ -260,19 +256,19 @@ def test_smith_count_does_not_depend_on_the_generators():
     second = [[v, one], [zero, v]]
     for matrix in ([[v, one]], second):
         for cols in (matrix, [row[::-1] for row in matrix]):
-            assert smith_count(ring, _as_codes(ring, cols)) == 1
+            assert smith_count(ring, cols) == 1
     # the column-pivot route finds a pivot in each column of the second
     assert _ref_rank(_as_ref(ring, RefLocalRing(place, 2), second), 2) == 2
 
 
 def _row_module(ring, rows) -> set:
-    """Every R-linear combination of rows of codes, as tuples of codes."""
-    codes = ring.codes()
-    scalars = [codes.encode(c) for c in ring.elements()]
-    span = {(0,) * len(rows[0])}
+    """Every R-linear combination of rows, as tuples of elements."""
+    tables = ring.tables()
+    span = {(ring.zero,) * len(rows[0])}
     for row in rows:
-        multiples = {tuple([codes.prods[c][y] for y in row]) for c in scalars}
-        span = {tuple([codes.sums[x][y] for x, y in zip(vec, mult)])
+        multiples = {tuple([tables.prods[c][y] for y in row])
+                     for c in ring.elements()}
+        span = {tuple([tables.sums[x][y] for x, y in zip(vec, mult)])
                 for vec in span for mult in multiples}
     return span
 
@@ -283,13 +279,12 @@ def test_smith_count_counts_generators_of_the_row_module(shape, data):
     # M = sum R/(varpi^a_i) has M/varpi M = F_Q^(number of nonzero a_i)
     n, ncols = shape
     ring = local_ring(_place(3, "T"), n)
-    codes = ring.codes()
-    entry = st.sampled_from([codes.encode(x) for x in ring.elements()])
+    entry = st.sampled_from(list(ring.elements()))
     rows = data.draw(st.lists(st.lists(entry, min_size=ncols,
                                        max_size=ncols),
                               min_size=1, max_size=4))
     span = _row_module(ring, rows)
-    times_varpi = codes.prods[codes.encode(ring.varpi)]
+    times_varpi = ring.tables().prods[ring.varpi]
     varpi_span = {tuple([times_varpi[x] for x in vec]) for vec in span}
     assert len(span) == len(varpi_span) * 3 ** smith_count(ring, rows)
 
@@ -308,7 +303,7 @@ def test_evaluation_rank_matches_the_division_route(q, varpi, m):
     units = list(lv.ring.units())
     full = [[u ** k for k in ds.weights] for u in units]
     ref = RefLocalRing(place, m)
-    assert ds.rank == smith_count(lv.ring, _as_codes(lv.ring, full)) \
+    assert ds.rank == smith_count(lv.ring, full) \
         == _ref_rank(_as_ref(lv.ring, ref, full), m)
 
 
@@ -321,8 +316,8 @@ def test_weights_beyond_the_determining_set_add_no_rank(q, varpi, m):
     # repeats the first
     place = _place(q, varpi)
     lv, ds = iwasawa_level(place, m), determining_weights(place, m)
-    doubled = _as_codes(lv.ring, [[u ** k for k in range(2 * ds.exponent)]
-                                  for u in lv.ring.units()])
+    doubled = [[u ** k for k in range(2 * ds.exponent)]
+               for u in lv.ring.units()]
     counts = [smith_count(lv.ring, [row[:cut] for row in doubled])
               for cut in range(1, len(doubled[0]) + 1)]
     assert counts == sorted(counts)

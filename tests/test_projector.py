@@ -5,7 +5,7 @@ from itertools import count, product
 
 import pytest
 
-from drinfeld.basearith import (APoly, ElementCodes, ext_field, field_of_order,
+from drinfeld.basearith import (APoly, RingTables, ext_field, field_of_order,
                                 local_ring, make_place, power)
 from drinfeld.checks import standard_places
 from drinfeld.hecke import build_correspondence
@@ -111,19 +111,19 @@ def _specializations(weights):
     return [lambda x, k=k: specialize(x, k) for k in weights]
 
 
-def _sparse(mat, codec):
-    """The row-sparse form `mat_mul` takes: per row, the (column, code)
+def _sparse(mat):
+    """The row-sparse form `mat_mul` takes: per row, the (column, element)
     pairs of the nonzero entries."""
-    return tuple(tuple((j, c) for j, c in enumerate(map(codec.encode, row))
-                       if c) for row in mat)
+    return tuple(tuple((j, x) for j, x in enumerate(row) if not x.is_zero())
+                 for row in mat)
 
 
 def _dense(rows, width, codec):
     out = []
     for row in rows:
-        dense = [codec.decode(0)] * width
-        for j, c in row:
-            dense[j] = codec.decode(c)
+        dense = [codec.zero] * width
+        for j, x in row:
+            dense[j] = x
         out.append(dense)
     return out
 
@@ -176,7 +176,7 @@ def test_projector_properties(worked):
     rep = ordinary_projector(worked)
     for ring, T, e in zip(worked.tower.rings, worked.matrices,
                           rep.projector.matrices):
-        m = MatrixCodes(ring.codes(), len(T))
+        m = MatrixCodes(ring.tables(), len(T))
         T, e = m.encode_matrix(T), m.encode_matrix(e)
         assert m.prods[e][e] == e
         assert m.prods[e][T] == m.prods[T][e]
@@ -219,7 +219,7 @@ def _counted_ring(codec, rank):
 @pytest.mark.parametrize("e", range(20))
 def test_mat_pow_product_count(e, L2, monkeypatch):
     calls = _counted_products(monkeypatch)
-    ring = _counted_ring(L2.codes(), 2)
+    ring = _counted_ring(L2.tables(), 2)
     M = ring.encode_matrix(mat_sparse([[L2.one, L2.one], [L2.zero, L2.varpi]]))
     mat_pow(M, e, ring)
     expected = (e.bit_length() - 1) + (bin(e).count("1") - 1) if e else 0
@@ -255,7 +255,7 @@ def _matrix_rings(place):
 def test_sparse_product_matches_reference(place_index, density):
     rng = random.Random(23)
     for ring, draw in _matrix_rings(standard_places()[place_index]):
-        c = ring.codes()
+        c = ring.tables()
 
         def rand(rows, cols):
             return [[draw(rng) if rng.random() < density else ring.zero
@@ -271,8 +271,9 @@ def test_sparse_product_matches_reference(place_index, density):
                         row[-1] = ring.zero
                     for row in b:
                         row[0] = ring.zero
-                got = mat_mul(_sparse(a, c), _sparse(b, c), c)
-                assert all(list(row) == sorted(row) and all(x for _, x in row)
+                got = mat_mul(_sparse(a), _sparse(b), c)
+                assert all([j for j, _ in row] == sorted(j for j, _ in row)
+                           and not any(x.is_zero() for _, x in row)
                            for row in got)
                 assert _dense(got, m, c) == _ref_mat_mul(a, b, ring)
 
@@ -292,7 +293,7 @@ def test_factorial_ladder_product_count(place_index, seed, stop, products,
     elems = list(L2.elements())
     rng = random.Random(seed)
     T = mat_sparse([[rng.choice(elems) for _ in range(3)] for _ in range(3)])
-    ring = _counted_ring(L2.codes(), 3)
+    ring = _counted_ring(L2.tables(), 3)
     calls = _counted_products(monkeypatch)
     _, step = _stabilized_factorial_power(ring.encode_matrix(T), ring)
     assert (step, ring.prods.requests) == (stop, products)
@@ -320,7 +321,7 @@ def test_idempotent_equals_for_powers(worked, place_T, L2):
     rep = ordinary_projector(worked)
     e = rep.projector.matrices[-1]
     M = mat_sparse([[L2.one, L2.one], [L2.zero, L2.varpi]])
-    ring = MatrixCodes(L2.codes(), 2)
+    ring = MatrixCodes(L2.tables(), 2)
     for r in (2, 3):
         Mr = ring.decode_matrix(mat_pow(ring.encode_matrix(M), r, ring))
         rep_r = ordinary_projector(reduction_tower(place_T, Mr, 2))
@@ -438,7 +439,7 @@ def test_control_check_derives_the_source_projector_once(place_T,
     monkeypatch.setattr(projector, "_stabilized_factorial_power", counted)
     weights = (0, 2, 3, 5)
     reports = control_check(M, lv, _specializations(weights), lv.ring)
-    assert scalars == [lv.codes()] + [lv.ring.codes()] * len(weights)
+    assert scalars == [lv.tables()] + [lv.ring.tables()] * len(weights)
     for k, cr in zip(weights, reports, strict=True):
         assert (cr.specialized_projector, cr.projector_of_specialized,
                 cr.images_agree) == _ref_control(
@@ -447,7 +448,7 @@ def test_control_check_derives_the_source_projector_once(place_T,
 
 
 def test_image_identity_criterion(L2):
-    ring = MatrixCodes(L2.codes(), 2)
+    ring = MatrixCodes(L2.tables(), 2)
     e1 = ring.encode_matrix(mat_sparse([[L2.one, L2.zero], [L2.zero, L2.zero]]))
     e2 = ring.encode_matrix(mat_sparse([[L2.one, L2.one], [L2.zero, L2.zero]]))
     # same column space over the ring
@@ -480,16 +481,15 @@ def test_codec_matches_ring_arithmetic(kind, place_index):
     assert rings
     for ring, elements in rings:
         assert 2 <= len(elements) <= 64
-        c = ring.codes()
-        assert c.decode(c.zero) == ring.zero and c.decode(c.one) == ring.one
-        codes = [c.encode(x) for x in elements]
-        assert len(set(codes)) == len(elements)
-        for x, cx in zip(elements, codes):
-            assert c.decode(cx) == x
-            for y, cy in zip(elements, codes):
-                assert c.decode(c.sums[cx][cy]) == x + y
-                assert c.decode(c.diffs[cx][cy]) == x - y
-                assert c.decode(c.prods[cx][cy]) == x * y
+        c = ring.tables()
+        assert c.zero is ring.zero and c.one is ring.one
+        assert len(set(elements)) == len(elements)
+        for x in elements:
+            assert c.prods[x][c.one] is x
+            for y in elements:
+                assert c.sums[x][y] is x + y
+                assert c.diffs[x][y] is x - y
+                assert c.prods[x][y] is x * y
 
 
 @pytest.mark.parametrize("place_index", [0, 1])
@@ -497,10 +497,10 @@ def test_codes_are_owned_by_the_ring(place_index):
     place = standard_places()[place_index]
     for ring in (local_ring(place, 2), ext_field(place, 2),
                  iwasawa_level(place, 2)):
-        assert ring.codes() is ring.codes()
-        assert isinstance(ring.codes(), ElementCodes)
+        assert ring.tables() is ring.tables()
+        assert isinstance(ring.tables(), RingTables)
     for m in (1, 2, 3):
-        assert iwasawa_level(place, m).scalars is local_ring(place, m).codes()
+        assert iwasawa_level(place, m).scalars is local_ring(place, m).tables()
 
 
 def test_repeated_control_check_builds_no_codec(place_T, monkeypatch):
@@ -517,16 +517,16 @@ def test_repeated_control_check_builds_no_codec(place_T, monkeypatch):
         return ordinary_projector(constant_tower(lv, M))
     first, first_rep = run(), project()
     built = []
-    init = ElementCodes.__init__
+    init = RingTables.__init__
 
     def counting_init(self, ring):
         built.append(ring)
         init(self, ring)
 
-    monkeypatch.setattr(ElementCodes, "__init__", counting_init)
+    monkeypatch.setattr(RingTables, "__init__", counting_init)
     def entries():
         return {(codec, name): sum(map(len, getattr(codec, name).values()))
-                for codec in (lv.codes(), lv.scalars)
+                for codec in (lv.tables(), lv.scalars)
                 for name in ("sums", "diffs", "prods")}
     memo = entries()
     again, again_rep = run(), project()
@@ -579,13 +579,13 @@ def test_traced_kernel_runs_once_per_product_entry(worked, place_T,
 # -- the witness exponent against brute-force periods ----------------------------
 
 def _dense_mul(a, b, r, codec):
-    """The product of two r x r matrices held as flat tuples of codes, on
-    the codec's entry tables alone (no matrix codes, no `mat_mul`)."""
+    """The product of two r x r matrices held as flat tuples of elements,
+    on the ring's entry tables alone (no matrix codes, no `mat_mul`)."""
     sums, prods = codec.sums, codec.prods
     out = []
     for i in range(0, r * r, r):
         for j in range(r):
-            acc = 0
+            acc = codec.zero
             for k in range(r):
                 acc = sums[acc][prods[a[i + k]][b[k * r + j]]]
             out.append(acc)
@@ -610,7 +610,7 @@ def _assert_exponent_bound(ring, r, matrices, tight):
     bound = r * ring.length
     top = 0
     for T in matrices:
-        index, period = _index_and_period(T, r, ring.codes())
+        index, period = _index_and_period(T, r, ring.tables())
         assert E % period == 0 and index <= bound, (ring, T, index, period)
         top = max(top, index)
     assert top == bound or not tight
@@ -630,12 +630,12 @@ def test_witness_exponent_bounds_every_period(q, varpi, r, n):
     # over F_Q[eps]/(eps^n) = A/(varpi^n): E is a multiple of every period
     # and r * n bounds every index
     ring = local_ring(make_place(parse_apoly(field_of_order(q), varpi)), n)
-    codes = [ring.codes().encode(x) for x in ring.elements()]
-    if len(codes) ** (r * r) <= _EXHAUSTIVE or r == 3:
-        matrices, tight = product(codes, repeat=r * r), True
+    elements = list(ring.elements())
+    if len(elements) ** (r * r) <= _EXHAUSTIVE or r == 3:
+        matrices, tight = product(elements, repeat=r * r), True
     else:
         rng = random.Random(29)
-        matrices = [tuple(rng.choice(codes) for _ in range(r * r))
+        matrices = [tuple(rng.choice(elements) for _ in range(r * r))
                     for _ in range(_SAMPLED)]
         tight = False
     _assert_exponent_bound(ring, r, matrices, tight)
@@ -646,11 +646,9 @@ def test_witness_exponent_bounds_every_period(q, varpi, r, n):
 def test_witness_exponent_bounds_iwasawa_periods(place_index, m):
     lv = iwasawa_level(standard_places()[place_index], m)
     rng = random.Random(31)
-    encode = lv.codes().encode
-
     def draw():
-        return encode(lv.zero if rng.random() < 0.25
-                      else lv.random_element(rng, support=2))
+        return (lv.zero if rng.random() < 0.25
+                else lv.random_element(rng, support=2))
     matrices = [tuple(draw() for _ in range(4)) for _ in range(60)]
     _assert_exponent_bound(lv, 2, matrices, tight=False)
 
@@ -667,7 +665,7 @@ def test_witness_exponent_stays_past_the_index(place_T):
             [[eps, one], [zero, one + eps]]]
     mats += [[[rng.choice(elems) for _ in range(2)] for _ in range(2)]
              for _ in range(3)]
-    m = MatrixCodes(ring.codes(), 2)
+    m = MatrixCodes(ring.tables(), 2)
     for T in mats:
         powers = [_ref_identity(ring, 2)]
         for _ in range(300):
@@ -706,7 +704,7 @@ def _assert_projector_matches_reference(op):
     # the reduced witness exponent gives the full-ladder power T^(f-1)
     rank = op.tower.rank
     for ring, T, (_, _, f, _, P) in zip(op.tower.rings, op.matrices, ref):
-        m = MatrixCodes(ring.codes(), rank)
+        m = MatrixCodes(ring.tables(), rank)
         h = _witness_exponent(ring, rank, f)
         assert h <= f - 1
         assert m.decode_matrix(mat_pow(m.encode_matrix(T), h, m)) \
@@ -714,9 +712,9 @@ def _assert_projector_matches_reference(op):
 
 
 def _assert_kernels_match_reference(a, b, ring, exponents):
-    c = ring.codes()
+    c = ring.tables()
     width = len(b[0])
-    assert _dense(mat_mul(_sparse(a, c), _sparse(b, c), c), width, c) \
+    assert _dense(mat_mul(_sparse(a), _sparse(b), c), width, c) \
         == _ref_mat_mul(a, b, ring)
     m = MatrixCodes(c, len(a))
     for e in exponents:
